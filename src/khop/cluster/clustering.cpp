@@ -4,6 +4,7 @@
 #include <span>
 #include <tuple>
 
+#include "khop/cluster/min_label.hpp"
 #include "khop/common/assert.hpp"
 #include "khop/common/error.hpp"
 #include "khop/graph/components.hpp"
@@ -25,7 +26,7 @@ namespace {
 
 /// One declaration heard this round: undecided node \p v heard head \p head
 /// at hop distance \p dist. The round's declarations live in one flat vector
-/// (winner-major fill order, then stably grouped by v) instead of the former
+/// (winner-major fill order, then grouped by v) instead of the former
 /// vector-of-vectors `heard[v]` — at n = 10^6 the n vector headers alone
 /// were 24 MB of zeroed memory per call.
 struct Candidate {
@@ -80,75 +81,94 @@ Clustering khop_clustering(const Graph& g, Hops k,
   result.head_of.assign(n, kInvalidNode);
   result.dist_to_head.assign(n, kUnreachable);
 
-  // Decided marks live in the workspace's epoch-stamped flag set (O(1)
-  // clear, no per-call O(n) bit-vector), and the phase-A scan walks a
-  // compact ascending list of undecided nodes instead of all n ids.
-  ws.flags.begin(n);
-  std::vector<NodeId>& undecided = ws.node_buf;
-  undecided.clear();
-  undecided.reserve(n);
-  for (NodeId u = 0; u < n; ++u) undecided.push_back(u);
+  // Dense priority ranks, equal keys sharing one, so `label < rank[u]` is
+  // exactly the strict `priorities[v] < priorities[u]` test. A decided node's
+  // rank becomes kNoLabel: it still relays the sweeps (distances are measured
+  // in the full graph G) but never wins a minimum. The ranks live in
+  // cluster_of, which is overwritten once the election is done.
+  std::vector<std::uint32_t>& rank = result.cluster_of;
+  rank.resize(n);
+  std::vector<NodeId>& order = ws.node_buf;
+  priority_order(priorities, order);
+  for (std::size_t i = 0, r = 0; i < n; ++i) {
+    if (i > 0 && priorities[order[i - 1]] < priorities[order[i]]) ++r;
+    rank[order[i]] = static_cast<std::uint32_t>(r);
+  }
+  // Sweep buffers: the order buffer, free again, and for k >= 3 a second one
+  // to alternate with (the first pass reads the ranks directly).
+  const std::span<std::uint32_t> sweep_a{order.data(), n};
+  std::vector<std::uint32_t> sweep_b(k >= 3 ? n : 0);
+  std::size_t undecided = n;
   // cluster_sizes[head]: members assigned so far (head included). Only the
   // size-based rule reads it; the other rules skip the O(n) array entirely.
   std::vector<std::size_t> cluster_sizes;
   if (rule == AffiliationRule::kSizeBased) cluster_sizes.assign(n, 0);
+  const auto decided = [&](NodeId v) { return rank[v] == kNoLabel; };
+  const auto decide = [&](NodeId v, NodeId head, Hops dist) {
+    result.head_of[v] = head;
+    result.dist_to_head[v] = dist;
+    rank[v] = kNoLabel;
+    if (rule == AffiliationRule::kSizeBased) ++cluster_sizes[head];
+    --undecided;
+  };
 
   // Round-scoped buffers, hoisted so rounds reuse their capacity.
   std::vector<NodeId> winners;
   std::vector<Candidate> declared;
 
-  while (!undecided.empty()) {
+  while (undecided > 0) {
     ++result.election_rounds;
     KHOP_ASSERT(result.election_rounds <= n, "election failed to make progress");
 
     // Phase A - declaration: an undecided node wins iff it holds the best
-    // priority among *undecided* nodes within its k-hop neighborhood.
-    // Distances are measured in the full graph G: decided nodes still relay.
-    // The scratch's reached() set is exactly {v : dist <= k}, so scanning it
-    // is equivalent to the full 0..n scan with unreachable-skips.
+    // priority among *undecided* nodes within its k-hop neighborhood, i.e.
+    // iff the minimum rank over its closed k-ball is its own. k - 1 min-label
+    // passes leave the minimum over each (k-1)-ball in `label`; the k-th
+    // pass is folded into the winner test, which needs it only at undecided
+    // nodes and stops at the first better neighbor.
+    std::span<const std::uint32_t> label = rank;
+    for (Hops i = 1; i < k; ++i) {
+      const std::span<std::uint32_t> out =
+          i % 2 == 1 ? sweep_a : std::span<std::uint32_t>(sweep_b);
+      const bool dropped = min_label_pass(g, label, out);
+      label = out;
+      if (!dropped) break;
+    }
     winners.clear();
-    for (NodeId u : undecided) {
-      ws.bfs.run(g, u, k);
-      bool best = true;
-      for (NodeId v : ws.bfs.reached()) {
-        if (v == u || ws.flags.test(v)) continue;
-        if (priorities[v] < priorities[u]) {
-          best = false;
-          break;
-        }
+    for (NodeId u = 0; u < n; ++u) {
+      if (decided(u) || label[u] < rank[u]) continue;
+      const auto nbrs = g.neighbors(u);
+      if (std::all_of(nbrs.begin(), nbrs.end(),
+                      [&](NodeId v) { return label[v] >= rank[u]; })) {
+        winners.push_back(u);
       }
-      if (best) winners.push_back(u);
     }
     KHOP_ASSERT(!winners.empty(), "no winner in a round");
 
     // Phase B - winners declare; undecided nodes within k hops collect the
-    // declarations they hear this round. The flat `declared` vector is
-    // filled winner-major, so after the stable per-v grouping below each
-    // node's candidates appear in winner order — exactly the order the
-    // former per-node heard[v] lists (and the reference implementation)
-    // accumulate them in.
+    // declarations they hear this round, filled winner-major (ascending
+    // winner id) into the flat `declared` vector.
     declared.clear();
     for (NodeId w : winners) {
-      ws.flags.set(w);
-      result.head_of[w] = w;
-      result.dist_to_head[w] = 0;
-      if (rule == AffiliationRule::kSizeBased) cluster_sizes[w] = 1;
+      decide(w, w, 0);
       result.heads.push_back(w);
 
       ws.bfs.run(g, w, k);
       for (NodeId v : ws.bfs.reached()) {
-        if (ws.flags.test(v) || v == w) continue;
+        if (decided(v)) continue;
         declared.push_back({v, w, ws.bfs.dist(v)});
       }
     }
 
-    // Phase C - affiliation. Stable grouping by v: ascending node id (the
-    // order that keeps the size-based greedy deterministic) with the
-    // winner-order candidate list preserved inside each group.
-    std::stable_sort(declared.begin(), declared.end(),
-                     [](const Candidate& a, const Candidate& b) {
-                       return a.v < b.v;
-                     });
+    // Phase C - affiliation, grouped by ascending node id (the order that
+    // keeps the size-based greedy deterministic). Inside a group, heads
+    // ascend in winner order — the order the reference's per-node heard[v]
+    // lists accumulate them in — so sorting by (v, head) needs no stable
+    // merge buffer.
+    std::sort(declared.begin(), declared.end(),
+              [](const Candidate& a, const Candidate& b) {
+                return std::tie(a.v, a.head) < std::tie(b.v, b.head);
+              });
     std::size_t i = 0;
     while (i < declared.size()) {
       const NodeId v = declared[i].v;
@@ -157,23 +177,15 @@ Clustering khop_clustering(const Graph& g, Hops k,
       // Same-round winners must be mutually > k hops apart (otherwise one
       // would have seen the other's better priority), so no declaration may
       // target an already-decided node — at this point, exactly the winners.
-      KHOP_ASSERT(!ws.flags.test(v), "two same-round winners within k hops");
+      KHOP_ASSERT(!decided(v), "two same-round winners within k hops");
       const std::span<const Candidate> cands{declared.data() + i, j - i};
       const NodeId h = pick_cluster(cands, rule, cluster_sizes);
-      ws.flags.set(v);
-      result.head_of[v] = h;
-      result.dist_to_head[v] =
-          std::find_if(cands.begin(), cands.end(),
-                       [&](const Candidate& c) { return c.head == h; })
-              ->dist;
-      if (rule == AffiliationRule::kSizeBased) ++cluster_sizes[h];
+      decide(v, h,
+             std::find_if(cands.begin(), cands.end(),
+                          [&](const Candidate& c) { return c.head == h; })
+                 ->dist);
       i = j;
     }
-
-    // Compact the undecided list in place; the filter preserves ascending
-    // order.
-    std::erase_if(undecided,
-                  [&](NodeId u) { return ws.flags.test(u); });
   }
 
   std::sort(result.heads.begin(), result.heads.end());

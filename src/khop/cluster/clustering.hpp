@@ -47,16 +47,20 @@ struct Clustering {
 struct Workspace;
 
 /// Runs the iterative k-hop clustering over connected graph \p g.
-/// \p priorities must be one strict-total-order key per node.
-/// \pre k >= 1; g connected (checked: throws NotConnected)
+/// \p priorities must be one key per node, lower = better. Equal keys are
+/// allowed and neither node beats the other, so two tied nodes within k hops
+/// that both win a round throw InvariantViolation.
+/// \pre k >= 1; no key is NaN (checked: throws InvalidArgument);
+///      g connected (checked: throws NotConnected)
 Clustering khop_clustering(const Graph& g, Hops k,
                            const std::vector<PriorityKey>& priorities,
                            AffiliationRule rule = AffiliationRule::kIdBased);
 
-/// Zero-allocation-hot-path variant: the election's bounded BFS runs reuse
-/// \p ws (one workspace per thread; see khop/runtime/workspace.hpp). Output
-/// is bit-identical to the overload above, which forwards here with the
-/// calling thread's tls_workspace().
+/// Workspace variant: the election's priority-order and min-label sweep
+/// buffer and the declaring heads' k-bounded BFS runs reuse \p ws (one
+/// workspace per thread; see khop/runtime/workspace.hpp). Output is
+/// bit-identical to the overload above, which forwards here with the calling
+/// thread's tls_workspace().
 Clustering khop_clustering(const Graph& g, Hops k,
                            const std::vector<PriorityKey>& priorities,
                            AffiliationRule rule, Workspace& ws);

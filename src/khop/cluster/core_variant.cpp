@@ -1,7 +1,9 @@
 #include "khop/cluster/core_variant.hpp"
 
 #include <algorithm>
+#include <span>
 
+#include "khop/cluster/min_label.hpp"
 #include "khop/common/assert.hpp"
 #include "khop/common/error.hpp"
 #include "khop/graph/components.hpp"
@@ -24,19 +26,39 @@ Clustering khop_core(const Graph& g, Hops k,
   result.k = k;
   result.election_rounds = 1;
   result.head_of.assign(n, kInvalidNode);
-  result.dist_to_head.assign(n, kUnreachable);
+  result.dist_to_head.assign(n, 0);
 
-  for (NodeId u = 0; u < n; ++u) {
-    ws.bfs.run(g, u, k);
-    // priorities is a strict total order, so the minimum over the reached
-    // set is order-independent: scanning reached() matches the reference's
-    // full 0..n scan with unreachable-skips.
-    NodeId best = u;
-    for (NodeId v : ws.bfs.reached()) {
-      if (priorities[v] < priorities[best]) best = v;
+  // Ranks are positions in (priority, id) order, so a label names its node.
+  // After pass i, label[u] is the best rank in u's closed i-ball; labels
+  // only shrink, so the pass that last lowered it is the hop distance to
+  // that node. The labels live in cluster_of until it is filled below.
+  std::vector<NodeId>& order = ws.node_buf;
+  priority_order(priorities, order);
+  result.cluster_of.resize(n);
+  std::vector<std::uint32_t> sweep_buf(n);
+  std::span<std::uint32_t> cur{result.cluster_of.data(), n};
+  std::span<std::uint32_t> nxt{sweep_buf.data(), n};
+  for (std::size_t i = 0; i < n; ++i) {
+    cur[order[i]] = static_cast<std::uint32_t>(i);
+  }
+  for (Hops i = 1; i <= k; ++i) {
+    if (!min_label_pass(g, cur, nxt)) break;
+    for (NodeId u = 0; u < n; ++u) {
+      if (nxt[u] < cur[u]) result.dist_to_head[u] = i;
     }
-    result.head_of[u] = best;
-    result.dist_to_head[u] = ws.bfs.dist(best);
+    std::swap(cur, nxt);
+  }
+  for (NodeId u = 0; u < n; ++u) {
+    const NodeId best = order[cur[u]];
+    // u keeps itself unless someone is strictly better (the reference's
+    // strict `<` scan); among equal keys the label picks the smallest id,
+    // the reference's ascending-scan choice.
+    if (priorities[best] < priorities[u]) {
+      result.head_of[u] = best;
+    } else {
+      result.head_of[u] = u;
+      result.dist_to_head[u] = 0;
+    }
   }
 
   // Heads are exactly the designated nodes. A designated node always

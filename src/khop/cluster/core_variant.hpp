@@ -15,12 +15,12 @@ namespace khop {
 /// One-round core designation. The returned Clustering has the same shape as
 /// khop_clustering's result but heads need NOT be k-hop independent;
 /// election_rounds is always 1.
-/// \pre k >= 1; g connected
+/// \pre k >= 1; g connected; no priority key is NaN (checked)
 Clustering khop_core(const Graph& g, Hops k,
                      const std::vector<PriorityKey>& priorities);
 
-/// Workspace variant: the per-node bounded BFS runs reuse \p ws.
-/// Bit-identical output; the overload above forwards here.
+/// Workspace variant: the priority-order buffer of the k min-label sweeps
+/// reuses \p ws. Bit-identical output; the overload above forwards here.
 Clustering khop_core(const Graph& g, Hops k,
                      const std::vector<PriorityKey>& priorities,
                      Workspace& ws);

@@ -3,6 +3,7 @@
 #include <istream>
 #include <limits>
 #include <ostream>
+#include <string>
 
 #include "khop/common/assert.hpp"
 #include "khop/graph/spatial_grid.hpp"
@@ -72,13 +73,23 @@ AdHocNetwork read_network(std::istream& is) {
     throw InvalidArgument("read_network: malformed header");
   }
   KHOP_REQUIRE(n >= 1, "read_network: empty network");
+  KHOP_REQUIRE(n < kInvalidNode,
+               "read_network: node count exceeds the 32-bit id space");
   KHOP_REQUIRE(net.radius > 0.0 && net.field.side > 0.0,
                "read_network: non-positive radius or field");
-  net.positions.resize(n);
+  // Positions are appended as read, never pre-sized from the header: a count
+  // the body does not back fails as truncated instead of being allocated.
   for (std::size_t i = 0; i < n; ++i) {
-    if (!(is >> net.positions[i].x >> net.positions[i].y)) {
+    Point2 p;
+    if (!(is >> p.x >> p.y)) {
       throw InvalidArgument("read_network: truncated position list");
     }
+    net.positions.push_back(p);
+  }
+  is >> std::ws;
+  if (is.peek() != std::char_traits<char>::eof()) {
+    throw InvalidArgument("read_network: trailing garbage after " +
+                          std::to_string(n) + " positions");
   }
   net.requested_nodes = n;
   net.rebuild_graph();

@@ -28,7 +28,9 @@ void write_layout(std::ostream& os, const AdHocNetwork& net,
 void write_network(std::ostream& os, const AdHocNetwork& net);
 
 /// Reads the write_network format back. Throws InvalidArgument on malformed
-/// input. The graph is rebuilt from positions and radius.
+/// input: a bad or out-of-range header, a position list shorter than the
+/// header's count, or anything but whitespace after it. The graph is rebuilt
+/// from positions and radius.
 AdHocNetwork read_network(std::istream& is);
 
 }  // namespace khop

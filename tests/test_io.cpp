@@ -233,5 +233,34 @@ TEST(IoNetwork, RejectsMalformedInput) {
   EXPECT_THROW(read_network(zero_radius), InvalidArgument);
 }
 
+TEST(IoNetwork, RejectsInflatedHeaderCountWithoutAllocating) {
+  // The count is never trusted for an allocation: it must fail as a clean
+  // khop error, not std::bad_alloc or std::length_error.
+  std::istringstream huge("1000000000000000 1.0 10");
+  EXPECT_THROW(read_network(huge), InvalidArgument);
+  std::istringstream huge_with_body("1000000000000000 1.0 10\n1 1\n2 2\n");
+  EXPECT_THROW(read_network(huge_with_body), InvalidArgument);
+  // In the id space but ~69 GB of positions: the short body decides.
+  std::istringstream max_ids("4294967294 1.0 10\n1 1\n2 2\n");
+  EXPECT_THROW(read_network(max_ids), InvalidArgument);
+  std::istringstream negative("-1 1.0 10\n1 1\n");
+  EXPECT_THROW(read_network(negative), InvalidArgument);
+}
+
+TEST(IoNetwork, RejectsTrailingGarbage) {
+  const Fixture f(1611);
+  std::ostringstream os;
+  write_network(os, f.net);
+  std::istringstream extra_token(os.str() + "garbage\n");
+  EXPECT_THROW(read_network(extra_token), InvalidArgument);
+  std::istringstream extra_position(os.str() + "1.0 2.0\n");
+  EXPECT_THROW(read_network(extra_position), InvalidArgument);
+  // Trailing whitespace, or none at all, is fine.
+  std::istringstream spaced(os.str() + "\n  \n");
+  EXPECT_EQ(read_network(spaced).num_nodes(), f.net.num_nodes());
+  std::istringstream bare("2 5.0 10.0\n1 1\n2 2");
+  EXPECT_EQ(read_network(bare).num_nodes(), 2u);
+}
+
 }  // namespace
 }  // namespace khop

@@ -4,12 +4,15 @@
 // across repeated reuse of one workspace and across run_trials thread counts.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "khop/cluster/reference.hpp"
+#include "khop/common/error.hpp"
 #include "khop/exp/trial.hpp"
 #include "khop/gateway/backbone.hpp"
 #include "khop/graph/bfs.hpp"
@@ -191,6 +194,215 @@ TEST(WorkspaceEquivalence, CoreVariantMatchesReference) {
     expect_clustering_eq(khop_core(g, k, prios, ws),
                          reference::khop_core(g, k, prios));
   }
+}
+
+constexpr AffiliationRule kAllRules[] = {AffiliationRule::kIdBased,
+                                         AffiliationRule::kDistanceBased,
+                                         AffiliationRule::kSizeBased};
+
+Graph path_graph(std::size_t n) {
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId i = 0; i + 1 < n; ++i) edges.emplace_back(i, i + 1);
+  return Graph::from_edges(n, edges);
+}
+
+Graph star_graph(std::size_t n, NodeId center) {
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId v = 0; v < n; ++v) {
+    if (v != center) edges.emplace_back(center, v);
+  }
+  return Graph::from_edges(n, edges);
+}
+
+Graph complete_graph(std::size_t n) {
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = u + 1; v < n; ++v) edges.emplace_back(u, v);
+  }
+  return Graph::from_edges(n, edges);
+}
+
+/// Keys shared by pairs of nodes: key v / 2, one common id field, so nodes
+/// 2j and 2j + 1 compare equal.
+std::vector<PriorityKey> paired_tie_priorities(std::size_t n) {
+  std::vector<PriorityKey> keys(n);
+  for (NodeId v = 0; v < n; ++v) keys[v] = {static_cast<double>(v / 2), 0};
+  return keys;
+}
+
+/// The workspace election must match the reference, including when the
+/// reference rejects the input (tied same-round winners within k hops).
+/// Returns whether the election completed.
+bool expect_clustering_matches_or_both_throw(
+    const Graph& g, Hops k, const std::vector<PriorityKey>& prios,
+    AffiliationRule rule, Workspace& ws) {
+  Clustering want;
+  try {
+    want = reference::khop_clustering(g, k, prios, rule);
+  } catch (const InvariantViolation&) {
+    EXPECT_THROW(khop_clustering(g, k, prios, rule, ws), InvariantViolation);
+    return false;
+  }
+  expect_clustering_eq(khop_clustering(g, k, prios, rule, ws), want);
+  return true;
+}
+
+TEST(WorkspaceEquivalence, ClusteringTiedPrioritiesMatchReference) {
+  Workspace ws;
+  int completed = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const Graph g = random_topology(60 + 15 * seed, 6.0, 600 + seed);
+    const auto prios = paired_tie_priorities(g.num_nodes());
+    for (const AffiliationRule rule : kAllRules) {
+      for (Hops k = 1; k <= 4; ++k) {
+        completed += expect_clustering_matches_or_both_throw(g, k, prios,
+                                                             rule, ws);
+      }
+    }
+  }
+  EXPECT_GT(completed, 0);
+}
+
+TEST(WorkspaceEquivalence, ClusteringTiedWinnersFarApartAllWin) {
+  // Path 0..19, k = 1, key v % 5 with one shared id field: the four key-0
+  // nodes tie, are 5 hops apart, and all win round 1; the key-2 nodes tie
+  // in round 2; node 19 waits for node 18's cluster to form.
+  const Graph g = path_graph(20);
+  std::vector<PriorityKey> prios(20);
+  for (NodeId v = 0; v < 20; ++v) prios[v] = {static_cast<double>(v % 5), 0};
+  Workspace ws;
+  const Clustering c =
+      khop_clustering(g, 1, prios, AffiliationRule::kIdBased, ws);
+  EXPECT_EQ(c.heads,
+            (std::vector<NodeId>{0, 2, 5, 7, 10, 12, 15, 17, 19}));
+  EXPECT_EQ(c.election_rounds, 3u);
+  expect_clustering_eq(
+      c, reference::khop_clustering(g, 1, prios, AffiliationRule::kIdBased));
+}
+
+TEST(WorkspaceEquivalence, ClusteringPathStarCompleteMatchReference) {
+  // Diameters 11, 2 and 1: k runs past each, where one head must cover all.
+  struct Case {
+    Graph g;
+    Hops diameter;
+  };
+  const Case cases[] = {{path_graph(12), 11},
+                        {star_graph(9, 4), 2},
+                        {complete_graph(7), 1}};
+  Workspace ws;
+  for (const Case& cs : cases) {
+    const std::size_t n = cs.g.num_nodes();
+    std::vector<PriorityKey> reversed(n);
+    for (NodeId v = 0; v < n; ++v) {
+      reversed[v] = {static_cast<double>(n - v), v};
+    }
+    for (const auto& prios :
+         {make_priorities(cs.g, PriorityRule::kLowestId), reversed}) {
+      for (const AffiliationRule rule : kAllRules) {
+        std::vector<Hops> ks;
+        for (Hops k = 1; k <= cs.diameter + 2; ++k) ks.push_back(k);
+        ks.push_back(1000000);  // the sweeps stop once labels converge
+        for (const Hops k : ks) {
+          const Clustering got = khop_clustering(cs.g, k, prios, rule, ws);
+          expect_clustering_eq(
+              got, reference::khop_clustering(cs.g, k, prios, rule));
+          if (k >= cs.diameter) {
+            EXPECT_EQ(got.heads.size(), 1u);
+            EXPECT_EQ(got.election_rounds, 1u);
+          }
+          expect_clustering_eq(khop_core(cs.g, k, prios, ws),
+                               reference::khop_core(cs.g, k, prios));
+        }
+      }
+    }
+  }
+}
+
+TEST(WorkspaceEquivalence, ClusteringDegreeEnergyTimerPrioritiesK1To4) {
+  Workspace ws;
+  const Graph g = random_topology(120, 7.0, 41);
+  // Drain some nodes as heads or gateways so residuals differ (and tie in
+  // groups, leaving the id to break them).
+  EnergyState energy(EnergyConfig{}, g.num_nodes());
+  std::vector<NodeRole> roles(g.num_nodes(), NodeRole::kMember);
+  for (NodeId v = 0; v < g.num_nodes(); v += 3) roles[v] = NodeRole::kGateway;
+  for (NodeId v = 0; v < g.num_nodes(); v += 7) {
+    roles[v] = NodeRole::kClusterhead;
+  }
+  energy.apply_epoch(roles);
+  Rng rng(43);
+  const std::vector<PriorityKey> prio_sets[] = {
+      make_priorities(g, PriorityRule::kHighestDegree),
+      make_priorities(g, PriorityRule::kHighestEnergy, &energy),
+      make_priorities(g, PriorityRule::kRandomTimer, nullptr, &rng),
+  };
+  for (const auto& prios : prio_sets) {
+    for (const AffiliationRule rule : kAllRules) {
+      for (Hops k = 1; k <= 4; ++k) {
+        expect_clustering_eq(khop_clustering(g, k, prios, rule, ws),
+                             reference::khop_clustering(g, k, prios, rule));
+      }
+    }
+  }
+}
+
+TEST(WorkspaceEquivalence, ClusteringWorkspaceReusedOnSmallerGraph) {
+  // Buffers sized for the large graph keep stale entries past the small
+  // graph's n; the election must read only the first n.
+  Workspace ws;
+  const Graph large = random_topology(400, 8.0, 51);
+  const Graph small = random_topology(40, 5.0, 53);
+  for (const Graph* g : {&large, &small, &large, &small}) {
+    Rng rng(57);
+    const auto prios = make_priorities(*g, PriorityRule::kRandomTimer,
+                                       nullptr, &rng);
+    for (Hops k = 1; k <= 4; ++k) {
+      expect_clustering_eq(
+          khop_clustering(*g, k, prios, AffiliationRule::kDistanceBased, ws),
+          reference::khop_clustering(*g, k, prios,
+                                     AffiliationRule::kDistanceBased));
+      expect_clustering_eq(khop_core(*g, k, prios, ws),
+                           reference::khop_core(*g, k, prios));
+    }
+  }
+}
+
+TEST(WorkspaceEquivalence, CoreVariantMatchesReferenceK1To4) {
+  Workspace ws;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const Graph g = random_topology(70 + 20 * seed, 6.0, 700 + seed);
+    Rng rng(seed);
+    // Tied keys included: the reference keeps u on a tie with u and
+    // otherwise takes the smallest id among the best keys.
+    const std::vector<PriorityKey> prio_sets[] = {
+        make_priorities(g, PriorityRule::kLowestId),
+        make_priorities(g, PriorityRule::kHighestDegree),
+        make_priorities(g, PriorityRule::kRandomTimer, nullptr, &rng),
+        paired_tie_priorities(g.num_nodes()),
+    };
+    for (const auto& prios : prio_sets) {
+      for (Hops k = 1; k <= 4; ++k) {
+        expect_clustering_eq(khop_core(g, k, prios, ws),
+                             reference::khop_core(g, k, prios));
+      }
+    }
+  }
+  for (Hops k = 1; k <= 3; ++k) {
+    const Graph g = star_graph(6, 3);
+    const auto prios = paired_tie_priorities(6);
+    expect_clustering_eq(khop_core(g, k, prios, ws),
+                         reference::khop_core(g, k, prios));
+  }
+}
+
+TEST(WorkspaceEquivalence, ElectionsRejectNaNPriorities) {
+  const Graph g = path_graph(4);
+  auto prios = make_priorities(g, PriorityRule::kLowestId);
+  prios[2].key = std::numeric_limits<double>::quiet_NaN();
+  Workspace ws;
+  EXPECT_THROW(khop_clustering(g, 2, prios, AffiliationRule::kIdBased, ws),
+               InvalidArgument);
+  EXPECT_THROW(khop_core(g, 2, prios, ws), InvalidArgument);
 }
 
 TEST(WorkspaceEquivalence, KrishnaCoverMatchesReferenceAcrossReuse) {
