@@ -42,16 +42,6 @@
 ///    AC-Mesh + G-MST (the flat and global extremes of the five pipelines).
 ///    `engine_flood` runs at k=1 to bound per-node discovery state.
 ///
-/// Sharded engine (PR 10): `engine_flood` gains `sharded2` / `sharded4` /
-/// `sharded8` variants — the same flood on the ShardedEngine coordinator
-/// (contiguous SFC id-range shards stepped across the ThreadPool, boundary
-/// messages exchanged serially between rounds). The discovery digest is the
-/// same as the serial/parallel variants', so the cross-variant checksum
-/// check enforces the sharding invariant: traces, stats and discovery
-/// results bit-identical to the single-shard engine at every shard count —
-/// including the n = 1,000,000 row, which must also stay under the existing
-/// RSS ceiling of the million-node smoke.
-///
 /// Usage:
 ///   bench_perf_regression [--out FILE] [--sizes n1,n2,...] [--k K]
 ///                         [--degree D] [--min-seconds S] [--min-reps R]
@@ -80,7 +70,6 @@
 #include "khop/runtime/workspace.hpp"
 #include "khop/sim/protocols/neighborhood.hpp"
 #include "khop/sim/reference.hpp"
-#include "khop/sim/sharded_engine.hpp"
 
 namespace {
 
@@ -431,9 +420,7 @@ std::size_t bench_point(bench::Harness& h, const Options& opt, std::size_t n,
       return sum;
     });
   }
-  // Generic over the engine type: SyncEngine and ShardedEngine expose the
-  // same stats()/agent() surface, and the digest only reads those.
-  const auto flood_digest = [&](const auto& engine) {
+  const auto flood_digest = [&](const SyncEngine& engine) {
     double sum = static_cast<double>(engine.stats().receptions +
                                      engine.stats().rounds);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -459,25 +446,6 @@ std::size_t bench_point(bench::Harness& h, const Options& opt, std::size_t n,
     engine.run(2 * k_flood + 2, pool);
     return flood_digest(engine);
   });
-  // The sharded coordinator at 2/4/8 contiguous id-range shards. The digest
-  // (and the harness's cross-variant checksum check) must agree exactly with
-  // the serial/parallel rows: the sharded round loop is bit-identical to the
-  // single-shard engine by construction.
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{4},
-                                   std::size_t{8}}) {
-    h.time_kernel("engine_flood", "sharded" + std::to_string(shards), n,
-                  k_flood, [&] {
-                    ShardedEngine engine(
-                        g,
-                        [&](NodeId) {
-                          return std::make_unique<NeighborhoodDiscoveryAgent>(
-                              k_flood);
-                        },
-                        shards);
-                    engine.run(2 * k_flood + 2, pool);
-                    return flood_digest(engine);
-                  });
-  }
 
   if (big) {
     std::cout << " generation speedup x" << fmt(h.speedup("generation", n), 2)

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "khop/common/assert.hpp"
-#include "khop/graph/partition.hpp"
 
 namespace khop {
 
@@ -114,13 +113,6 @@ Relabeling sfc_relabeling(const std::vector<Point2>& pts) {
     r.new_of_old[old_id] = static_cast<NodeId>(new_id);
   }
   return r;
-}
-
-double shard_cut_quality(const Graph& g, std::size_t num_shards) {
-  if (g.num_nodes() == 0) return 0.0;
-  const ShardPlan plan(g, num_shards);
-  return static_cast<double>(plan.num_boundary_nodes()) /
-         static_cast<double>(g.num_nodes());
 }
 
 Graph relabel(const Graph& g, const Relabeling& r) {

@@ -81,15 +81,6 @@ std::vector<Point2> relabel(const std::vector<Point2>& pts,
 std::vector<PriorityKey> relabel(const std::vector<PriorityKey>& prios,
                                  const Relabeling& r);
 
-/// How well \p g's CURRENT id order shards: the fraction of nodes that are
-/// boundary (some neighbor in another shard) when [0, n) is cut into
-/// \p num_shards contiguous ranges (graph/partition.hpp). 0 = every node
-/// interior, 1 = every node on the cut. On a unit-disk graph a Hilbert
-/// relabeling keeps this near the perimeter/area ratio of the shard tiles,
-/// while a random order drives it toward 1 — the diagnostic for whether an
-/// id order is fit for the sharded engine (sim/sharded_engine.hpp).
-double shard_cut_quality(const Graph& g, std::size_t num_shards);
-
 /// Results computed on the relabeled graph, mapped back to original ids.
 /// `r` must be the relabeling the run used (new-id space -> old-id space).
 BfsTree to_original_ids(const BfsTree& t, const Relabeling& r);

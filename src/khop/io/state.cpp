@@ -203,7 +203,8 @@ Clustering read_clustering(std::istream& is) {
   src.expect("heads");
   const std::uint64_t head_count = src.number("head count");
   if (head_count == 0 || head_count > n) src.fail("head count out of range");
-  c.heads.reserve(static_cast<std::size_t>(head_count));
+  // Every list is appended as read, never pre-sized from a header count: a
+  // count the body does not back fails as truncated instead of allocating.
   for (std::uint64_t i = 0; i < head_count; ++i) {
     const std::uint64_t h = src.number("head id");
     if (h >= n) src.fail("head id " + std::to_string(h) + " out of range");
@@ -213,9 +214,6 @@ Clustering read_clustering(std::istream& is) {
     }
     c.heads.push_back(static_cast<NodeId>(h));
   }
-  c.head_of.resize(static_cast<std::size_t>(n));
-  c.dist_to_head.resize(static_cast<std::size_t>(n));
-  c.cluster_of.resize(static_cast<std::size_t>(n));
   for (NodeId v = 0; v < n; ++v) {
     const std::uint64_t head = src.number("head_of");
     const std::uint64_t dist = src.number("dist_to_head");
@@ -228,10 +226,10 @@ Clustering read_clustering(std::istream& is) {
       src.fail("node " + std::to_string(v) + " has head distance " +
                std::to_string(dist) + " (k = " + std::to_string(c.k) + ")");
     }
-    c.head_of[v] = static_cast<NodeId>(head);
-    c.dist_to_head[v] = static_cast<Hops>(dist);
-    c.cluster_of[v] =
-        static_cast<std::uint32_t>(std::distance(c.heads.begin(), it));
+    c.head_of.push_back(static_cast<NodeId>(head));
+    c.dist_to_head.push_back(static_cast<Hops>(dist));
+    c.cluster_of.push_back(
+        static_cast<std::uint32_t>(std::distance(c.heads.begin(), it)));
   }
   src.done();
   return c;
@@ -275,7 +273,8 @@ Backbone read_backbone(std::istream& is) {
 
   src.expect("heads");
   const std::uint64_t head_count = src.number("head count");
-  b.heads.reserve(static_cast<std::size_t>(head_count));
+  // Lists are appended as read, never pre-sized from a header count (see
+  // read_clustering).
   for (std::uint64_t i = 0; i < head_count; ++i) {
     const std::uint64_t h = src.number("head id");
     if (h > kInvalidNode) src.fail("head id out of range");
@@ -287,7 +286,6 @@ Backbone read_backbone(std::istream& is) {
   }
   src.expect("gateways");
   const std::uint64_t gw_count = src.number("gateway count");
-  b.gateways.reserve(static_cast<std::size_t>(gw_count));
   for (std::uint64_t i = 0; i < gw_count; ++i) {
     const std::uint64_t g = src.number("gateway id");
     if (g > kInvalidNode) src.fail("gateway id out of range");
@@ -303,7 +301,6 @@ Backbone read_backbone(std::istream& is) {
   }
   src.expect("links");
   const std::uint64_t link_count = src.number("link count");
-  b.virtual_links.reserve(static_cast<std::size_t>(link_count));
   for (std::uint64_t i = 0; i < link_count; ++i) {
     const std::uint64_t u = src.number("link endpoint");
     const std::uint64_t v = src.number("link endpoint");

@@ -1,6 +1,8 @@
 #include "khop/sim/engine.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <tuple>
 
 #include "khop/common/assert.hpp"
 #include "khop/obs/metrics.hpp"
@@ -34,32 +36,333 @@ std::pair<std::size_t, std::size_t> chunk_range(std::size_t items,
 
 }  // namespace
 
+std::size_t NodeContext::round() const noexcept { return engine_->round_; }
+
+std::span<const NodeId> NodeContext::neighbors() const {
+  return engine_->graph_->neighbors(id_);
+}
+
+void NodeContext::broadcast(std::uint16_t type,
+                            std::span<const std::int64_t> data) {
+  if (sink_ != nullptr) {
+    // Parallel chunk: record once; the engine replays the stats, recording
+    // (or per-neighbor delivery attempts) serially in node order.
+    sink_->sends.push_back(detail::RawSend{id_, kInvalidNode, type,
+                                           sink_->arena.intern(data)});
+    return;
+  }
+  if (engine_->ideal()) {
+    engine_->record_broadcast(id_, type, data);
+    return;
+  }
+  engine_->lossy_broadcast(id_, type, data);
+}
+
+void NodeContext::send(NodeId to, std::uint16_t type,
+                       std::span<const std::int64_t> data) {
+  KHOP_REQUIRE(engine_->graph_->has_edge(id_, to),
+               "addressed send target is not a neighbor");
+  if (sink_ != nullptr) {
+    sink_->sends.push_back(
+        detail::RawSend{id_, to, type, sink_->arena.intern(data)});
+    return;
+  }
+  if (engine_->ideal()) {
+    engine_->record_send(id_, to, type, data);
+    return;
+  }
+  engine_->lossy_send(id_, to, type, data);
+}
+
 SyncEngine::SyncEngine(const Graph& g, const AgentFactory& factory,
                        const DeliveryOptions& delivery)
     : graph_(&g), delivery_(delivery), factory_(factory) {
   KHOP_REQUIRE(static_cast<bool>(factory_), "agent factory required");
-  core_.init(g, 0, static_cast<NodeId>(g.num_nodes()), delivery_, &stats_);
-  core_.create_agents(factory_);
+  const std::size_t n = g.num_nodes();
+  for (unsigned side = 0; side < 2; ++side) {
+    rec_count_[side].assign(n, 0);
+    sends_[side].resize(n);
+  }
+  rec_begin_.assign(n, 0);
+  rec_cursor_.assign(n, 0);
+  dest_stamp_.assign(n, 0);
+  inbox_pos_.assign(n, 0);
+  create_agents();
+}
+
+NodeAgent& SyncEngine::agent(NodeId v) {
+  KHOP_REQUIRE(v < agents_.size(), "node out of range");
+  return *agents_[v];
+}
+
+const NodeAgent& SyncEngine::agent(NodeId v) const {
+  KHOP_REQUIRE(v < agents_.size(), "node out of range");
+  return *agents_[v];
+}
+
+bool SyncEngine::agents_finished() const {
+  return std::all_of(
+      agents_.begin(), agents_.end(),
+      [](const std::unique_ptr<NodeAgent>& a) { return a->finished(); });
+}
+
+void SyncEngine::create_agents() {
+  agents_.resize(graph_->num_nodes());
+  for (NodeId v = 0; v < agents_.size(); ++v) {
+    agents_[v] = factory_(v);
+    KHOP_REQUIRE(agents_[v] != nullptr, "factory returned null agent");
+  }
+}
+
+void SyncEngine::record_broadcast(NodeId from, std::uint16_t type,
+                                  std::span<const std::int64_t> data) {
+  stats_.note_transmission(data.size());
+  // A broadcast with no receivers is a radio transmission (counted above)
+  // but schedules nothing: recording it would keep the write side non-empty
+  // and cost an extra round the reference engine never runs.
+  if (graph_->neighbors(from).empty()) return;
+  // One materialization per broadcast: every receiver's delivery aliases
+  // the same interned words.
+  record_broadcast_rec(from, type, arenas_[write_].intern(data));
+}
+
+void SyncEngine::record_send(NodeId from, NodeId to, std::uint16_t type,
+                             std::span<const std::int64_t> data) {
+  stats_.note_transmission(data.size());
+  record_send_rec(from, to, type, arenas_[write_].intern(data));
+}
+
+void SyncEngine::record_broadcast_adopted(NodeId from, std::uint16_t type,
+                                          PayloadView payload) {
+  stats_.note_transmission(payload.size());
+  if (graph_->neighbors(from).empty()) return;
+  record_broadcast_rec(from, type, payload);
+}
+
+void SyncEngine::record_send_adopted(NodeId from, NodeId to,
+                                     std::uint16_t type, PayloadView payload) {
+  stats_.note_transmission(payload.size());
+  record_send_rec(from, to, type, payload);
+}
+
+void SyncEngine::record_broadcast_rec(NodeId from, std::uint16_t type,
+                                      PayloadView payload) {
+  if (rec_count_[write_][from]++ == 0) bcast_senders_[write_].push_back(from);
+  bcast_log_[write_].push_back(detail::SendRec{from, type, payload});
+}
+
+void SyncEngine::record_send_rec(NodeId from, NodeId to, std::uint16_t type,
+                                 PayloadView payload) {
+  std::vector<detail::SendRec>& list = sends_[write_][to];
+  if (list.empty()) send_dests_[write_].push_back(to);
+  list.push_back(detail::SendRec{from, type, payload});
+}
+
+void SyncEngine::lossy_broadcast(NodeId from, std::uint16_t type,
+                                 std::span<const std::int64_t> data) {
+  stats_.note_transmission(data.size());
+  const PayloadView payload = arenas_[write_].intern(data);
+  for (NodeId v : graph_->neighbors(from)) {
+    enqueue_direct(from, v, type, payload);
+  }
+}
+
+void SyncEngine::lossy_send(NodeId from, NodeId to, std::uint16_t type,
+                            std::span<const std::int64_t> data) {
+  stats_.note_transmission(data.size());
+  enqueue_direct(from, to, type, arenas_[write_].intern(data));
+}
+
+void SyncEngine::enqueue_direct(NodeId from, NodeId to, std::uint16_t type,
+                                PayloadView data) {
+  if (delivery_.model != nullptr) {
+    bool delivered = delivery_.model->attempt(from, to);
+    for (std::size_t retry = 0; !delivered && retry < delivery_.retry_budget;
+         ++retry) {
+      ++stats_.retransmissions;
+      delivered = delivery_.model->attempt(from, to);
+    }
+    if (!delivered) {
+      ++stats_.drops;
+      return;
+    }
+  }
+  queues_[write_].push_back(detail::Routed{to, Message{from, type, data}});
+}
+
+void SyncEngine::clear_fast_side(unsigned side) noexcept {
+  for (NodeId s : bcast_senders_[side]) rec_count_[side][s] = 0;
+  bcast_senders_[side].clear();
+  bcast_log_[side].clear();
+  for (NodeId d : send_dests_[side]) sends_[side][d].clear();
+  send_dests_[side].clear();
+}
+
+void SyncEngine::prepare_fast_round(unsigned read) {
+  // Group the read-side broadcast log by ascending sender with a counting
+  // scatter (the counts were maintained at record time), then sort each
+  // sender's contiguous range: record order is a handler artifact, and the
+  // canonical inbox order needs (type, payload) within each sender. Every
+  // receiver replays the same sorted ranges.
+  std::sort(bcast_senders_[read].begin(), bcast_senders_[read].end());
+  std::uint32_t ofs = 0;
+  for (NodeId s : bcast_senders_[read]) {
+    rec_begin_[s] = ofs;
+    rec_cursor_[s] = ofs;
+    ofs += rec_count_[read][s];
+  }
+  flat_recs_.resize(bcast_log_[read].size());
+  for (const detail::SendRec& e : bcast_log_[read]) {
+    flat_recs_[rec_cursor_[e.sender]++] = detail::BcastRec{e.type, e.data};
+  }
+  for (NodeId s : bcast_senders_[read]) {
+    if (rec_count_[read][s] > 1) {
+      std::sort(flat_recs_.begin() + rec_begin_[s],
+                flat_recs_.begin() + rec_cursor_[s],
+                [](const detail::BcastRec& a, const detail::BcastRec& b) {
+                  return std::tie(a.type, a.data) < std::tie(b.type, b.data);
+                });
+    }
+  }
+  for (NodeId d : send_dests_[read]) {
+    std::vector<detail::SendRec>& sd = sends_[read][d];
+    if (sd.size() > 1) {
+      std::sort(sd.begin(), sd.end(),
+                [](const detail::SendRec& a, const detail::SendRec& b) {
+                  return std::tie(a.sender, a.type, a.data) <
+                         std::tie(b.sender, b.type, b.data);
+                });
+    }
+  }
+
+  // Receiver set: every broadcaster's neighborhood plus every addressed
+  // destination, deduplicated with epoch stamps, ascending.
+  if (dest_epoch_ == std::numeric_limits<std::uint32_t>::max()) {
+    std::fill(dest_stamp_.begin(), dest_stamp_.end(), 0);
+    dest_epoch_ = 0;
+  }
+  ++dest_epoch_;
+  dests_.clear();
+  for (NodeId s : bcast_senders_[read]) {
+    for (NodeId v : graph_->neighbors(s)) {
+      if (dest_stamp_[v] != dest_epoch_) {
+        dest_stamp_[v] = dest_epoch_;
+        dests_.push_back(v);
+      }
+    }
+  }
+  for (NodeId d : send_dests_[read]) {
+    if (dest_stamp_[d] != dest_epoch_) {
+      dest_stamp_[d] = dest_epoch_;
+      dests_.push_back(d);
+    }
+  }
+  std::sort(dests_.begin(), dests_.end());
+}
+
+void SyncEngine::deliver_fast_to(NodeId d, unsigned read, NodeContext& ctx,
+                                 std::size_t& receptions,
+                                 std::vector<detail::BcastRec>& scratch) {
+  const std::vector<detail::SendRec>& sd = sends_[read][d];
+  std::size_t si = 0;
+  NodeAgent& agent = *agents_[d];
+  const std::uint32_t* counts = rec_count_[read].data();
+  for (NodeId s : graph_->neighbors(d)) {
+    // rec_begin_ is only meaningful when the count != 0 (stale otherwise),
+    // so the range pointer is formed after the count check.
+    const std::uint32_t cnt = counts[s];
+    // sd is sorted by sender and every send sender is a neighbor of d, so
+    // walking d's ascending adjacency consumes it in one pass.
+    const std::size_t s_begin = si;
+    while (si < sd.size() && sd[si].sender == s) ++si;
+    if (si == s_begin) {
+      const detail::BcastRec* bs =
+          cnt != 0 ? flat_recs_.data() + rec_begin_[s] : nullptr;
+      for (std::uint32_t i = 0; i < cnt; ++i) {
+        ++receptions;
+        agent.on_message(ctx, Message{s, bs[i].type, bs[i].data});
+      }
+      continue;
+    }
+    if (cnt == 0) {
+      for (std::size_t i = s_begin; i < si; ++i) {
+        ++receptions;
+        agent.on_message(ctx, Message{s, sd[i].type, sd[i].data});
+      }
+      continue;
+    }
+    // Rare: s both broadcast and addressed d this round; merge the two
+    // (type, payload)-sorted groups.
+    const detail::BcastRec* bs = flat_recs_.data() + rec_begin_[s];
+    scratch.clear();
+    scratch.insert(scratch.end(), bs, bs + cnt);
+    for (std::size_t i = s_begin; i < si; ++i) {
+      scratch.push_back(detail::BcastRec{sd[i].type, sd[i].data});
+    }
+    std::sort(scratch.begin(), scratch.end(),
+              [](const detail::BcastRec& a, const detail::BcastRec& b) {
+                return std::tie(a.type, a.data) < std::tie(b.type, b.data);
+              });
+    for (const detail::BcastRec& r : scratch) {
+      ++receptions;
+      agent.on_message(ctx, Message{s, r.type, r.data});
+    }
+  }
+  KHOP_ASSERT(si == sd.size(), "send from non-neighbor in inbox assembly");
+}
+
+void SyncEngine::partition_inbox(unsigned read) {
+  const std::vector<detail::Routed>& inbox = queues_[read];
+  dests_.clear();
+  for (const detail::Routed& r : inbox) {
+    if (inbox_pos_[r.to]++ == 0) dests_.push_back(r.to);
+  }
+  std::sort(dests_.begin(), dests_.end());
+
+  spans_.resize(dests_.size() + 1);
+  spans_[0] = 0;
+  for (std::size_t b = 0; b < dests_.size(); ++b) {
+    spans_[b + 1] = spans_[b] + inbox_pos_[dests_[b]];
+    inbox_pos_[dests_[b]] = spans_[b];  // becomes the scatter cursor
+  }
+  scratch_.resize(inbox.size());
+  for (const detail::Routed& r : inbox) scratch_[inbox_pos_[r.to]++] = r;
+  for (NodeId d : dests_) inbox_pos_[d] = 0;  // all-zero for next round
+}
+
+void SyncEngine::deliver_bucket(std::size_t b, NodeContext& ctx,
+                                std::size_t& receptions) {
+  std::sort(scratch_.begin() + static_cast<std::ptrdiff_t>(spans_[b]),
+            scratch_.begin() + static_cast<std::ptrdiff_t>(spans_[b + 1]),
+            [](const detail::Routed& a, const detail::Routed& b2) {
+              return std::tie(a.msg.sender, a.msg.type, a.msg.data) <
+                     std::tie(b2.msg.sender, b2.msg.type, b2.msg.data);
+            });
+  NodeAgent& agent = *agents_[dests_[b]];
+  for (std::size_t i = spans_[b]; i < spans_[b + 1]; ++i) {
+    ++receptions;
+    agent.on_message(ctx, scratch_[i].msg);
+  }
 }
 
 void SyncEngine::replay(const detail::RawSend& send) {
-  if (delivery_.model == nullptr) {
+  if (ideal()) {
     // The payload already lives in the chunk arena, which flush_outboxes
     // adopts into the write side after this loop - record it as-is.
     if (send.to == kInvalidNode) {
-      core_.record_broadcast_adopted(send.from, send.type, send.data);
+      record_broadcast_adopted(send.from, send.type, send.data);
     } else {
-      core_.record_send_adopted(send.from, send.to, send.type, send.data);
+      record_send_adopted(send.from, send.to, send.type, send.data);
     }
     return;
   }
   stats_.note_transmission(send.data.size());
   if (send.to == kInvalidNode) {
     for (NodeId v : graph_->neighbors(send.from)) {
-      core_.enqueue_direct(send.from, v, send.type, send.data);
+      enqueue_direct(send.from, v, send.type, send.data);
     }
   } else {
-    core_.enqueue_direct(send.from, send.to, send.type, send.data);
+    enqueue_direct(send.from, send.to, send.type, send.data);
   }
 }
 
@@ -70,7 +373,7 @@ void SyncEngine::flush_outboxes(std::size_t used) {
     for (const detail::RawSend& s : out.sends) replay(s);
     // Replayed views alias this chunk's arena: move it (addresses stable)
     // into the write side's store instead of copying every payload again.
-    if (out.arena.num_blocks() > 0) adopted_.adopt(out.arena, core_.write_);
+    if (out.arena.num_blocks() > 0) adopted_.adopt(out.arena, write_);
     out.reset();
   }
 }
@@ -81,11 +384,18 @@ void SyncEngine::reset_for_run() {
     // pre-PR5 engine reset only round_, accumulating stats and replaying
     // stale in-flight messages whose views pointed into never-cleared
     // arenas.)
-    core_.create_agents(factory_);
+    create_agents();
   }
   ran_ = true;
   stats_ = SimStats{};
-  core_.reset_state();
+  round_ = 0;
+  write_ = 0;
+  queues_[0].clear();
+  queues_[1].clear();
+  arenas_[0].clear();
+  arenas_[1].clear();
+  clear_fast_side(0);
+  clear_fast_side(1);
   // Outboxes are normally drained by flush_outboxes, but an exception that
   // escaped a parallel phase leaves completed chunks' recordings behind;
   // they must not replay into this run. Likewise any unmerged telemetry
@@ -149,28 +459,29 @@ bool SyncEngine::run_impl(std::size_t max_rounds, ThreadPool* pool) {
   const auto all_nodes_phase = [&](auto&& callback) {
     if (pool == nullptr) {
       for (NodeId v = 0; v < n; ++v) {
-        NodeContext ctx(core_, v);
+        NodeContext ctx(*this, v);
         callback(v, ctx);
       }
       return;
     }
     chunked_phase(n, [&](std::size_t v, detail::EngineOutbox& out) {
-      NodeContext ctx(core_, static_cast<NodeId>(v), &out);
+      NodeContext ctx(*this, static_cast<NodeId>(v), &out);
       callback(static_cast<NodeId>(v), ctx);
     });
   };
 
   all_nodes_phase(
-      [&](NodeId v, NodeContext& ctx) { core_.agents_[v]->on_start(ctx); });
+      [&](NodeId v, NodeContext& ctx) { agents_[v]->on_start(ctx); });
 
   bool quiesced = false;
-  while (core_.round_ < max_rounds) {
+  while (round_ < max_rounds) {
     // Quiescence check at the round boundary.
-    if (core_.write_side_empty() && core_.agents_finished()) {
+    if (write_side_empty() && agents_finished()) {
       quiesced = true;
       break;
     }
 
+    ++round_;
     ++stats_.rounds;
     obs::Span round_span("engine/round");
     const std::size_t round_rx0 = stats_.receptions;
@@ -180,24 +491,33 @@ bool SyncEngine::run_impl(std::size_t max_rounds, ThreadPool* pool) {
     // enqueue into the other side, whose previous contents (delivered two
     // rounds ago) are dropped with capacity retained - including the chunk
     // arenas adopted into that side by earlier merges.
-    const unsigned read = core_.begin_round(core_.round_ + 1);
-    adopted_.recycle(core_.write_);
+    const unsigned read = write_;
+    write_ ^= 1u;
+    queues_[write_].clear();
+    arenas_[write_].clear();
+    clear_fast_side(write_);
+    adopted_.recycle(write_);
 
-    if (delivery_.model == nullptr) {
+    if (ideal()) {
       // Fast path: no per-receiver message materialization; receivers walk
       // their adjacency over the per-sender records.
-      core_.prepare_fast_round(read);
+      prepare_fast_round(read);
       if (pool == nullptr) {
-        core_.deliver_fast_all(read, inbox_hist != nullptr ? &inbox_local
-                                                           : nullptr);
+        for (const NodeId d : dests_) {
+          NodeContext ctx(*this, d);
+          const std::size_t rx0 = stats_.receptions;
+          deliver_fast_to(d, read, ctx, stats_.receptions, merge_scratch_);
+          if (inbox_hist != nullptr) {
+            inbox_local.record(stats_.receptions - rx0);
+          }
+        }
       } else {
-        const std::span<const NodeId> dests = core_.fast_dests();
-        chunked_phase(dests.size(),
+        chunked_phase(dests_.size(),
                       [&](std::size_t b, detail::EngineOutbox& out) {
-                        NodeContext ctx(core_, dests[b], &out);
+                        NodeContext ctx(*this, dests_[b], &out);
                         const std::size_t rx0 = out.receptions;
-                        core_.deliver_fast_to(dests[b], read, ctx,
-                                              out.receptions, out.scratch);
+                        deliver_fast_to(dests_[b], read, ctx, out.receptions,
+                                        out.scratch);
                         if (inbox_hist != nullptr) {
                           out.inbox_sizes.record(out.receptions - rx0);
                         }
@@ -210,26 +530,29 @@ bool SyncEngine::run_impl(std::size_t max_rounds, ThreadPool* pool) {
       // payload) - the same sequence as the preserved flat (to, sender,
       // type, payload) sort, at O(M) partition + per-inbox sort cost
       // instead of one O(M log M) sort over every in-flight message.
-      core_.partition_inbox(read);
+      partition_inbox(read);
 
       if (pool == nullptr) {
-        core_.deliver_lossy_all(inbox_hist != nullptr ? &inbox_local
-                                                      : nullptr);
+        for (std::size_t b = 0; b < dests_.size(); ++b) {
+          NodeContext ctx(*this, dests_[b]);
+          if (inbox_hist != nullptr) inbox_local.record(bucket_size(b));
+          deliver_bucket(b, ctx, stats_.receptions);
+        }
       } else {
-        chunked_phase(core_.num_buckets(),
+        chunked_phase(dests_.size(),
                       [&](std::size_t b, detail::EngineOutbox& out) {
-                        NodeContext ctx(core_, core_.bucket_dest(b), &out);
+                        NodeContext ctx(*this, dests_[b], &out);
                         if (inbox_hist != nullptr) {
-                          out.inbox_sizes.record(core_.bucket_size(b));
+                          out.inbox_sizes.record(bucket_size(b));
                         }
-                        core_.deliver_bucket(b, ctx, out.receptions);
+                        deliver_bucket(b, ctx, out.receptions);
                       });
         merge_outbox_samples();
       }
     }
 
     all_nodes_phase(
-        [&](NodeId v, NodeContext& ctx) { core_.agents_[v]->on_round_end(ctx); });
+        [&](NodeId v, NodeContext& ctx) { agents_[v]->on_round_end(ctx); });
 
     round_span.arg("delivered",
                    static_cast<std::int64_t>(stats_.receptions - round_rx0));
@@ -237,8 +560,7 @@ bool SyncEngine::run_impl(std::size_t max_rounds, ThreadPool* pool) {
                    static_cast<std::int64_t>(stats_.transmissions - round_tx0));
   }
 
-  const bool done =
-      quiesced || (core_.write_side_empty() && core_.agents_finished());
+  const bool done = quiesced || (write_side_empty() && agents_finished());
   if (inbox_hist != nullptr) inbox_local.flush(*inbox_hist);
   if (tel) stats_.publish();
   run_span.arg("rounds", static_cast<std::int64_t>(stats_.rounds));

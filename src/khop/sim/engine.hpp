@@ -28,12 +28,13 @@
 /// Both delivery sequences are bit-identical to the original flat sort (see
 /// sim/reference.hpp for the preserved engine and the equivalence suite).
 ///
-/// Structure (PR 10): the per-node state - agents, arenas, recording
-/// buckets, delivery machinery - lives in ShardRuntime
-/// (sim/shard_runtime.hpp). SyncEngine is one full-range runtime plus the
-/// round loop and the parallel executor's serial merge; ShardedEngine
-/// (sim/sharded_engine.hpp) runs many partial-range runtimes over a
-/// graph/partition.hpp ShardPlan with the same loop structure.
+/// Structure: SyncEngine owns all per-node state - agents, double-buffered
+/// payload arenas and lossy queues, the ideal-MAC recording buckets - and
+/// runs one round loop, serially or on a ThreadPool. The pool executor
+/// chunks destinations rather than sharding the id space: contiguous
+/// id-range shards only cut few edges when ids follow a spatial order, and
+/// callers hand the engine graphs in arbitrary id order (docs/scaling.md
+/// has the measurement).
 ///
 /// Parallel execution: run(max_rounds, ThreadPool&) executes the disjoint
 /// destination inboxes (and the on_start / on_round_end phases) across
@@ -57,17 +58,198 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <initializer_list>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "khop/graph/graph.hpp"
+#include "khop/obs/metrics.hpp"
 #include "khop/sim/message.hpp"
-#include "khop/sim/shard_runtime.hpp"
 
 namespace khop {
 
+class SyncEngine;
 class ThreadPool;
 
-/// The simulator. Owns one agent per node (via its full-range runtime).
+/// Decides the fate of one per-link transmission attempt. The engine calls
+/// attempt() in its deterministic enqueue order (sender processing order,
+/// then ascending-neighbor order for broadcasts), so implementations backed
+/// by a seeded rng make a lossy run a pure function of (topology, protocol,
+/// seed). Concrete radio-driven implementations live in khop/radio/.
+/// The parallel executor preserves this order: models are only ever
+/// consulted during the serial outbox merge, never from a worker.
+class DeliveryModel {
+ public:
+  virtual ~DeliveryModel() = default;
+
+  /// True iff a single transmission attempt from -> to is delivered.
+  /// Retries call it again, one call per attempt.
+  virtual bool attempt(NodeId from, NodeId to) = 0;
+};
+
+/// Lossy-delivery configuration for a SyncEngine.
+struct DeliveryOptions {
+  /// Non-owning; must outlive the engine. nullptr = the paper's ideal MAC
+  /// (the legacy code path, bit-for-bit).
+  DeliveryModel* model = nullptr;
+  /// Extra attempts per dropped per-link delivery (ARQ-style link retries).
+  /// Each retry is recorded in SimStats::retransmissions; a delivery that
+  /// still fails after the budget counts once in SimStats::drops.
+  std::size_t retry_budget = 0;
+};
+
+namespace detail {
+/// One recorded local broadcast: the ideal-MAC fast path stores it once per
+/// sender instead of materializing one queue entry per neighbor - the
+/// receiver set is exactly neighbors(sender), so delivery re-derives it.
+struct BcastRec {
+  std::uint16_t type = 0;
+  PayloadView data;
+};
+
+/// One recorded addressed send, bucketed by destination.
+struct SendRec {
+  NodeId sender = kInvalidNode;
+  std::uint16_t type = 0;
+  PayloadView data;
+};
+
+/// One handler-recorded send in the parallel executor. Broadcasts keep
+/// to == kInvalidNode and expand to per-neighbor deliveries at merge time,
+/// in ascending-neighbor order - exactly the serial enqueue sequence.
+struct RawSend {
+  NodeId from = kInvalidNode;
+  NodeId to = kInvalidNode;
+  std::uint16_t type = 0;
+  PayloadView data;
+};
+
+/// One scheduled lossy delivery: destination + the message it receives.
+struct Routed {
+  NodeId to = kInvalidNode;
+  Message msg;
+};
+
+/// Per-chunk sink for the parallel executor: workers intern payloads into a
+/// chunk-private arena and append RawSends; the engine replays them (stats,
+/// delivery model, recording/queue pushes) serially in chunk order.
+struct EngineOutbox {
+  PayloadArena arena;
+  std::vector<RawSend> sends;
+  std::size_t receptions = 0;
+  /// Per-worker merge buffer for fast-path delivery (see deliver_fast_to).
+  std::vector<BcastRec> scratch;
+  /// Per-chunk inbox-size samples (telemetry only); merged at the serial
+  /// join after each delivery phase, NOT dropped by reset() — the merge
+  /// happens after the flush has already reset the chunk.
+  obs::LocalHistogram inbox_sizes;
+
+  void reset() noexcept {
+    arena.clear();
+    sends.clear();
+    receptions = 0;
+  }
+};
+
+/// Round-side store for payload arenas adopted from executor outboxes.
+/// Instead of re-interning every replayed payload into the engine arena,
+/// the flush moves the whole chunk arena here (block addresses are stable
+/// under move, so the recorded views stay valid) and hands the chunk a
+/// cleared arena from the pool — steady-state rounds copy each payload
+/// once, at record time, and allocate nothing.
+struct AdoptedArenas {
+  std::vector<PayloadArena> side[2];
+  std::vector<PayloadArena> pool;
+
+  /// Moves \p a into \p s's store and replaces it with a pooled arena.
+  void adopt(PayloadArena& a, unsigned s) {
+    side[s].push_back(std::move(a));
+    if (pool.empty()) {
+      a = PayloadArena{};
+    } else {
+      a = std::move(pool.back());
+      pool.pop_back();
+    }
+  }
+
+  /// Returns side \p s's arenas (whose views are now dead) to the pool.
+  void recycle(unsigned s) {
+    for (PayloadArena& a : side[s]) {
+      a.clear();
+      pool.push_back(std::move(a));
+    }
+    side[s].clear();
+  }
+
+  void reset() {
+    recycle(0);
+    recycle(1);
+  }
+};
+}  // namespace detail
+
+/// Per-node handle the engine passes to agent callbacks.
+class NodeContext {
+ public:
+  NodeId id() const noexcept { return id_; }
+  std::size_t round() const noexcept;
+  std::span<const NodeId> neighbors() const;
+
+  /// Local broadcast: delivered to every neighbor next round. The words are
+  /// copied (interned) before the call returns; the span need only be valid
+  /// for the duration of the call.
+  void broadcast(std::uint16_t type, std::span<const std::int64_t> data);
+  void broadcast(std::uint16_t type, std::initializer_list<std::int64_t> data) {
+    broadcast(type, std::span<const std::int64_t>(data.begin(), data.size()));
+  }
+
+  /// Addressed send to a direct neighbor: delivered next round.
+  /// \pre `to` is a neighbor of this node
+  void send(NodeId to, std::uint16_t type, std::span<const std::int64_t> data);
+  void send(NodeId to, std::uint16_t type,
+            std::initializer_list<std::int64_t> data) {
+    send(to, type, std::span<const std::int64_t>(data.begin(), data.size()));
+  }
+
+ private:
+  friend class SyncEngine;
+  NodeContext(SyncEngine& engine, NodeId id,
+              detail::EngineOutbox* sink = nullptr)
+      : engine_(&engine), id_(id), sink_(sink) {}
+  SyncEngine* engine_;
+  NodeId id_;
+  /// Non-null only under the parallel executor: sends are recorded here and
+  /// replayed serially instead of touching shared engine state.
+  detail::EngineOutbox* sink_;
+};
+
+/// A protocol's per-node state machine.
+class NodeAgent {
+ public:
+  virtual ~NodeAgent() = default;
+
+  /// Round 0: initial sends.
+  virtual void on_start(NodeContext& /*ctx*/) {}
+
+  /// One delivered message (round >= 1).
+  virtual void on_message(NodeContext& ctx, const Message& msg) = 0;
+
+  /// End of every round (round >= 1), after all deliveries of that round.
+  virtual void on_round_end(NodeContext& /*ctx*/) {}
+
+  /// Termination hint: the engine stops when every agent is finished and no
+  /// messages are in flight.
+  virtual bool finished() const { return true; }
+};
+
+/// Creates the agent for one node. The engine retains the factory and calls
+/// it again, in ascending node order, to re-create agents on re-entry.
+using AgentFactory = std::function<std::unique_ptr<NodeAgent>(NodeId)>;
+
+/// The simulator. Owns one agent per node.
 class SyncEngine {
  public:
   using AgentFactory = khop::AgentFactory;
@@ -87,26 +269,134 @@ class SyncEngine {
   bool run(std::size_t max_rounds, ThreadPool& pool);
 
   const SimStats& stats() const noexcept { return stats_; }
-  std::size_t round() const noexcept { return core_.round_; }
+  std::size_t round() const noexcept { return round_; }
 
-  NodeAgent& agent(NodeId v) { return core_.agent(v); }
-  const NodeAgent& agent(NodeId v) const { return core_.agent(v); }
+  NodeAgent& agent(NodeId v);
+  const NodeAgent& agent(NodeId v) const;
 
   const Graph& graph() const noexcept { return *graph_; }
 
  private:
+  friend class NodeContext;
+
   const Graph* graph_;
   DeliveryOptions delivery_;
   AgentFactory factory_;
-  /// The full-range [0, n) delivery/dispatch core (no partition installed).
-  ShardRuntime core_;
-  std::vector<detail::EngineOutbox> outboxes_;  ///< parallel executor sinks
-  detail::AdoptedArenas adopted_;  ///< chunk arenas adopted at merge time
+  std::vector<std::unique_ptr<NodeAgent>> agents_;
   SimStats stats_;
   bool ran_ = false;
 
+  /// Lossy-path state: double-buffered materialized delivery queues,
+  /// indexed by write_. Ideal-MAC rounds leave these empty.
+  std::vector<detail::Routed> queues_[2];
+  /// Payload arenas, double-buffered by delivery round (both paths).
+  PayloadArena arenas_[2];
+  unsigned write_ = 0;
+  std::size_t round_ = 0;
+
+  /// Ideal-MAC fast-path state, double-buffered like queues_: a broadcast
+  /// is recorded ONCE under its sender, addressed sends are bucketed by
+  /// destination, and delivery walks each receiver's neighbor list (see the
+  /// round-loop notes above). Broadcasts land in a flat append log;
+  /// prepare_fast_round counting-scatters the read side into flat_recs_
+  /// grouped by ascending sender. The dirty lists make clearing
+  /// O(active nodes).
+  std::vector<detail::SendRec> bcast_log_[2];  ///< append order, per side
+  std::vector<NodeId> bcast_senders_[2];       ///< dirty senders
+  std::vector<std::uint32_t> rec_count_[2];    ///< per-sender log counts
+  std::vector<std::uint32_t> rec_begin_;       ///< read-side range starts
+  std::vector<std::uint32_t> rec_cursor_;      ///< scatter cursors
+  std::vector<detail::BcastRec> flat_recs_;    ///< read side, sender-grouped
+  std::vector<std::vector<detail::SendRec>> sends_[2];  ///< per destination
+  std::vector<NodeId> send_dests_[2];          ///< dirty dests
+  std::vector<std::uint32_t> dest_stamp_;      ///< receiver-set dedup marks
+  std::uint32_t dest_epoch_ = 0;
+  std::vector<detail::BcastRec> merge_scratch_;  ///< serial merge buffer
+
+  /// Lossy-path receiver-batching scratch, persistent across rounds
+  /// (capacity only grows). inbox_pos_ doubles as per-destination count,
+  /// then scatter cursor; it is returned to all-zero after every partition.
+  std::vector<detail::Routed> scratch_;  ///< destination-bucketed inbox
+  std::vector<std::size_t> inbox_pos_;   ///< per-destination count/cursor
+  std::vector<NodeId> dests_;            ///< distinct destinations, ascending
+  std::vector<std::size_t> spans_;  ///< bucket b = scratch_[spans_[b]..[b+1])
+
+  std::vector<detail::EngineOutbox> outboxes_;  ///< parallel executor sinks
+  detail::AdoptedArenas adopted_;  ///< chunk arenas adopted at merge time
+
+  bool ideal() const noexcept { return delivery_.model == nullptr; }
+
+  /// True iff nothing is scheduled for delivery next round.
+  bool write_side_empty() const noexcept {
+    return queues_[write_].empty() && bcast_senders_[write_].empty() &&
+           send_dests_[write_].empty();
+  }
+
+  /// True iff every agent reports finished().
+  bool agents_finished() const;
+
+  /// (Re-)creates every node's agent through factory_, ascending.
+  void create_agents();
+
   /// Resets counters, queues and arenas; re-creates agents on re-entry.
   void reset_for_run();
+
+  /// Fast-path recording (ideal MAC): stats + intern + per-sender /
+  /// per-destination bucket append. The *_adopted variants take a payload
+  /// that already lives in an adopted arena and skip the intern.
+  void record_broadcast(NodeId from, std::uint16_t type,
+                        std::span<const std::int64_t> data);
+  void record_send(NodeId from, NodeId to, std::uint16_t type,
+                   std::span<const std::int64_t> data);
+  void record_broadcast_adopted(NodeId from, std::uint16_t type,
+                                PayloadView payload);
+  void record_send_adopted(NodeId from, NodeId to, std::uint16_t type,
+                           PayloadView payload);
+
+  /// Shared tail of every broadcast/send record path.
+  void record_broadcast_rec(NodeId from, std::uint16_t type,
+                            PayloadView payload);
+  void record_send_rec(NodeId from, NodeId to, std::uint16_t type,
+                       PayloadView payload);
+
+  /// Direct lossy recording (serial mode): stats + intern + immediate
+  /// per-link model consults.
+  void lossy_broadcast(NodeId from, std::uint16_t type,
+                       std::span<const std::int64_t> data);
+  void lossy_send(NodeId from, NodeId to, std::uint16_t type,
+                  std::span<const std::int64_t> data);
+
+  /// Runs the per-link delivery model (drops/retries) and, if delivered,
+  /// schedules \p data (already interned/adopted) for \p to.
+  void enqueue_direct(NodeId from, NodeId to, std::uint16_t type,
+                      PayloadView data);
+
+  /// Sorts side \p read's records and builds dests_ (ascending receiver
+  /// set: every broadcaster's neighborhood plus every send destination).
+  void prepare_fast_round(unsigned read);
+
+  /// Delivers side \p read's messages to \p d in canonical order: senders
+  /// ascending (d's adjacency), each sender's broadcasts merged with its
+  /// addressed sends by (type, payload).
+  void deliver_fast_to(NodeId d, unsigned read, NodeContext& ctx,
+                       std::size_t& receptions,
+                       std::vector<detail::BcastRec>& scratch);
+
+  /// O(dirty) reset of side \p side's fast-path buckets.
+  void clear_fast_side(unsigned side) noexcept;
+
+  /// Buckets side \p read's materialized queue by destination into
+  /// scratch_ / dests_ / spans_.
+  void partition_inbox(unsigned read);
+
+  std::size_t bucket_size(std::size_t b) const noexcept {
+    return spans_[b + 1] - spans_[b];
+  }
+
+  /// Sorts bucket \p b by (sender, type, payload) and delivers it through
+  /// \p ctx, counting into \p receptions.
+  void deliver_bucket(std::size_t b, NodeContext& ctx,
+                      std::size_t& receptions);
 
   /// Serial replay of one recorded send: stats, delivery model, recording /
   /// queue pushes - the exact serial path. The payload already lives in the

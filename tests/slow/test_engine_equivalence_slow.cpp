@@ -1,16 +1,23 @@
 // Larger-n engine equivalence (slow ctest label): the receiver-batched
 // SyncEngine and its ThreadPool executor against the preserved pre-PR5
-// engine at n ~ 1500, ideal and lossy, thread counts {1, 2, hardware}.
-// Companion to tests/test_engine_equivalence.cpp at CI-fast sizes.
+// engine at n ~ 1500, ideal and lossy, thread counts {1, 2, hardware}, plus
+// the protocol stack (distributed clustering, then the AC-LMST gateway
+// election) on the pool against the serial run. Companion to
+// tests/test_engine_equivalence.cpp at CI-fast sizes.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "khop/cluster/priority.hpp"
 #include "khop/net/generator.hpp"
 #include "khop/radio/delivery.hpp"
 #include "khop/runtime/thread_pool.hpp"
 #include "khop/sim/engine.hpp"
+#include "khop/sim/protocols/clustering_protocol.hpp"
+#include "khop/sim/protocols/gateway_protocol.hpp"
 #include "khop/sim/protocols/neighborhood.hpp"
 #include "khop/sim/reference.hpp"
 
@@ -138,6 +145,77 @@ TEST(EngineEquivalenceSlow, LossyFloodMatchesReferenceAtScale) {
           dynamic_cast<const NeighborhoodDiscoveryAgent&>(engine.agent(v)));
     }
     EXPECT_EQ(digest, want_digest) << "threads " << threads;
+  }
+}
+
+TEST(EngineEquivalenceSlow, ClusteringAndGatewayElectionMatchSerial) {
+  const Graph g = random_topology(1500, 7.0, 8003);
+  const Hops k = 2;
+  const auto prio = make_priorities(g, PriorityRule::kLowestId);
+  const std::size_t cluster_rounds =
+      3 * static_cast<std::size_t>(k) * (g.num_nodes() + 2) + 16;
+
+  const auto cluster_factory = [&](NodeId v) {
+    return std::make_unique<DistributedClusteringAgent>(
+        k, prio[v], AffiliationRule::kDistanceBased);
+  };
+
+  // Serial baseline: clustering, then the gateway election seeded from its
+  // result.
+  SyncEngine serial(g, cluster_factory);
+  ASSERT_TRUE(serial.run(cluster_rounds));
+  std::vector<NodeId> want_head(g.num_nodes());
+  std::vector<Hops> want_dist(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto& a =
+        dynamic_cast<const DistributedClusteringAgent&>(serial.agent(v));
+    want_head[v] = a.head();
+    want_dist[v] = a.dist_to_head();
+  }
+
+  const auto gateway_factory = [&](NodeId v) {
+    return std::make_unique<LmstGatewayAgent>(k, want_head[v], want_dist[v]);
+  };
+  const std::size_t gateway_rounds = 16 * static_cast<std::size_t>(k) + 32;
+  SyncEngine serial_gw(g, gateway_factory);
+  ASSERT_TRUE(serial_gw.run(gateway_rounds));
+  std::vector<bool> want_gateway(g.num_nodes());
+  std::set<std::pair<NodeId, NodeId>> want_links;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto& a = dynamic_cast<const LmstGatewayAgent&>(serial_gw.agent(v));
+    want_gateway[v] = a.marked_gateway();
+    want_links.insert(a.kept_links().begin(), a.kept_links().end());
+  }
+
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{0}}) {
+    ThreadPool pool(threads);
+
+    SyncEngine cluster(g, cluster_factory);
+    ASSERT_TRUE(cluster.run(cluster_rounds, pool));
+    EXPECT_TRUE(same_stats(cluster.stats(), serial.stats()))
+        << "threads " << threads;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      const auto& a =
+          dynamic_cast<const DistributedClusteringAgent&>(cluster.agent(v));
+      ASSERT_EQ(a.head(), want_head[v])
+          << "threads " << threads << " node " << v;
+      ASSERT_EQ(a.dist_to_head(), want_dist[v])
+          << "threads " << threads << " node " << v;
+    }
+
+    SyncEngine gw(g, gateway_factory);
+    ASSERT_TRUE(gw.run(gateway_rounds, pool));
+    EXPECT_TRUE(same_stats(gw.stats(), serial_gw.stats()))
+        << "threads " << threads;
+    std::set<std::pair<NodeId, NodeId>> links;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      const auto& a = dynamic_cast<const LmstGatewayAgent&>(gw.agent(v));
+      ASSERT_EQ(a.marked_gateway(), want_gateway[v])
+          << "threads " << threads << " node " << v;
+      links.insert(a.kept_links().begin(), a.kept_links().end());
+    }
+    EXPECT_EQ(links, want_links) << "threads " << threads;
   }
 }
 

@@ -19,7 +19,6 @@
 #include "khop/sim/engine.hpp"
 #include "khop/sim/protocols/neighborhood.hpp"
 #include "khop/sim/reference.hpp"
-#include "khop/sim/sharded_engine.hpp"
 
 namespace khop {
 namespace {
@@ -186,28 +185,6 @@ RunResult run_production(const Graph& g, Hops ttl, std::size_t max_rounds,
   r.trace = store.canonical();
   return r;
 }
-
-RunResult run_sharded(const Graph& g, Hops ttl, std::size_t max_rounds,
-                      DeliveryModel* model, std::size_t retry_budget,
-                      std::size_t num_shards, ThreadPool* pool) {
-  TraceStore store(g.num_nodes());
-  DeliveryOptions opts;
-  opts.model = model;
-  opts.retry_budget = retry_budget;
-  ShardedEngine engine(
-      g,
-      [&](NodeId v) {
-        return std::make_unique<TracingFloodAgent>(v, ttl, &store);
-      },
-      num_shards, opts);
-  RunResult r;
-  r.quiescent = pool ? engine.run(max_rounds, *pool) : engine.run(max_rounds);
-  r.stats = engine.stats();
-  r.trace = store.canonical();
-  return r;
-}
-
-constexpr std::size_t kShardCounts[] = {1, 2, 3, 8};
 
 TEST(EngineEquivalence, SerialTraceMatchesReferenceIdeal) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
@@ -528,175 +505,6 @@ TEST(EngineEquivalence, FlatNeighborhoodAgentParallelMatchesSerial) {
         dynamic_cast<const NeighborhoodDiscoveryAgent&>(parallel.agent(v));
     EXPECT_EQ(a.known().sorted_items(), b.known().sorted_items())
         << "node " << v;
-  }
-}
-
-TEST(ShardedEquivalence, IdealTraceMatchesReferenceAllShardAndThreadCounts) {
-  const Graph g = random_topology(90, 6.0, 501);
-  const Hops ttl = 3;
-  const RunResult want = run_reference(g, ttl, ttl + 2, nullptr, 0);
-  for (const std::size_t shards : kShardCounts) {
-    const RunResult serial =
-        run_sharded(g, ttl, ttl + 2, nullptr, 0, shards, nullptr);
-    EXPECT_EQ(serial.quiescent, want.quiescent) << "shards " << shards;
-    EXPECT_TRUE(same_stats(serial.stats, want.stats)) << "shards " << shards;
-    EXPECT_EQ(serial.trace, want.trace) << "shards " << shards;
-
-    for (const std::size_t threads :
-         {std::size_t{1}, std::size_t{2}, std::size_t{0}}) {
-      ThreadPool pool(threads);  // 0 = hardware concurrency
-      const RunResult got =
-          run_sharded(g, ttl, ttl + 2, nullptr, 0, shards, &pool);
-      EXPECT_EQ(got.quiescent, want.quiescent)
-          << "shards " << shards << " threads " << threads;
-      EXPECT_TRUE(same_stats(got.stats, want.stats))
-          << "shards " << shards << " threads " << threads;
-      EXPECT_EQ(got.trace, want.trace)
-          << "shards " << shards << " threads " << threads;
-    }
-  }
-}
-
-TEST(ShardedEquivalence, LossyOrderSensitiveModelMatchesReference) {
-  // DropEveryNth ties every delivery to the global attempt ordinal: the
-  // sharded engine passes only if its serial flush consults the model in
-  // the exact single-engine sequence - ascending destination across all
-  // shard cuts, ascending neighbor per broadcast, retries in place.
-  const Graph g = random_topology(72, 5.0, 511);
-  const Hops ttl = 3;
-  for (const std::size_t retry_budget : {std::size_t{0}, std::size_t{2}}) {
-    DropEveryNth ref_model(3);
-    const RunResult want =
-        run_reference(g, ttl, ttl + 2, &ref_model, retry_budget);
-    if (retry_budget == 0) {
-      ASSERT_GT(want.stats.drops, 0u);
-    } else {
-      ASSERT_GT(want.stats.retransmissions, 0u);
-    }
-
-    for (const std::size_t shards : kShardCounts) {
-      DropEveryNth serial_model(3);
-      const RunResult serial = run_sharded(g, ttl, ttl + 2, &serial_model,
-                                           retry_budget, shards, nullptr);
-      EXPECT_TRUE(same_stats(serial.stats, want.stats)) << "shards " << shards;
-      EXPECT_EQ(serial.trace, want.trace) << "shards " << shards;
-
-      ThreadPool pool(2);
-      DropEveryNth par_model(3);
-      const RunResult par = run_sharded(g, ttl, ttl + 2, &par_model,
-                                        retry_budget, shards, &pool);
-      EXPECT_TRUE(same_stats(par.stats, want.stats)) << "shards " << shards;
-      EXPECT_EQ(par.trace, want.trace) << "shards " << shards;
-    }
-  }
-}
-
-TEST(ShardedEquivalence, LossyUniformSeededModelMatchesReference) {
-  const Graph g = random_topology(70, 6.0, 521);
-  const Hops ttl = 2;
-  UniformLossDelivery ref_model(0.3, 909);
-  const RunResult want = run_reference(g, ttl, ttl + 2, &ref_model, 1);
-  ASSERT_GT(want.stats.drops, 0u);
-
-  for (const std::size_t shards : kShardCounts) {
-    ThreadPool pool(0);
-    UniformLossDelivery model(0.3, 909);
-    const RunResult got =
-        run_sharded(g, ttl, ttl + 2, &model, 1, shards, &pool);
-    EXPECT_TRUE(same_stats(got.stats, want.stats)) << "shards " << shards;
-    EXPECT_EQ(got.trace, want.trace) << "shards " << shards;
-  }
-}
-
-TEST(ShardedEquivalence, MixedSendBroadcastPhasesMatchReference) {
-  // Same-sender broadcasts and addressed sends from both handler phases
-  // must interleave by (type, payload) in every receiver's inbox - here
-  // with senders and receivers split across shard cuts.
-  using Agent = MixedPhaseAgent<NodeContext, NodeAgent>;
-  using RefAgent =
-      MixedPhaseAgent<reference::NodeContext, reference::NodeAgent>;
-  const Graph g = random_topology(66, 5.0, 531);
-
-  TraceStore ref_store(g.num_nodes());
-  reference::SyncEngine ref_engine(g, [&](NodeId v) {
-    return std::make_unique<RefAgent>(v, &ref_store);
-  });
-  EXPECT_TRUE(ref_engine.run(5));
-  const std::vector<TraceEntry> want = ref_store.canonical();
-
-  for (const std::size_t shards : kShardCounts) {
-    for (const bool use_pool : {false, true}) {
-      ThreadPool pool(2);
-      TraceStore store(g.num_nodes());
-      ShardedEngine engine(
-          g, [&](NodeId v) { return std::make_unique<Agent>(v, &store); },
-          shards);
-      EXPECT_TRUE(use_pool ? engine.run(5, pool) : engine.run(5));
-      EXPECT_TRUE(same_stats(engine.stats(), ref_engine.stats()))
-          << "shards " << shards << " pool " << use_pool;
-      EXPECT_EQ(store.canonical(), want)
-          << "shards " << shards << " pool " << use_pool;
-    }
-  }
-}
-
-TEST(ShardedEquivalence, RerunIsBitIdentical) {
-  // One sharded engine, three runs (serial, pooled, serial): the reuse
-  // contract must hold across the shard split - fresh agents, reset shard
-  // stats, drained boundary outboxes.
-  const Graph g = random_topology(60, 5.0, 541);
-  const Hops ttl = 3;
-  TraceStore store(g.num_nodes());
-  ShardedEngine engine(
-      g,
-      [&](NodeId v) {
-        return std::make_unique<TracingFloodAgent>(v, ttl, &store);
-      },
-      3);
-
-  EXPECT_TRUE(engine.run(ttl + 2));
-  const std::vector<TraceEntry> first = store.canonical();
-  const SimStats first_stats = engine.stats();
-
-  ThreadPool pool(2);
-  store = TraceStore(g.num_nodes());
-  EXPECT_TRUE(engine.run(ttl + 2, pool));
-  EXPECT_TRUE(same_stats(engine.stats(), first_stats));
-  EXPECT_EQ(store.canonical(), first);
-
-  store = TraceStore(g.num_nodes());
-  EXPECT_TRUE(engine.run(ttl + 2));
-  EXPECT_TRUE(same_stats(engine.stats(), first_stats));
-  EXPECT_EQ(store.canonical(), first);
-}
-
-TEST(ShardedEquivalence, DiscoveryDigestsMatchSingleEngine) {
-  // Protocol end state, not just traces: k-hop neighborhood tables from the
-  // sharded run must equal the single-engine run element for element.
-  const Graph g = random_topology(85, 6.0, 551);
-  const Hops k = 2;
-  SyncEngine single(g, [&](NodeId) {
-    return std::make_unique<NeighborhoodDiscoveryAgent>(k);
-  });
-  ASSERT_TRUE(single.run(2 * k + 2));
-
-  for (const std::size_t shards : kShardCounts) {
-    ThreadPool pool(0);
-    ShardedEngine engine(
-        g,
-        [&](NodeId) { return std::make_unique<NeighborhoodDiscoveryAgent>(k); },
-        shards);
-    ASSERT_TRUE(engine.run(2 * k + 2, pool));
-    EXPECT_TRUE(same_stats(engine.stats(), single.stats()))
-        << "shards " << shards;
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      const auto& a =
-          dynamic_cast<const NeighborhoodDiscoveryAgent&>(single.agent(v));
-      const auto& b =
-          dynamic_cast<const NeighborhoodDiscoveryAgent&>(engine.agent(v));
-      EXPECT_EQ(a.known().sorted_items(), b.known().sorted_items())
-          << "shards " << shards << " node " << v;
-    }
   }
 }
 

@@ -180,6 +180,31 @@ TEST(IoState, RejectsOutOfRangeIdsAndDistances) {
   EXPECT_THROW(read_clustering(head_dist), InvalidArgument);
 }
 
+// Header counts are never trusted for an allocation: each inflated count
+// below must fail as a clean khop error once the short body runs out, not
+// as std::bad_alloc / std::length_error or a multi-GB resize.
+TEST(IoState, ClusteringRejectsInflatedNodeCountWithoutAllocating) {
+  for (const char* nodes : {"400000000", "4000000000"}) {
+    std::istringstream is(std::string("khop-clustering v1\nk 2\nrounds 1\n") +
+                          "nodes " + nodes + "\nheads 1 0\n0 0\n");
+    EXPECT_THROW(read_clustering(is), InvalidArgument) << nodes;
+  }
+}
+
+TEST(IoState, BackboneRejectsInflatedHeadCountWithoutAllocating) {
+  std::istringstream is(
+      "khop-backbone v1\npipeline 0\nspec 0 0 0\n"
+      "heads 1000000000000000000 0 1\n");
+  EXPECT_THROW(read_backbone(is), InvalidArgument);
+}
+
+TEST(IoState, BackboneRejectsInflatedLinkCountWithoutAllocating) {
+  std::istringstream is(
+      "khop-backbone v1\npipeline 0\nspec 0 0 0\nheads 2 0 1\ngateways 0\n"
+      "links 4000000000000000000\n0 1\n");
+  EXPECT_THROW(read_backbone(is), InvalidArgument);
+}
+
 TEST(IoState, V2ChecksumDetectsCorruption) {
   const Fixture f(1608);
   std::ostringstream os;

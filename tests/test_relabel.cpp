@@ -4,15 +4,18 @@
 // pipeline run on the relabeled graph, serial and parallel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
 #include "khop/cds/cds.hpp"
 #include "khop/cluster/reference.hpp"
+#include "khop/common/rng.hpp"
 #include "khop/gateway/reference.hpp"
 #include "khop/graph/bfs.hpp"
 #include "khop/graph/bfs_reference.hpp"
 #include "khop/graph/relabel.hpp"
+#include "khop/graph/spatial_grid.hpp"
 #include "khop/net/generator.hpp"
 #include "khop/runtime/thread_pool.hpp"
 #include "khop/runtime/workspace.hpp"
@@ -60,6 +63,65 @@ TEST(Hilbert, IsABijectionAndNeighborsAreAdjacent) {
         (x0 > x1 ? x0 - x1 : x1 - x0) + (y0 > y1 ? y0 - y1 : y1 - y0);
     EXPECT_EQ(manhattan, 1u) << "discontinuity at d=" << d;
   }
+}
+
+/// Fraction of nodes with a neighbor in another block when [0, n) is cut
+/// into \p blocks near-equal contiguous id ranges: 0 = every neighborhood
+/// stays inside one range, 1 = every node sits on a cut.
+double range_cut_boundary_fraction(const Graph& g, std::size_t blocks) {
+  const std::size_t n = g.num_nodes();
+  const auto block_of = [&](NodeId v) { return std::size_t{v} * blocks / n; };
+  std::size_t boundary = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    const auto row = g.neighbors(v);
+    boundary += std::any_of(row.begin(), row.end(), [&](NodeId u) {
+      return block_of(u) != block_of(v);
+    });
+  }
+  return static_cast<double>(boundary) / static_cast<double>(n);
+}
+
+TEST(Relabel, HilbertOrderBeatsRandomOrderOnJitteredGrid) {
+  // Jittered grid: side x side points on unit spacing, each perturbed by
+  // less than half a cell, connected at radius 1.5 (grid neighbors plus
+  // some diagonals) - the regular-density placement where spatial order
+  // matters most and every cut's cost is easy to reason about.
+  constexpr std::size_t side = 24;
+  Rng rng(905);
+  std::vector<Point2> pts;
+  pts.reserve(side * side);
+  for (std::size_t y = 0; y < side; ++y) {
+    for (std::size_t x = 0; x < side; ++x) {
+      pts.push_back(Point2{static_cast<double>(x) + rng.uniform(-0.3, 0.3),
+                           static_cast<double>(y) + rng.uniform(-0.3, 0.3)});
+    }
+  }
+  const Graph g = build_unit_disk_graph(pts, 1.5);
+
+  // Hilbert order: relabel by the SFC of the positions. Random order: a
+  // seeded Fisher-Yates permutation (the adversarial baseline - contiguous
+  // id ranges become spatially meaningless).
+  const Graph hilbert_g = relabel(g, sfc_relabeling(pts));
+
+  Relabeling random = identity_relabeling(g.num_nodes());
+  for (std::size_t i = g.num_nodes(); i > 1; --i) {
+    std::swap(random.new_of_old[i - 1],
+              random.new_of_old[rng.uniform_int(i)]);
+  }
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    random.old_of_new[random.new_of_old[v]] = v;
+  }
+  const Graph random_g = relabel(g, random);
+
+  for (const std::size_t blocks : {2u, 4u, 8u}) {
+    const double hq = range_cut_boundary_fraction(hilbert_g, blocks);
+    const double rq = range_cut_boundary_fraction(random_g, blocks);
+    // Hilbert ranges are compact tiles with perimeter/area cuts; a random
+    // order puts nearly every node on a cut. Require a decisive margin.
+    EXPECT_LT(hq, 0.5 * rq) << "blocks " << blocks;
+    EXPECT_GT(rq, 0.9) << "blocks " << blocks;
+  }
+  EXPECT_GT(range_cut_boundary_fraction(hilbert_g, 2), 0.0);
 }
 
 TEST(Relabel, RoundTripIsBitExact) {
