@@ -7,10 +7,16 @@
 //   khop_tool dot      k                   < network.txt   > backbone.dot
 //
 // pipeline: nc-mesh | ac-mesh | nc-lmst | ac-lmst | g-mst (default ac-lmst)
+//
+// Numeric arguments must be whole, in-range numbers of their type; anything
+// else prints the usage line and exits 2 before stdin is read.
+#include <charconv>
+#include <cmath>
 #include <cstring>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <type_traits>
 
 #include "khop/cds/routing.hpp"
 #include "khop/core/pipeline.hpp"
@@ -22,6 +28,26 @@ namespace {
 
 using namespace khop;
 
+/// Parses all of \p arg as a T: no sign on unsigned types, no trailing
+/// characters, no out-of-range or non-finite values.
+template <typename T>
+std::optional<T> parse_number(const char* arg) {
+  T value{};
+  const char* end = arg + std::strlen(arg);
+  const auto [ptr, ec] = std::from_chars(arg, end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return std::nullopt;
+  }
+  return value;
+}
+
+/// Prints the usage line for \p command_usage and returns exit status 2.
+int usage(const char* command_usage) {
+  std::cerr << "usage: khop_tool " << command_usage << '\n';
+  return 2;
+}
+
 std::optional<Pipeline> parse_pipeline(const std::string& s) {
   for (const Pipeline p : kAllPipelines) {
     std::string name(pipeline_name(p));
@@ -32,14 +58,16 @@ std::optional<Pipeline> parse_pipeline(const std::string& s) {
 }
 
 int cmd_generate(int argc, char** argv) {
-  if (argc < 4) {
-    std::cerr << "usage: khop_tool generate N D seed\n";
-    return 2;
-  }
+  constexpr const char* kUsage = "generate N D seed";
+  if (argc < 4) return usage(kUsage);
+  const auto n = parse_number<std::size_t>(argv[1]);
+  const auto degree = parse_number<double>(argv[2]);
+  const auto seed = parse_number<std::uint64_t>(argv[3]);
+  if (!n || !degree || !seed) return usage(kUsage);
   GeneratorConfig cfg;
-  cfg.num_nodes = std::strtoul(argv[1], nullptr, 10);
-  cfg.target_degree = std::strtod(argv[2], nullptr);
-  Rng rng(std::strtoull(argv[3], nullptr, 10));
+  cfg.num_nodes = *n;
+  cfg.target_degree = *degree;
+  Rng rng(*seed);
   const AdHocNetwork net = generate_network(cfg, rng);
   write_network(std::cout, net);
   std::cerr << "generated " << net.num_nodes() << " nodes, radius "
@@ -48,13 +76,12 @@ int cmd_generate(int argc, char** argv) {
 }
 
 int cmd_cluster(int argc, char** argv) {
-  if (argc < 2) {
-    std::cerr << "usage: khop_tool cluster k [pipeline] < network.txt\n";
-    return 2;
-  }
-  const auto k = static_cast<Hops>(std::strtoul(argv[1], nullptr, 10));
+  constexpr const char* kUsage = "cluster k [pipeline] < network.txt";
+  if (argc < 2) return usage(kUsage);
+  const auto k = parse_number<Hops>(argv[1]);
+  if (!k) return usage(kUsage);
   PipelineOptions opts;
-  opts.k = k;
+  opts.k = *k;
   if (argc > 2) {
     const auto p = parse_pipeline(argv[2]);
     if (!p) {
@@ -74,35 +101,33 @@ int cmd_cluster(int argc, char** argv) {
 }
 
 int cmd_route(int argc, char** argv) {
-  if (argc < 4) {
-    std::cerr << "usage: khop_tool route k src dst < network.txt\n";
-    return 2;
-  }
-  const auto k = static_cast<Hops>(std::strtoul(argv[1], nullptr, 10));
-  const auto src = static_cast<NodeId>(std::strtoul(argv[2], nullptr, 10));
-  const auto dst = static_cast<NodeId>(std::strtoul(argv[3], nullptr, 10));
+  constexpr const char* kUsage = "route k src dst < network.txt";
+  if (argc < 4) return usage(kUsage);
+  const auto k = parse_number<Hops>(argv[1]);
+  const auto src = parse_number<NodeId>(argv[2]);
+  const auto dst = parse_number<NodeId>(argv[3]);
+  if (!k || !src || !dst) return usage(kUsage);
   const AdHocNetwork net = read_network(std::cin);
   PipelineOptions opts;
-  opts.k = k;
+  opts.k = *k;
   const auto r = build_connected_clustering(net, opts);
   const BackboneRouter router(net.graph, r.clustering, r.backbone);
-  const Route route = router.route(src, dst);
+  const Route route = router.route(*src, *dst);
   std::cout << "route (" << route.hops() << " hops):";
   for (NodeId v : route.path) std::cout << ' ' << v;
-  std::cout << "\nstretch: " << (src == dst ? 1.0 : router.stretch(src, dst))
-            << '\n';
+  std::cout << "\nstretch: "
+            << (*src == *dst ? 1.0 : router.stretch(*src, *dst)) << '\n';
   return 0;
 }
 
 int cmd_dot(int argc, char** argv) {
-  if (argc < 2) {
-    std::cerr << "usage: khop_tool dot k < network.txt > out.dot\n";
-    return 2;
-  }
-  const auto k = static_cast<Hops>(std::strtoul(argv[1], nullptr, 10));
+  constexpr const char* kUsage = "dot k < network.txt > out.dot";
+  if (argc < 2) return usage(kUsage);
+  const auto k = parse_number<Hops>(argv[1]);
+  if (!k) return usage(kUsage);
   const AdHocNetwork net = read_network(std::cin);
   PipelineOptions opts;
-  opts.k = k;
+  opts.k = *k;
   const auto r = build_connected_clustering(net, opts);
   write_dot(std::cout, net, r.clustering, r.backbone);
   return 0;

@@ -146,6 +146,16 @@ ChurnEngine::ChurnEngine(RestoreTag, ChurnEngineRestore r,
     const auto iv = sel_.find(l.v);
     KHOP_REQUIRE(iu != sel_.end() && iv != sel_.end(),
                  "restored virtual link endpoint is not a live head");
+    // The gateway rules index node arrays by path ids: the path must be a
+    // walk u..v over live edges, hops long, within the 2k+1 horizon.
+    KHOP_REQUIRE(l.hops <= horizon_ && l.path.size() == l.hops + 1u &&
+                     l.path.front() == l.u && l.path.back() == l.v,
+                 "restored virtual link path malformed");
+    for (std::size_t i = 1; i < l.path.size(); ++i) {
+      KHOP_REQUIRE(l.path[i] < cap && g_.alive(l.path[i]) &&
+                       g_.has_edge(l.path[i - 1], l.path[i]),
+                   "restored virtual link path leaves the topology");
+    }
     iu->second.push_back(l.v);
     iv->second.push_back(l.u);
   }

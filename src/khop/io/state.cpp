@@ -231,6 +231,12 @@ Clustering read_clustering(std::istream& is) {
     c.cluster_of.push_back(
         static_cast<std::uint32_t>(std::distance(c.heads.begin(), it)));
   }
+  for (const NodeId h : c.heads) {
+    if (c.head_of[h] != h) {
+      src.fail("head " + std::to_string(h) + " is affiliated to " +
+               std::to_string(c.head_of[h]));
+    }
+  }
   src.done();
   return c;
 }
@@ -277,7 +283,7 @@ Backbone read_backbone(std::istream& is) {
   // read_clustering).
   for (std::uint64_t i = 0; i < head_count; ++i) {
     const std::uint64_t h = src.number("head id");
-    if (h > kInvalidNode) src.fail("head id out of range");
+    if (h >= kInvalidNode) src.fail("head id out of range");
     if (!b.heads.empty() && h <= b.heads.back()) {
       src.fail("head id " + std::to_string(h) +
                " duplicates or reorders the head list");
@@ -288,7 +294,7 @@ Backbone read_backbone(std::istream& is) {
   const std::uint64_t gw_count = src.number("gateway count");
   for (std::uint64_t i = 0; i < gw_count; ++i) {
     const std::uint64_t g = src.number("gateway id");
-    if (g > kInvalidNode) src.fail("gateway id out of range");
+    if (g >= kInvalidNode) src.fail("gateway id out of range");
     if (!b.gateways.empty() && g <= b.gateways.back()) {
       src.fail("gateway id " + std::to_string(g) +
                " duplicates or reorders the gateway list");
@@ -304,11 +310,12 @@ Backbone read_backbone(std::istream& is) {
   for (std::uint64_t i = 0; i < link_count; ++i) {
     const std::uint64_t u = src.number("link endpoint");
     const std::uint64_t v = src.number("link endpoint");
-    if (!std::binary_search(b.heads.begin(), b.heads.end(),
+    // Range-checked before narrowing: 2^32 + h must not alias head h.
+    if (u >= kInvalidNode || v >= kInvalidNode || u == v ||
+        !std::binary_search(b.heads.begin(), b.heads.end(),
                             static_cast<NodeId>(u)) ||
         !std::binary_search(b.heads.begin(), b.heads.end(),
-                            static_cast<NodeId>(v)) ||
-        u == v) {
+                            static_cast<NodeId>(v))) {
       src.fail("virtual link {" + std::to_string(u) + ", " +
                std::to_string(v) + "} does not join two distinct heads");
     }

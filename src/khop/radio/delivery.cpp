@@ -6,8 +6,17 @@
 
 namespace khop {
 
+namespace {
+
+/// The key's 53 high bits as a uniform double in [0, 1).
+double key_uniform(std::uint64_t key) noexcept {
+  return static_cast<double>(key >> 11) * 0x1.0p-53;
+}
+
+}  // namespace
+
 LinkDelivery::LinkDelivery(const LinkLayer& links, std::uint64_t seed)
-    : links_(&links), rng_(seed) {
+    : DeliveryModel(seed), links_(&links) {
   const Graph& g = links.graph();
   probs_.resize(g.num_nodes());
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
@@ -17,7 +26,7 @@ LinkDelivery::LinkDelivery(const LinkLayer& links, std::uint64_t seed)
   }
 }
 
-bool LinkDelivery::attempt(NodeId from, NodeId to) {
+bool LinkDelivery::attempt(NodeId from, NodeId to, std::uint64_t key) const {
   double p = 0.0;
   if (from < probs_.size()) {
     const auto nbrs = links_->graph().neighbors(from);
@@ -26,16 +35,17 @@ bool LinkDelivery::attempt(NodeId from, NodeId to) {
       p = probs_[from][static_cast<std::size_t>(it - nbrs.begin())];
     }
   }
-  return rng_.uniform() < p;
+  return key_uniform(key) < p;
 }
 
 UniformLossDelivery::UniformLossDelivery(double loss, std::uint64_t seed)
-    : loss_(loss), rng_(seed) {
+    : DeliveryModel(seed), loss_(loss) {
   KHOP_REQUIRE(loss >= 0.0 && loss < 1.0, "loss must be in [0, 1)");
 }
 
-bool UniformLossDelivery::attempt(NodeId /*from*/, NodeId /*to*/) {
-  return rng_.uniform() >= loss_;
+bool UniformLossDelivery::attempt(NodeId /*from*/, NodeId /*to*/,
+                                  std::uint64_t key) const {
+  return key_uniform(key) >= loss_;
 }
 
 }  // namespace khop

@@ -1,27 +1,22 @@
 /// \file delivery.hpp
 /// Radio-driven DeliveryModel implementations for the synchronous simulator.
 ///
-/// The SyncEngine consults its DeliveryModel on every enqueue; a drop means
-/// the receiver simply never sees the message that round. Decisions come
-/// from a seeded Rng consumed in the engine's deterministic enqueue order,
-/// so a lossy run is a pure function of (topology, protocol, seed) — the
+/// The SyncEngine consults its DeliveryModel once per attempt while it
+/// delivers; a drop means the receiver simply never sees the message that
+/// round. Each decision is a pure function of the link and the attempt key
+/// (delivery_key in sim/engine.hpp: seed, round, link, seq, attempt), so
+/// the models hold no mutable state, are safe to call from pool workers,
+/// and a lossy run is a pure function of (topology, protocol, seed) — the
 /// same reproducibility contract as the ideal-MAC engine.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
-#include "khop/common/rng.hpp"
 #include "khop/radio/link_layer.hpp"
 #include "khop/sim/engine.hpp"
 
 namespace khop {
-
-/// The paper's ideal MAC: every attempt succeeds. Behaviourally identical
-/// to running the engine with no delivery model at all.
-class PerfectDelivery final : public DeliveryModel {
- public:
-  bool attempt(NodeId /*from*/, NodeId /*to*/) override { return true; }
-};
 
 /// Bernoulli per-link delivery: an attempt over {from, to} succeeds with the
 /// link layer's probability for that link. Links with probability 1 never
@@ -34,11 +29,10 @@ class LinkDelivery final : public DeliveryModel {
   /// \p links must outlive this object.
   LinkDelivery(const LinkLayer& links, std::uint64_t seed);
 
-  bool attempt(NodeId from, NodeId to) override;
+  bool attempt(NodeId from, NodeId to, std::uint64_t key) const override;
 
  private:
   const LinkLayer* links_;
-  Rng rng_;
   /// probs_[u][i] = delivery probability to graph().neighbors(u)[i].
   std::vector<std::vector<double>> probs_;
 };
@@ -50,11 +44,10 @@ class UniformLossDelivery final : public DeliveryModel {
   /// \pre loss in [0, 1)
   UniformLossDelivery(double loss, std::uint64_t seed);
 
-  bool attempt(NodeId from, NodeId to) override;
+  bool attempt(NodeId from, NodeId to, std::uint64_t key) const override;
 
  private:
   double loss_;
-  Rng rng_;
 };
 
 }  // namespace khop

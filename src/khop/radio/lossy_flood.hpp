@@ -15,7 +15,7 @@
 namespace khop {
 
 struct LossyFloodOptions {
-  std::uint64_t seed = 1;         ///< delivery rng seed
+  std::uint64_t seed = 1;         ///< delivery model seed
   std::size_t retry_budget = 0;   ///< link-layer retries per dropped delivery
   /// Forwarder mask (n-sized): only marked nodes relay; the source always
   /// transmits. Empty = blind flooding (every node relays). Use

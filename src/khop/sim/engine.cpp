@@ -5,6 +5,7 @@
 #include <tuple>
 
 #include "khop/common/assert.hpp"
+#include "khop/common/rng.hpp"
 #include "khop/obs/metrics.hpp"
 #include "khop/obs/trace.hpp"
 #include "khop/runtime/thread_pool.hpp"
@@ -36,6 +37,22 @@ std::pair<std::size_t, std::size_t> chunk_range(std::size_t items,
 
 }  // namespace
 
+std::uint64_t delivery_key(std::uint64_t seed, std::size_t round, NodeId from,
+                           NodeId to, std::size_t seq,
+                           std::size_t attempt) noexcept {
+  // One splitmix64 step per 64-bit word, chained: (from, to) and
+  // (seq, attempt) each pack into one word without overlap.
+  std::uint64_t h = seed;
+  for (const std::uint64_t word :
+       {static_cast<std::uint64_t>(round),
+        (static_cast<std::uint64_t>(from) << 32) | to,
+        (static_cast<std::uint64_t>(seq) << 32) | attempt}) {
+    h ^= word;
+    h = splitmix64(h);
+  }
+  return h;
+}
+
 std::size_t NodeContext::round() const noexcept { return engine_->round_; }
 
 std::span<const NodeId> NodeContext::neighbors() const {
@@ -45,17 +62,14 @@ std::span<const NodeId> NodeContext::neighbors() const {
 void NodeContext::broadcast(std::uint16_t type,
                             std::span<const std::int64_t> data) {
   if (sink_ != nullptr) {
-    // Parallel chunk: record once; the engine replays the stats, recording
-    // (or per-neighbor delivery attempts) serially in node order.
+    // Parallel chunk: record once; the engine replays the stats and
+    // recording serially in node order.
     sink_->sends.push_back(detail::RawSend{id_, kInvalidNode, type,
                                            sink_->arena.intern(data)});
     return;
   }
-  if (engine_->ideal()) {
-    engine_->record_broadcast(id_, type, data);
-    return;
-  }
-  engine_->lossy_broadcast(id_, type, data);
+  engine_->record_broadcast(
+      id_, type, engine_->arenas_[engine_->write_].intern(data));
 }
 
 void NodeContext::send(NodeId to, std::uint16_t type,
@@ -67,11 +81,8 @@ void NodeContext::send(NodeId to, std::uint16_t type,
         detail::RawSend{id_, to, type, sink_->arena.intern(data)});
     return;
   }
-  if (engine_->ideal()) {
-    engine_->record_send(id_, to, type, data);
-    return;
-  }
-  engine_->lossy_send(id_, to, type, data);
+  engine_->record_send(id_, to, type,
+                       engine_->arenas_[engine_->write_].intern(data));
 }
 
 SyncEngine::SyncEngine(const Graph& g, const AgentFactory& factory,
@@ -86,7 +97,6 @@ SyncEngine::SyncEngine(const Graph& g, const AgentFactory& factory,
   rec_begin_.assign(n, 0);
   rec_cursor_.assign(n, 0);
   dest_stamp_.assign(n, 0);
-  inbox_pos_.assign(n, 0);
   create_agents();
 }
 
@@ -115,79 +125,24 @@ void SyncEngine::create_agents() {
 }
 
 void SyncEngine::record_broadcast(NodeId from, std::uint16_t type,
-                                  std::span<const std::int64_t> data) {
-  stats_.note_transmission(data.size());
+                                  PayloadView payload) {
+  stats_.note_transmission(payload.size());
   // A broadcast with no receivers is a radio transmission (counted above)
   // but schedules nothing: recording it would keep the write side non-empty
   // and cost an extra round the reference engine never runs.
   if (graph_->neighbors(from).empty()) return;
-  // One materialization per broadcast: every receiver's delivery aliases
-  // the same interned words.
-  record_broadcast_rec(from, type, arenas_[write_].intern(data));
-}
-
-void SyncEngine::record_send(NodeId from, NodeId to, std::uint16_t type,
-                             std::span<const std::int64_t> data) {
-  stats_.note_transmission(data.size());
-  record_send_rec(from, to, type, arenas_[write_].intern(data));
-}
-
-void SyncEngine::record_broadcast_adopted(NodeId from, std::uint16_t type,
-                                          PayloadView payload) {
-  stats_.note_transmission(payload.size());
-  if (graph_->neighbors(from).empty()) return;
-  record_broadcast_rec(from, type, payload);
-}
-
-void SyncEngine::record_send_adopted(NodeId from, NodeId to,
-                                     std::uint16_t type, PayloadView payload) {
-  stats_.note_transmission(payload.size());
-  record_send_rec(from, to, type, payload);
-}
-
-void SyncEngine::record_broadcast_rec(NodeId from, std::uint16_t type,
-                                      PayloadView payload) {
+  // One record per broadcast: every receiver's delivery aliases the same
+  // interned words.
   if (rec_count_[write_][from]++ == 0) bcast_senders_[write_].push_back(from);
   bcast_log_[write_].push_back(detail::SendRec{from, type, payload});
 }
 
-void SyncEngine::record_send_rec(NodeId from, NodeId to, std::uint16_t type,
-                                 PayloadView payload) {
+void SyncEngine::record_send(NodeId from, NodeId to, std::uint16_t type,
+                             PayloadView payload) {
+  stats_.note_transmission(payload.size());
   std::vector<detail::SendRec>& list = sends_[write_][to];
   if (list.empty()) send_dests_[write_].push_back(to);
   list.push_back(detail::SendRec{from, type, payload});
-}
-
-void SyncEngine::lossy_broadcast(NodeId from, std::uint16_t type,
-                                 std::span<const std::int64_t> data) {
-  stats_.note_transmission(data.size());
-  const PayloadView payload = arenas_[write_].intern(data);
-  for (NodeId v : graph_->neighbors(from)) {
-    enqueue_direct(from, v, type, payload);
-  }
-}
-
-void SyncEngine::lossy_send(NodeId from, NodeId to, std::uint16_t type,
-                            std::span<const std::int64_t> data) {
-  stats_.note_transmission(data.size());
-  enqueue_direct(from, to, type, arenas_[write_].intern(data));
-}
-
-void SyncEngine::enqueue_direct(NodeId from, NodeId to, std::uint16_t type,
-                                PayloadView data) {
-  if (delivery_.model != nullptr) {
-    bool delivered = delivery_.model->attempt(from, to);
-    for (std::size_t retry = 0; !delivered && retry < delivery_.retry_budget;
-         ++retry) {
-      ++stats_.retransmissions;
-      delivered = delivery_.model->attempt(from, to);
-    }
-    if (!delivered) {
-      ++stats_.drops;
-      return;
-    }
-  }
-  queues_[write_].push_back(detail::Routed{to, Message{from, type, data}});
 }
 
 void SyncEngine::clear_fast_side(unsigned side) noexcept {
@@ -260,13 +215,40 @@ void SyncEngine::prepare_fast_round(unsigned read) {
   std::sort(dests_.begin(), dests_.end());
 }
 
+bool SyncEngine::link_delivers(NodeId from, NodeId to, std::size_t seq,
+                               SimStats& tally) const {
+  const DeliveryModel& model = *delivery_.model;
+  for (std::size_t attempt = 0;; ++attempt) {
+    if (model.attempt(from, to,
+                      delivery_key(model.seed(), round_, from, to, seq,
+                                   attempt))) {
+      return true;
+    }
+    if (attempt == delivery_.retry_budget) {
+      ++tally.drops;
+      return false;
+    }
+    ++tally.retransmissions;
+  }
+}
+
+template <bool kLossy>
 void SyncEngine::deliver_fast_to(NodeId d, unsigned read, NodeContext& ctx,
-                                 std::size_t& receptions,
+                                 SimStats& tally,
                                  std::vector<detail::BcastRec>& scratch) {
   const std::vector<detail::SendRec>& sd = sends_[read][d];
   std::size_t si = 0;
   NodeAgent& agent = *agents_[d];
   const std::uint32_t* counts = rec_count_[read].data();
+  // Hands the seq-th message of this round's s -> d group to the agent.
+  const auto deliver = [&](NodeId s, std::size_t seq, std::uint16_t type,
+                           PayloadView data) {
+    if constexpr (kLossy) {
+      if (!link_delivers(s, d, seq, tally)) return;
+    }
+    ++tally.receptions;
+    agent.on_message(ctx, Message{s, type, data});
+  };
   for (NodeId s : graph_->neighbors(d)) {
     // rec_begin_ is only meaningful when the count != 0 (stale otherwise),
     // so the range pointer is formed after the count check.
@@ -279,15 +261,13 @@ void SyncEngine::deliver_fast_to(NodeId d, unsigned read, NodeContext& ctx,
       const detail::BcastRec* bs =
           cnt != 0 ? flat_recs_.data() + rec_begin_[s] : nullptr;
       for (std::uint32_t i = 0; i < cnt; ++i) {
-        ++receptions;
-        agent.on_message(ctx, Message{s, bs[i].type, bs[i].data});
+        deliver(s, i, bs[i].type, bs[i].data);
       }
       continue;
     }
     if (cnt == 0) {
       for (std::size_t i = s_begin; i < si; ++i) {
-        ++receptions;
-        agent.on_message(ctx, Message{s, sd[i].type, sd[i].data});
+        deliver(s, i - s_begin, sd[i].type, sd[i].data);
       }
       continue;
     }
@@ -303,74 +283,26 @@ void SyncEngine::deliver_fast_to(NodeId d, unsigned read, NodeContext& ctx,
               [](const detail::BcastRec& a, const detail::BcastRec& b) {
                 return std::tie(a.type, a.data) < std::tie(b.type, b.data);
               });
-    for (const detail::BcastRec& r : scratch) {
-      ++receptions;
-      agent.on_message(ctx, Message{s, r.type, r.data});
+    for (std::size_t i = 0; i < scratch.size(); ++i) {
+      deliver(s, i, scratch[i].type, scratch[i].data);
     }
   }
   KHOP_ASSERT(si == sd.size(), "send from non-neighbor in inbox assembly");
 }
 
-void SyncEngine::partition_inbox(unsigned read) {
-  const std::vector<detail::Routed>& inbox = queues_[read];
-  dests_.clear();
-  for (const detail::Routed& r : inbox) {
-    if (inbox_pos_[r.to]++ == 0) dests_.push_back(r.to);
-  }
-  std::sort(dests_.begin(), dests_.end());
-
-  spans_.resize(dests_.size() + 1);
-  spans_[0] = 0;
-  for (std::size_t b = 0; b < dests_.size(); ++b) {
-    spans_[b + 1] = spans_[b] + inbox_pos_[dests_[b]];
-    inbox_pos_[dests_[b]] = spans_[b];  // becomes the scatter cursor
-  }
-  scratch_.resize(inbox.size());
-  for (const detail::Routed& r : inbox) scratch_[inbox_pos_[r.to]++] = r;
-  for (NodeId d : dests_) inbox_pos_[d] = 0;  // all-zero for next round
-}
-
-void SyncEngine::deliver_bucket(std::size_t b, NodeContext& ctx,
-                                std::size_t& receptions) {
-  std::sort(scratch_.begin() + static_cast<std::ptrdiff_t>(spans_[b]),
-            scratch_.begin() + static_cast<std::ptrdiff_t>(spans_[b + 1]),
-            [](const detail::Routed& a, const detail::Routed& b2) {
-              return std::tie(a.msg.sender, a.msg.type, a.msg.data) <
-                     std::tie(b2.msg.sender, b2.msg.type, b2.msg.data);
-            });
-  NodeAgent& agent = *agents_[dests_[b]];
-  for (std::size_t i = spans_[b]; i < spans_[b + 1]; ++i) {
-    ++receptions;
-    agent.on_message(ctx, scratch_[i].msg);
-  }
-}
-
-void SyncEngine::replay(const detail::RawSend& send) {
-  if (ideal()) {
-    // The payload already lives in the chunk arena, which flush_outboxes
-    // adopts into the write side after this loop - record it as-is.
-    if (send.to == kInvalidNode) {
-      record_broadcast_adopted(send.from, send.type, send.data);
-    } else {
-      record_send_adopted(send.from, send.to, send.type, send.data);
-    }
-    return;
-  }
-  stats_.note_transmission(send.data.size());
-  if (send.to == kInvalidNode) {
-    for (NodeId v : graph_->neighbors(send.from)) {
-      enqueue_direct(send.from, v, send.type, send.data);
-    }
-  } else {
-    enqueue_direct(send.from, send.to, send.type, send.data);
-  }
-}
-
 void SyncEngine::flush_outboxes(std::size_t used) {
   for (std::size_t c = 0; c < used; ++c) {
     detail::EngineOutbox& out = outboxes_[c];
-    stats_.receptions += out.receptions;
-    for (const detail::RawSend& s : out.sends) replay(s);
+    stats_.receptions += out.tally.receptions;
+    stats_.drops += out.tally.drops;
+    stats_.retransmissions += out.tally.retransmissions;
+    for (const detail::RawSend& s : out.sends) {
+      if (s.to == kInvalidNode) {
+        record_broadcast(s.from, s.type, s.data);
+      } else {
+        record_send(s.from, s.to, s.type, s.data);
+      }
+    }
     // Replayed views alias this chunk's arena: move it (addresses stable)
     // into the write side's store instead of copying every payload again.
     if (out.arena.num_blocks() > 0) adopted_.adopt(out.arena, write_);
@@ -390,8 +322,6 @@ void SyncEngine::reset_for_run() {
   stats_ = SimStats{};
   round_ = 0;
   write_ = 0;
-  queues_[0].clear();
-  queues_[1].clear();
   arenas_[0].clear();
   arenas_[1].clear();
   clear_fast_side(0);
@@ -440,9 +370,9 @@ bool SyncEngine::run_impl(std::size_t max_rounds, ThreadPool* pool) {
   const std::size_t n = graph_->num_nodes();
   // Parallel phase runner: work items [0, items) chunked across the pool,
   // each chunk recording into its own outbox, merged in ascending chunk
-  // (= node/bucket) order. All three parallel phases (on_start /
-  // on_round_end, ideal-MAC delivery, lossy delivery) share it so the
-  // chunking arithmetic and flush ordering cannot diverge.
+  // (= node) order. Both parallel phases (on_start / on_round_end, and
+  // delivery) share it so the chunking arithmetic and flush ordering cannot
+  // diverge.
   const auto chunked_phase = [&](std::size_t items, auto&& body) {
     const std::size_t chunks = chunk_count(items, *pool);
     if (outboxes_.size() < chunks) outboxes_.resize(chunks);
@@ -493,62 +423,41 @@ bool SyncEngine::run_impl(std::size_t max_rounds, ThreadPool* pool) {
     // arenas adopted into that side by earlier merges.
     const unsigned read = write_;
     write_ ^= 1u;
-    queues_[write_].clear();
     arenas_[write_].clear();
     clear_fast_side(write_);
     adopted_.recycle(write_);
 
-    if (ideal()) {
-      // Fast path: no per-receiver message materialization; receivers walk
-      // their adjacency over the per-sender records.
-      prepare_fast_round(read);
-      if (pool == nullptr) {
-        for (const NodeId d : dests_) {
-          NodeContext ctx(*this, d);
-          const std::size_t rx0 = stats_.receptions;
-          deliver_fast_to(d, read, ctx, stats_.receptions, merge_scratch_);
-          if (inbox_hist != nullptr) {
-            inbox_local.record(stats_.receptions - rx0);
-          }
-        }
+    // Receivers walk their adjacency over the per-sender records; under a
+    // delivery model each message is decided on the delivering thread.
+    prepare_fast_round(read);
+    const auto deliver_to = [&](NodeId d, NodeContext& ctx, SimStats& tally,
+                                std::vector<detail::BcastRec>& scratch) {
+      if (delivery_.model != nullptr) {
+        deliver_fast_to<true>(d, read, ctx, tally, scratch);
       } else {
-        chunked_phase(dests_.size(),
-                      [&](std::size_t b, detail::EngineOutbox& out) {
-                        NodeContext ctx(*this, dests_[b], &out);
-                        const std::size_t rx0 = out.receptions;
-                        deliver_fast_to(dests_[b], read, ctx, out.receptions,
-                                        out.scratch);
-                        if (inbox_hist != nullptr) {
-                          out.inbox_sizes.record(out.receptions - rx0);
-                        }
-                      });
-        merge_outbox_samples();
+        deliver_fast_to<false>(d, read, ctx, tally, scratch);
+      }
+    };
+    if (pool == nullptr) {
+      for (const NodeId d : dests_) {
+        NodeContext ctx(*this, d);
+        const std::size_t rx0 = stats_.receptions;
+        deliver_to(d, ctx, stats_, merge_scratch_);
+        if (inbox_hist != nullptr) {
+          inbox_local.record(stats_.receptions - rx0);
+        }
       }
     } else {
-      // Lossy path: receiver-batched delivery over the materialized queue:
-      // destinations ascending, each inbox sorted by (sender, type,
-      // payload) - the same sequence as the preserved flat (to, sender,
-      // type, payload) sort, at O(M) partition + per-inbox sort cost
-      // instead of one O(M log M) sort over every in-flight message.
-      partition_inbox(read);
-
-      if (pool == nullptr) {
-        for (std::size_t b = 0; b < dests_.size(); ++b) {
-          NodeContext ctx(*this, dests_[b]);
-          if (inbox_hist != nullptr) inbox_local.record(bucket_size(b));
-          deliver_bucket(b, ctx, stats_.receptions);
-        }
-      } else {
-        chunked_phase(dests_.size(),
-                      [&](std::size_t b, detail::EngineOutbox& out) {
-                        NodeContext ctx(*this, dests_[b], &out);
-                        if (inbox_hist != nullptr) {
-                          out.inbox_sizes.record(bucket_size(b));
-                        }
-                        deliver_bucket(b, ctx, out.receptions);
-                      });
-        merge_outbox_samples();
-      }
+      chunked_phase(dests_.size(),
+                    [&](std::size_t b, detail::EngineOutbox& out) {
+                      NodeContext ctx(*this, dests_[b], &out);
+                      const std::size_t rx0 = out.tally.receptions;
+                      deliver_to(dests_[b], ctx, out.tally, out.scratch);
+                      if (inbox_hist != nullptr) {
+                        out.inbox_sizes.record(out.tally.receptions - rx0);
+                      }
+                    });
+      merge_outbox_samples();
     }
 
     all_nodes_phase(

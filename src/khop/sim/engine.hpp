@@ -14,40 +14,33 @@
 /// Round loop (PR 5): the historical engine materialized every delivery as
 /// a (receiver, message) queue entry and ran one flat O(M log M) sort over
 /// all in-flight messages per round, its comparator lexicographically
-/// comparing payload words. Now:
-///  * Ideal MAC (no DeliveryModel): a broadcast is recorded once under its
-///    sender - its receiver set is exactly neighbors(sender), so delivery
-///    walks each receiver's (ascending) adjacency and replays every
-///    neighbor's records, giving the canonical per-inbox (sender, type,
-///    payload) order with only tiny per-sender record sorts. No per-neighbor
-///    queue entries exist at all.
-///  * Lossy (DeliveryModel installed): per-link drops must be decided at
-///    enqueue time in the documented order, so messages stay materialized
-///    per receiver - but batched by destination with a counting pass and
-///    sorted within each inbox only.
-/// Both delivery sequences are bit-identical to the original flat sort (see
-/// sim/reference.hpp for the preserved engine and the equivalence suite).
+/// comparing payload words. Now a broadcast is recorded once under its
+/// sender - its receiver set is exactly neighbors(sender), so delivery walks
+/// each receiver's (ascending) adjacency and replays every neighbor's
+/// records, giving the canonical per-inbox (sender, type, payload) order
+/// with only tiny per-sender record sorts. No per-neighbor queue entries
+/// exist at all. The delivery sequence is bit-identical to the original
+/// flat sort (see sim/reference.hpp for the preserved engine and the
+/// equivalence suite).
 ///
-/// Structure: SyncEngine owns all per-node state - agents, double-buffered
-/// payload arenas and lossy queues, the ideal-MAC recording buckets - and
-/// runs one round loop, serially or on a ThreadPool. The pool executor
-/// chunks destinations rather than sharding the id space: contiguous
-/// id-range shards only cut few edges when ids follow a spatial order, and
-/// callers hand the engine graphs in arbitrary id order (docs/scaling.md
-/// has the measurement).
+/// Lossy links (DeliveryModel installed) take the same path: sends are
+/// recorded exactly like ideal ones, and each per-link drop is decided at
+/// delivery, on the delivering thread, from delivery_key(model seed,
+/// delivery round, from, to, seq, attempt), where seq is the message's
+/// position in its from -> to group of the canonical inbox order. A round
+/// whose in-flight messages all drop still counts: the engine quiesces
+/// only when nothing was sent.
 ///
-/// Parallel execution: run(max_rounds, ThreadPool&) executes the disjoint
-/// destination inboxes (and the on_start / on_round_end phases) across
-/// workers. Handlers record their sends into per-chunk outboxes that are
-/// merged on the calling thread in ascending node-index order - the same
-/// merge discipline as the parallel backbone build - so traces, stats, and
-/// lossy DeliveryModel consultation order are bit-identical to the serial
-/// engine for any thread count. Agents only ever run on their own node's
-/// inbox, which is processed by exactly one worker per phase; agents must
-/// not share mutable state across nodes. The merge adopts each chunk's
-/// payload arena into the round's read side wholesale (detail::AdoptedArenas)
-/// instead of re-interning every payload - steady-state rounds copy each
-/// payload exactly once, at record time.
+/// Parallel execution: run(max_rounds, ThreadPool&) chunks each phase's
+/// destinations (not the id space: callers hand the engine graphs in
+/// arbitrary id order, docs/scaling.md) across workers. Handlers record
+/// into per-chunk outboxes merged on the calling thread in ascending node
+/// order, so traces and stats are bit-identical to the serial engine for
+/// any thread count, lossy runs included. Each inbox is processed by one
+/// worker per phase; agents must not share mutable state across nodes, and
+/// delivery models are called concurrently. The merge adopts each chunk's
+/// payload arena wholesale (detail::AdoptedArenas), so steady-state rounds
+/// copy each payload exactly once, at record time.
 ///
 /// Reuse contract: run() may be called repeatedly on one engine. Every call
 /// is an independent execution - round counter, stats, pending queues and
@@ -74,27 +67,41 @@ namespace khop {
 class SyncEngine;
 class ThreadPool;
 
-/// Decides the fate of one per-link transmission attempt. The engine calls
-/// attempt() in its deterministic enqueue order (sender processing order,
-/// then ascending-neighbor order for broadcasts), so implementations backed
-/// by a seeded rng make a lossy run a pure function of (topology, protocol,
-/// seed). Concrete radio-driven implementations live in khop/radio/.
-/// The parallel executor preserves this order: models are only ever
-/// consulted during the serial outbox merge, never from a worker.
+/// Decides the fate of one per-link transmission attempt. attempt() must be
+/// a pure function of its arguments: the engine calls it from pool workers
+/// while delivering, once per attempt, with the key
+/// delivery_key(seed(), round, from, to, seq, attempt). A lossy run is
+/// therefore a pure function of (topology, protocol, seed) for any thread
+/// count. Concrete radio-driven implementations live in khop/radio/.
 class DeliveryModel {
  public:
+  explicit DeliveryModel(std::uint64_t seed = 0) noexcept : seed_(seed) {}
   virtual ~DeliveryModel() = default;
 
-  /// True iff a single transmission attempt from -> to is delivered.
-  /// Retries call it again, one call per attempt.
-  virtual bool attempt(NodeId from, NodeId to) = 0;
+  /// Seed hashed into every attempt key.
+  std::uint64_t seed() const noexcept { return seed_; }
+
+  /// True iff the transmission attempt keyed by \p key from -> to is
+  /// delivered.
+  virtual bool attempt(NodeId from, NodeId to, std::uint64_t key) const = 0;
+
+ private:
+  std::uint64_t seed_;
 };
+
+/// The per-attempt key: a splitmix64-style hash of (seed, delivery round,
+/// from, to, seq, attempt). seq is the message's position among the
+/// round's from -> to messages in canonical (type, payload) inbox order,
+/// and attempt runs 0..retry_budget (the retransmit counter), so every
+/// per-link, per-round transmission is an independent draw.
+std::uint64_t delivery_key(std::uint64_t seed, std::size_t round, NodeId from,
+                           NodeId to, std::size_t seq,
+                           std::size_t attempt) noexcept;
 
 /// Lossy-delivery configuration for a SyncEngine.
 struct DeliveryOptions {
-  /// Non-owning; must outlive the engine. nullptr = the paper's ideal MAC
-  /// (the legacy code path, bit-for-bit).
-  DeliveryModel* model = nullptr;
+  /// Non-owning; must outlive the engine. nullptr = the paper's ideal MAC.
+  const DeliveryModel* model = nullptr;
   /// Extra attempts per dropped per-link delivery (ARQ-style link retries).
   /// Each retry is recorded in SimStats::retransmissions; a delivery that
   /// still fails after the budget counts once in SimStats::drops.
@@ -102,8 +109,8 @@ struct DeliveryOptions {
 };
 
 namespace detail {
-/// One recorded local broadcast: the ideal-MAC fast path stores it once per
-/// sender instead of materializing one queue entry per neighbor - the
+/// One recorded local broadcast: the engine stores it once per sender
+/// instead of materializing one queue entry per neighbor - the
 /// receiver set is exactly neighbors(sender), so delivery re-derives it.
 struct BcastRec {
   std::uint16_t type = 0;
@@ -118,8 +125,8 @@ struct SendRec {
 };
 
 /// One handler-recorded send in the parallel executor. Broadcasts keep
-/// to == kInvalidNode and expand to per-neighbor deliveries at merge time,
-/// in ascending-neighbor order - exactly the serial enqueue sequence.
+/// to == kInvalidNode; the merge records both kinds exactly as the serial
+/// engine would.
 struct RawSend {
   NodeId from = kInvalidNode;
   NodeId to = kInvalidNode;
@@ -127,19 +134,15 @@ struct RawSend {
   PayloadView data;
 };
 
-/// One scheduled lossy delivery: destination + the message it receives.
-struct Routed {
-  NodeId to = kInvalidNode;
-  Message msg;
-};
-
 /// Per-chunk sink for the parallel executor: workers intern payloads into a
 /// chunk-private arena and append RawSends; the engine replays them (stats,
-/// delivery model, recording/queue pushes) serially in chunk order.
+/// recording) serially in chunk order.
 struct EngineOutbox {
   PayloadArena arena;
   std::vector<RawSend> sends;
-  std::size_t receptions = 0;
+  /// The chunk's delivery counts (receptions, drops, retransmissions),
+  /// folded into the engine's SimStats at the merge.
+  SimStats tally;
   /// Per-worker merge buffer for fast-path delivery (see deliver_fast_to).
   std::vector<BcastRec> scratch;
   /// Per-chunk inbox-size samples (telemetry only); merged at the serial
@@ -150,7 +153,7 @@ struct EngineOutbox {
   void reset() noexcept {
     arena.clear();
     sends.clear();
-    receptions = 0;
+    tally = SimStats{};
   }
 };
 
@@ -264,8 +267,8 @@ class SyncEngine {
   /// \p max_rounds. Returns true iff it reached quiescence.
   bool run(std::size_t max_rounds);
 
-  /// Parallel round executor: identical semantics and bit-identical traces,
-  /// stats and delivery-model consultation order for any thread count.
+  /// Parallel round executor: identical semantics and bit-identical traces
+  /// and stats for any thread count.
   bool run(std::size_t max_rounds, ThreadPool& pool);
 
   const SimStats& stats() const noexcept { return stats_; }
@@ -286,15 +289,12 @@ class SyncEngine {
   SimStats stats_;
   bool ran_ = false;
 
-  /// Lossy-path state: double-buffered materialized delivery queues,
-  /// indexed by write_. Ideal-MAC rounds leave these empty.
-  std::vector<detail::Routed> queues_[2];
-  /// Payload arenas, double-buffered by delivery round (both paths).
+  /// Payload arenas, double-buffered by delivery round, indexed by write_.
   PayloadArena arenas_[2];
   unsigned write_ = 0;
   std::size_t round_ = 0;
 
-  /// Ideal-MAC fast-path state, double-buffered like queues_: a broadcast
+  /// Recording state, double-buffered like arenas_: a broadcast
   /// is recorded ONCE under its sender, addressed sends are bucketed by
   /// destination, and delivery walks each receiver's neighbor list (see the
   /// round-loop notes above). Broadcasts land in a flat append log;
@@ -312,24 +312,14 @@ class SyncEngine {
   std::vector<std::uint32_t> dest_stamp_;      ///< receiver-set dedup marks
   std::uint32_t dest_epoch_ = 0;
   std::vector<detail::BcastRec> merge_scratch_;  ///< serial merge buffer
-
-  /// Lossy-path receiver-batching scratch, persistent across rounds
-  /// (capacity only grows). inbox_pos_ doubles as per-destination count,
-  /// then scatter cursor; it is returned to all-zero after every partition.
-  std::vector<detail::Routed> scratch_;  ///< destination-bucketed inbox
-  std::vector<std::size_t> inbox_pos_;   ///< per-destination count/cursor
-  std::vector<NodeId> dests_;            ///< distinct destinations, ascending
-  std::vector<std::size_t> spans_;  ///< bucket b = scratch_[spans_[b]..[b+1])
+  std::vector<NodeId> dests_;  ///< the round's receivers, ascending
 
   std::vector<detail::EngineOutbox> outboxes_;  ///< parallel executor sinks
   detail::AdoptedArenas adopted_;  ///< chunk arenas adopted at merge time
 
-  bool ideal() const noexcept { return delivery_.model == nullptr; }
-
   /// True iff nothing is scheduled for delivery next round.
   bool write_side_empty() const noexcept {
-    return queues_[write_].empty() && bcast_senders_[write_].empty() &&
-           send_dests_[write_].empty();
+    return bcast_senders_[write_].empty() && send_dests_[write_].empty();
   }
 
   /// True iff every agent reports finished().
@@ -338,38 +328,15 @@ class SyncEngine {
   /// (Re-)creates every node's agent through factory_, ascending.
   void create_agents();
 
-  /// Resets counters, queues and arenas; re-creates agents on re-entry.
+  /// Resets counters, buckets and arenas; re-creates agents on re-entry.
   void reset_for_run();
 
-  /// Fast-path recording (ideal MAC): stats + intern + per-sender /
-  /// per-destination bucket append. The *_adopted variants take a payload
-  /// that already lives in an adopted arena and skip the intern.
-  void record_broadcast(NodeId from, std::uint16_t type,
-                        std::span<const std::int64_t> data);
+  /// Send recording: stats + per-sender / per-destination bucket append.
+  /// The payload already lives in the write side's arena or in a chunk
+  /// arena that flush_outboxes adopts into it.
+  void record_broadcast(NodeId from, std::uint16_t type, PayloadView payload);
   void record_send(NodeId from, NodeId to, std::uint16_t type,
-                   std::span<const std::int64_t> data);
-  void record_broadcast_adopted(NodeId from, std::uint16_t type,
-                                PayloadView payload);
-  void record_send_adopted(NodeId from, NodeId to, std::uint16_t type,
-                           PayloadView payload);
-
-  /// Shared tail of every broadcast/send record path.
-  void record_broadcast_rec(NodeId from, std::uint16_t type,
-                            PayloadView payload);
-  void record_send_rec(NodeId from, NodeId to, std::uint16_t type,
-                       PayloadView payload);
-
-  /// Direct lossy recording (serial mode): stats + intern + immediate
-  /// per-link model consults.
-  void lossy_broadcast(NodeId from, std::uint16_t type,
-                       std::span<const std::int64_t> data);
-  void lossy_send(NodeId from, NodeId to, std::uint16_t type,
-                  std::span<const std::int64_t> data);
-
-  /// Runs the per-link delivery model (drops/retries) and, if delivered,
-  /// schedules \p data (already interned/adopted) for \p to.
-  void enqueue_direct(NodeId from, NodeId to, std::uint16_t type,
-                      PayloadView data);
+                   PayloadView payload);
 
   /// Sorts side \p read's records and builds dests_ (ascending receiver
   /// set: every broadcaster's neighborhood plus every send destination).
@@ -377,34 +344,24 @@ class SyncEngine {
 
   /// Delivers side \p read's messages to \p d in canonical order: senders
   /// ascending (d's adjacency), each sender's broadcasts merged with its
-  /// addressed sends by (type, payload).
+  /// addressed sends by (type, payload). kLossy runs each message through
+  /// link_delivers first. Counts into \p tally's receptions, drops and
+  /// retransmissions.
+  template <bool kLossy>
   void deliver_fast_to(NodeId d, unsigned read, NodeContext& ctx,
-                       std::size_t& receptions,
-                       std::vector<detail::BcastRec>& scratch);
+                       SimStats& tally, std::vector<detail::BcastRec>& scratch);
+
+  /// Attempts the seq-th message of this round's from -> to group up to
+  /// 1 + retry_budget times; counts retries and a final drop into \p tally.
+  bool link_delivers(NodeId from, NodeId to, std::size_t seq,
+                     SimStats& tally) const;
 
   /// O(dirty) reset of side \p side's fast-path buckets.
   void clear_fast_side(unsigned side) noexcept;
 
-  /// Buckets side \p read's materialized queue by destination into
-  /// scratch_ / dests_ / spans_.
-  void partition_inbox(unsigned read);
-
-  std::size_t bucket_size(std::size_t b) const noexcept {
-    return spans_[b + 1] - spans_[b];
-  }
-
-  /// Sorts bucket \p b by (sender, type, payload) and delivers it through
-  /// \p ctx, counting into \p receptions.
-  void deliver_bucket(std::size_t b, NodeContext& ctx,
-                      std::size_t& receptions);
-
-  /// Serial replay of one recorded send: stats, delivery model, recording /
-  /// queue pushes - the exact serial path. The payload already lives in the
-  /// chunk arena (adopted after the replay loop), so nothing is re-interned.
-  void replay(const detail::RawSend& send);
-
-  /// Replays outboxes_[0, used) in order, folds their reception counts, and
-  /// adopts their arenas into the current write side.
+  /// Replays outboxes_[0, used) in order, folds their delivery tallies, and
+  /// adopts their arenas into the current write side. The recorded payloads
+  /// already live in the chunk arenas, so nothing is re-interned.
   void flush_outboxes(std::size_t used);
 
   /// Shared round loop; pool == nullptr is the serial engine.

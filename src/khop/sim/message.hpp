@@ -140,7 +140,9 @@ struct Message {
 /// heard by deg(sender) receivers; an addressed send is one transmission
 /// with a single receiver (ideal-MAC model, as assumed by the paper). Under
 /// a lossy DeliveryModel the per-link deliveries additionally record drops
-/// and link-layer retries; both stay 0 on the ideal MAC.
+/// and link-layer retries; both stay 0 on the ideal MAC. Loss is decided at
+/// delivery, so a round counts in `rounds` whenever something was sent,
+/// even if every in-flight message of that round drops.
 struct SimStats {
   std::size_t rounds = 0;
   std::size_t transmissions = 0;   ///< radio sends

@@ -48,19 +48,24 @@ SyncEngine::SyncEngine(const Graph& g, const AgentFactory& factory,
 
 void SyncEngine::enqueue(NodeId from, NodeId to, std::uint16_t type,
                          PayloadView data) {
-  if (delivery_.model != nullptr) {
-    bool delivered = delivery_.model->attempt(from, to);
-    for (std::size_t retry = 0; !delivered && retry < delivery_.retry_budget;
-         ++retry) {
-      ++stats_.retransmissions;
-      delivered = delivery_.model->attempt(from, to);
-    }
-    if (!delivered) {
-      ++stats_.drops;
-      return;
+  queues_[write_].push_back(Routed{to, Message{from, type, data}});
+}
+
+bool SyncEngine::delivered(const Routed& r, std::size_t seq) {
+  const DeliveryModel* model = delivery_.model;
+  if (model == nullptr) return true;
+  const NodeId from = r.msg.sender;
+  for (std::size_t attempt = 0; attempt <= delivery_.retry_budget;
+       ++attempt) {
+    if (attempt > 0) ++stats_.retransmissions;
+    if (model->attempt(from, r.to,
+                       delivery_key(model->seed(), round_, from, r.to, seq,
+                                    attempt))) {
+      return true;
     }
   }
-  queues_[write_].push_back(Routed{to, Message{from, type, data}});
+  ++stats_.drops;
+  return false;
 }
 
 NodeAgent& SyncEngine::agent(NodeId v) {
@@ -109,7 +114,15 @@ bool SyncEngine::run(std::size_t max_rounds) {
              std::tie(b.to, b.msg.sender, b.msg.type, b.msg.data);
     });
 
-    for (const Routed& r : inbox) {
+    // Loss is decided while walking the sorted inbox: seq is the index
+    // within each (to, sender) run.
+    std::size_t seq = 0;
+    for (std::size_t i = 0; i < inbox.size(); ++i) {
+      const Routed& r = inbox[i];
+      const bool same_link = i > 0 && inbox[i - 1].to == r.to &&
+                             inbox[i - 1].msg.sender == r.msg.sender;
+      seq = same_link ? seq + 1 : 0;
+      if (!delivered(r, seq)) continue;
       ++stats_.receptions;
       NodeContext ctx(*this, r.to);
       agents_[r.to]->on_message(ctx, r.msg);

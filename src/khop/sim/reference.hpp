@@ -1,8 +1,8 @@
 /// \file reference.hpp
-/// Pre-PR5 synchronous engine, preserved verbatim as an independent oracle.
+/// Pre-PR5 synchronous engine, preserved as an independent oracle.
 ///
-/// The production SyncEngine (engine.hpp) now partitions each round's
-/// in-flight messages by receiver and sorts only within each inbox (plus a
+/// The production SyncEngine (engine.hpp) now records broadcasts once per
+/// sender and assembles each inbox from its neighbors' records (plus a
 /// ThreadPool round executor); this copy keeps the original structure — one
 /// flat O(M log M) comparison sort over every in-flight message per round,
 /// whose comparator lexicographically compares payload words — and the
@@ -10,6 +10,11 @@
 /// bit-exact equivalence suite (test_engine_equivalence) and as the `legacy`
 /// baseline the perf-regression harness measures `engine_flood` speedups
 /// against. Not for production call sites.
+///
+/// The one departure from the pre-PR5 code is where loss is decided: the
+/// DeliveryModel is consulted while walking the sorted inbox (seq = index
+/// within each (to, sender) run), not at enqueue. The key semantics are
+/// restated here independently of the production engine's record walk.
 ///
 /// Shared vocabulary (Message, PayloadView, PayloadArena, SimStats,
 /// DeliveryModel, DeliveryOptions) comes from the production headers; only
@@ -61,8 +66,8 @@ class NodeAgent {
   virtual bool finished() const { return true; }
 };
 
-/// The pre-PR5 simulator, verbatim: flat double-buffered delivery queue and
-/// one whole-queue (to, sender, type, payload) sort per round. Single-run
+/// The pre-PR5 simulator: flat double-buffered delivery queue and one
+/// whole-queue (to, sender, type, payload) sort per round. Single-run
 /// (it predates the re-entry fix; construct a fresh instance per run).
 class SyncEngine {
  public:
@@ -99,6 +104,10 @@ class SyncEngine {
   SimStats stats_;
 
   void enqueue(NodeId from, NodeId to, std::uint16_t type, PayloadView data);
+
+  /// Runs \p r, the seq-th message of its (to, sender) run, through the
+  /// delivery model: attempts 0..retry_budget, counting retries and drops.
+  bool delivered(const Routed& r, std::size_t seq);
 };
 
 /// The pre-PR5 k-hop discovery agent, verbatim: per-node

@@ -1,7 +1,7 @@
 // Bit-exact equivalence suite for the PR5 SyncEngine round loop: the
 // receiver-batched serial engine and the ThreadPool round executor must
 // reproduce the preserved pre-PR5 engine (sim/reference.hpp) exactly -
-// delivery traces, stats, and lossy DeliveryModel consultation order - on
+// delivery traces and stats, drops and retransmissions included - on
 // random topologies, for ideal and lossy links, for any thread count. The
 // flattened NeighborhoodDiscoveryAgent is cross-checked against the
 // preserved std::map agent the same way.
@@ -128,17 +128,14 @@ class ReferenceTracingFloodAgent : public reference::NodeAgent {
   std::map<std::int64_t, bool> seen_;
 };
 
-/// Drops every n-th attempt: success depends only on the global attempt
-/// ordinal, so any reordering of DeliveryModel consultations between two
-/// runs shows up as a trace difference.
-class DropEveryNth final : public DeliveryModel {
+/// Drops iff key % 3 == 0: a pure model whose every outcome hangs on the
+/// full attempt key, so an engine that assigns a different (round, link,
+/// seq, attempt) to any message shows up as a trace difference.
+class DropKeyModThree final : public DeliveryModel {
  public:
-  explicit DropEveryNth(std::size_t n) : n_(n) {}
-  bool attempt(NodeId, NodeId) override { return (++count_ % n_) != 0; }
-
- private:
-  std::size_t n_;
-  std::size_t count_ = 0;
+  bool attempt(NodeId, NodeId, std::uint64_t key) const override {
+    return key % 3 != 0;
+  }
 };
 
 struct RunResult {
@@ -148,7 +145,7 @@ struct RunResult {
 };
 
 RunResult run_reference(const Graph& g, Hops ttl, std::size_t max_rounds,
-                        DeliveryModel* model, std::size_t retry_budget) {
+                        const DeliveryModel* model, std::size_t retry_budget) {
   TraceStore store(g.num_nodes());
   DeliveryOptions opts;
   opts.model = model;
@@ -167,7 +164,7 @@ RunResult run_reference(const Graph& g, Hops ttl, std::size_t max_rounds,
 }
 
 RunResult run_production(const Graph& g, Hops ttl, std::size_t max_rounds,
-                         DeliveryModel* model, std::size_t retry_budget,
+                         const DeliveryModel* model, std::size_t retry_budget,
                          ThreadPool* pool) {
   TraceStore store(g.num_nodes());
   DeliveryOptions opts;
@@ -212,37 +209,34 @@ TEST(EngineEquivalence, ParallelTraceMatchesReferenceIdealAllThreadCounts) {
   }
 }
 
-TEST(EngineEquivalence, LossyOrderSensitiveModelMatchesReference) {
-  // DropEveryNth ties each delivery to the global attempt ordinal: these
-  // expectations hold only if the new engines consult the model in exactly
-  // the reference enqueue order, drops, retries and all.
+TEST(EngineEquivalence, LossyKeyedModelMatchesReferenceAllThreadCounts) {
+  // Loss is keyed by (round, from, to, seq, attempt): these expectations
+  // hold only if both engines give every message the same key, drops,
+  // retries and all, whichever thread delivers it.
   const Graph g = random_topology(60, 5.0, 421);
   const Hops ttl = 3;
+  const DropKeyModThree model;
   for (const std::size_t retry_budget : {std::size_t{0}, std::size_t{2}}) {
-    DropEveryNth ref_model(3);
     const RunResult want =
-        run_reference(g, ttl, ttl + 2, &ref_model, retry_budget);
+        run_reference(g, ttl, ttl + 2, &model, retry_budget);
     if (retry_budget == 0) {
-      // Without retries every 3rd attempt is lost for good; with budget 2
-      // the immediate retries always recover (failures are never adjacent),
-      // so the retransmission counter carries the order-sensitivity instead.
       ASSERT_GT(want.stats.drops, 0u);
+      ASSERT_EQ(want.stats.retransmissions, 0u);
     } else {
-      ASSERT_EQ(want.stats.drops, 0u);
       ASSERT_GT(want.stats.retransmissions, 0u);
     }
 
-    DropEveryNth serial_model(3);
     const RunResult serial =
-        run_production(g, ttl, ttl + 2, &serial_model, retry_budget, nullptr);
+        run_production(g, ttl, ttl + 2, &model, retry_budget, nullptr);
+    EXPECT_EQ(serial.quiescent, want.quiescent);
     EXPECT_TRUE(same_stats(serial.stats, want.stats));
     EXPECT_EQ(serial.trace, want.trace);
 
     for (const std::size_t threads : {std::size_t{2}, std::size_t{0}}) {
       ThreadPool pool(threads);
-      DropEveryNth par_model(3);
       const RunResult par =
-          run_production(g, ttl, ttl + 2, &par_model, retry_budget, &pool);
+          run_production(g, ttl, ttl + 2, &model, retry_budget, &pool);
+      EXPECT_EQ(par.quiescent, want.quiescent) << "threads " << threads;
       EXPECT_TRUE(same_stats(par.stats, want.stats)) << "threads " << threads;
       EXPECT_EQ(par.trace, want.trace) << "threads " << threads;
     }
@@ -252,13 +246,16 @@ TEST(EngineEquivalence, LossyOrderSensitiveModelMatchesReference) {
 TEST(EngineEquivalence, LossyUniformSeededModelMatchesReference) {
   const Graph g = random_topology(70, 6.0, 431);
   const Hops ttl = 2;
-  UniformLossDelivery ref_model(0.3, 909);
-  const RunResult want = run_reference(g, ttl, ttl + 2, &ref_model, 1);
+  const UniformLossDelivery model(0.3, 909);
+  const RunResult want = run_reference(g, ttl, ttl + 2, &model, 1);
   ASSERT_GT(want.stats.drops, 0u);
 
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+  const RunResult serial = run_production(g, ttl, ttl + 2, &model, 1, nullptr);
+  EXPECT_TRUE(same_stats(serial.stats, want.stats));
+  EXPECT_EQ(serial.trace, want.trace);
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{0}}) {
     ThreadPool pool(threads);
-    UniformLossDelivery model(0.3, 909);
     const RunResult got = run_production(g, ttl, ttl + 2, &model, 1, &pool);
     EXPECT_TRUE(same_stats(got.stats, want.stats)) << "threads " << threads;
     EXPECT_EQ(got.trace, want.trace) << "threads " << threads;
@@ -299,23 +296,27 @@ class MixedPhaseAgent : public Base {
   TraceStore* store_;
 };
 
-TEST(EngineEquivalence, MixedSendBroadcastPhasesMatchReference) {
+/// Runs MixedPhaseAgent on both engines (serial and pools of {2, hardware}
+/// threads) and expects identical traces and stats.
+void expect_mixed_phases_match_reference(const DeliveryOptions& delivery) {
   using Agent = MixedPhaseAgent<NodeContext, NodeAgent>;
   using RefAgent = MixedPhaseAgent<reference::NodeContext, reference::NodeAgent>;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const Graph g = random_topology(50 + 11 * seed, 5.0, 470 + seed);
 
     TraceStore ref_store(g.num_nodes());
-    reference::SyncEngine ref_engine(g, [&](NodeId v) {
-      return std::make_unique<RefAgent>(v, &ref_store);
-    });
+    reference::SyncEngine ref_engine(
+        g,
+        [&](NodeId v) { return std::make_unique<RefAgent>(v, &ref_store); },
+        delivery);
     EXPECT_TRUE(ref_engine.run(5));
     const std::vector<TraceEntry> want = ref_store.canonical();
 
     TraceStore serial_store(g.num_nodes());
-    SyncEngine serial(g, [&](NodeId v) {
-      return std::make_unique<Agent>(v, &serial_store);
-    });
+    SyncEngine serial(
+        g,
+        [&](NodeId v) { return std::make_unique<Agent>(v, &serial_store); },
+        delivery);
     EXPECT_TRUE(serial.run(5));
     EXPECT_TRUE(same_stats(serial.stats(), ref_engine.stats()))
         << "seed " << seed;
@@ -324,14 +325,97 @@ TEST(EngineEquivalence, MixedSendBroadcastPhasesMatchReference) {
     for (const std::size_t threads : {std::size_t{2}, std::size_t{0}}) {
       ThreadPool pool(threads);
       TraceStore par_store(g.num_nodes());
-      SyncEngine parallel(g, [&](NodeId v) {
-        return std::make_unique<Agent>(v, &par_store);
-      });
+      SyncEngine parallel(
+          g,
+          [&](NodeId v) { return std::make_unique<Agent>(v, &par_store); },
+          delivery);
       EXPECT_TRUE(parallel.run(5, pool));
       EXPECT_TRUE(same_stats(parallel.stats(), ref_engine.stats()))
           << "seed " << seed << " threads " << threads;
       EXPECT_EQ(par_store.canonical(), want)
           << "seed " << seed << " threads " << threads;
+    }
+  }
+}
+
+TEST(EngineEquivalence, MixedSendBroadcastPhasesMatchReference) {
+  expect_mixed_phases_match_reference({});
+}
+
+TEST(EngineEquivalence, LossyMixedSendBroadcastPhasesMatchReference) {
+  // Round-2 links carry several messages (an addressed send plus both
+  // phases' broadcasts), so seq - the position within a link's canonical
+  // group - decides which of them drop.
+  const UniformLossDelivery model(0.3, 4711);
+  expect_mixed_phases_match_reference(DeliveryOptions{&model, 0});
+}
+
+/// Sends the same message twice to node 1 in round 0.
+template <typename Ctx, typename Base>
+class DoubleSender final : public Base {
+ public:
+  void on_start(Ctx& ctx) override {
+    if (ctx.id() == 0) {
+      ctx.send(1, 1, {5});
+      ctx.send(1, 1, {5});
+    }
+  }
+  void on_message(Ctx&, const Message&) override { ++received; }
+  std::size_t received = 0;
+};
+
+/// Drops exactly one attempt key.
+class DropOneKey final : public DeliveryModel {
+ public:
+  explicit DropOneKey(std::uint64_t key) : key_(key) {}
+  bool attempt(NodeId, NodeId, std::uint64_t key) const override {
+    return key != key_;
+  }
+
+ private:
+  std::uint64_t key_;
+};
+
+TEST(EngineEquivalence, SameRoundDuplicatesOnOneLinkDropIndependently) {
+  using Agent = DoubleSender<NodeContext, NodeAgent>;
+  using RefAgent = DoubleSender<reference::NodeContext, reference::NodeAgent>;
+  const Graph g =
+      Graph::from_edges(2, std::vector<std::pair<NodeId, NodeId>>{{0, 1}});
+  // Only the first copy's first attempt (round 1, link 0 -> 1, seq 0) is
+  // dropped: the second copy has seq 1 and its own key, so exactly one of
+  // the two identical messages arrives.
+  const DropOneKey model(delivery_key(0, 1, 0, 1, 0, 0));
+  ThreadPool pool(2);
+  for (const bool pooled : {false, true}) {
+    SyncEngine engine(
+        g, [](NodeId) { return std::make_unique<Agent>(); },
+        DeliveryOptions{&model, 0});
+    EXPECT_TRUE(pooled ? engine.run(4, pool) : engine.run(4));
+    EXPECT_EQ(engine.stats().drops, 1u) << "pooled " << pooled;
+    EXPECT_EQ(engine.stats().receptions, 1u) << "pooled " << pooled;
+    EXPECT_EQ(dynamic_cast<Agent&>(engine.agent(1)).received, 1u);
+  }
+  reference::SyncEngine ref(
+      g, [](NodeId) { return std::make_unique<RefAgent>(); },
+      DeliveryOptions{&model, 0});
+  EXPECT_TRUE(ref.run(4));
+  EXPECT_EQ(ref.stats().drops, 1u);
+  EXPECT_EQ(ref.stats().receptions, 1u);
+
+  // Across many rounds the two copies' outcomes are uncorrelated: under 50%
+  // loss each of the four (seq 0, seq 1) outcome pairs shows up about a
+  // quarter of the time.
+  const UniformLossDelivery half(0.5, 77);
+  std::size_t joint[2][2] = {};
+  const std::size_t rounds = 8000;
+  for (std::size_t r = 1; r <= rounds; ++r) {
+    const bool a = half.attempt(0, 1, delivery_key(77, r, 0, 1, 0, 0));
+    const bool b = half.attempt(0, 1, delivery_key(77, r, 0, 1, 1, 0));
+    ++joint[a][b];
+  }
+  for (const auto& row : joint) {
+    for (const std::size_t count : row) {
+      EXPECT_NEAR(static_cast<double>(count) / rounds, 0.25, 0.02);
     }
   }
 }

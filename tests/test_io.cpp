@@ -180,6 +180,26 @@ TEST(IoState, RejectsOutOfRangeIdsAndDistances) {
   EXPECT_THROW(read_clustering(head_dist), InvalidArgument);
 }
 
+TEST(IoState, RejectsHeadAffiliatedElsewhere) {
+  // head 1 is listed but its own row points at head 0 (distance 1 keeps
+  // every per-row check happy).
+  std::istringstream is(
+      "khop-clustering v1\nk 2\nrounds 1\nnodes 2\nheads 2 0 1\n0 0\n0 1\n");
+  EXPECT_THROW(read_clustering(is), InvalidArgument);
+}
+
+TEST(IoState, BackboneIdsRangeCheckedBeforeNarrowing) {
+  // 2^32 + 1 must not alias head 1, and 2^32 - 1 is the invalid-node id.
+  std::istringstream wrapped(
+      "khop-backbone v1\npipeline 0\nspec 0 0 0\nheads 2 0 1\ngateways 0\n"
+      "links 1\n0 4294967297\n");
+  EXPECT_THROW(read_backbone(wrapped), InvalidArgument);
+  std::istringstream invalid_head(
+      "khop-backbone v1\npipeline 0\nspec 0 0 0\nheads 1 4294967295\n"
+      "gateways 0\nlinks 0\n");
+  EXPECT_THROW(read_backbone(invalid_head), InvalidArgument);
+}
+
 // Header counts are never trusted for an allocation: each inflated count
 // below must fail as a clean khop error once the short body runs out, not
 // as std::bad_alloc / std::length_error or a multi-GB resize.
