@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "khop/dynamic/churn_engine.hpp"
 #include "khop/dynamic/churn_trace.hpp"
 #include "khop/dynamic/persist/crash_point.hpp"
@@ -68,41 +69,59 @@ Pipeline parse_pipeline(const std::string& s) {
   std::exit(2);
 }
 
+constexpr const char* kUsage =
+    "usage: example_crash_recovery [--n N] [--events E] [--k K] "
+    "[--crashes C] [--seed S]\n"
+    "         [--pipeline acmesh|aclmst|ncmesh|nclmst] [--dir PATH] "
+    "[--snapshot-every N]\n"
+    "         [--flush-every N] [--metrics-out FILE] | --emit-fixture DIR\n";
+
 Options parse_args(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto need_value = [&](const char* flag) -> std::string {
       if (i + 1 >= argc) {
-        std::cerr << flag << " requires a value\n";
+        std::cerr << flag << " requires a value\n" << kUsage;
         std::exit(2);
       }
       return argv[++i];
     };
+    // A whole, in-range number of the option's type, else usage + exit 2.
+    const auto need_number = [&]<typename T>(const char* flag, T& out) {
+      const std::string value = need_value(flag);
+      const auto parsed = examples::parse_number<T>(value.c_str());
+      if (!parsed) {
+        std::cerr << "invalid value for " << flag << ": " << value << "\n"
+                  << kUsage;
+        std::exit(2);
+      }
+      out = *parsed;
+    };
     if (arg == "--n") {
-      opt.n = std::stoull(need_value("--n"));
+      need_number("--n", opt.n);
     } else if (arg == "--events") {
-      opt.events = std::stoull(need_value("--events"));
+      need_number("--events", opt.events);
     } else if (arg == "--k") {
-      opt.k = static_cast<Hops>(std::stoul(need_value("--k")));
+      need_number("--k", opt.k);
     } else if (arg == "--crashes") {
-      opt.crashes = std::stoull(need_value("--crashes"));
+      need_number("--crashes", opt.crashes);
     } else if (arg == "--seed") {
-      opt.seed = std::stoull(need_value("--seed"));
+      need_number("--seed", opt.seed);
     } else if (arg == "--pipeline") {
       opt.pipeline = parse_pipeline(need_value("--pipeline"));
     } else if (arg == "--dir") {
       opt.dir = need_value("--dir");
     } else if (arg == "--snapshot-every") {
-      opt.snapshot_every = std::stoull(need_value("--snapshot-every"));
+      need_number("--snapshot-every", opt.snapshot_every);
     } else if (arg == "--flush-every") {
-      opt.flush_every = std::stoull(need_value("--flush-every"));
+      need_number("--flush-every", opt.flush_every);
     } else if (arg == "--metrics-out") {
       opt.metrics_out = need_value("--metrics-out");
     } else if (arg == "--emit-fixture") {
       opt.fixture_dir = need_value("--emit-fixture");
     } else {
-      std::cerr << "unknown argument: " << arg << "\n";
+      std::cerr << "unknown argument: " << arg << "\n" << kUsage;
       std::exit(2);
     }
   }

@@ -10,14 +10,11 @@
 //
 // Numeric arguments must be whole, in-range numbers of their type; anything
 // else prints the usage line and exits 2 before stdin is read.
-#include <charconv>
-#include <cmath>
-#include <cstring>
 #include <iostream>
 #include <optional>
 #include <string>
-#include <type_traits>
 
+#include "cli_args.hpp"
 #include "khop/cds/routing.hpp"
 #include "khop/core/pipeline.hpp"
 #include "khop/io/export.hpp"
@@ -27,20 +24,7 @@
 namespace {
 
 using namespace khop;
-
-/// Parses all of \p arg as a T: no sign on unsigned types, no trailing
-/// characters, no out-of-range or non-finite values.
-template <typename T>
-std::optional<T> parse_number(const char* arg) {
-  T value{};
-  const char* end = arg + std::strlen(arg);
-  const auto [ptr, ec] = std::from_chars(arg, end, value);
-  if (ec != std::errc{} || ptr != end) return std::nullopt;
-  if constexpr (std::is_floating_point_v<T>) {
-    if (!std::isfinite(value)) return std::nullopt;
-  }
-  return value;
-}
+using examples::parse_number;
 
 /// Prints the usage line for \p command_usage and returns exit status 2.
 int usage(const char* command_usage) {

@@ -9,9 +9,11 @@
 // ticks.
 //
 //   ./mobility_maintenance [N] [k] [ticks] [seed]
-#include <cstdlib>
+//
+// A malformed or out-of-range number prints the usage line and exits 2.
 #include <iostream>
 
+#include "cli_args.hpp"
 #include "khop/dynamic/churn_engine.hpp"
 #include "khop/exp/table.hpp"
 #include "khop/net/generator.hpp"
@@ -19,12 +21,22 @@
 
 int main(int argc, char** argv) {
   using namespace khop;
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 120;
-  const Hops k =
-      argc > 2 ? static_cast<Hops>(std::strtoul(argv[2], nullptr, 10)) : 2;
-  const std::size_t ticks = argc > 3 ? std::strtoul(argv[3], nullptr, 10) : 12;
-  const std::uint64_t seed =
-      argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 99;
+  std::size_t n = 120;
+  Hops k = 2;
+  std::size_t ticks = 12;
+  std::uint64_t seed = 99;
+  // Positional argument i, if given, must parse whole into \p out.
+  const auto arg = [&]<typename T>(int i, T& out) {
+    if (i >= argc) return true;
+    const auto parsed = examples::parse_number<T>(argv[i]);
+    if (parsed) out = *parsed;
+    return parsed.has_value();
+  };
+  if (argc > 5 || !arg(1, n) || !arg(2, k) || !arg(3, ticks) ||
+      !arg(4, seed)) {
+    std::cerr << "usage: mobility_maintenance [N] [k] [ticks] [seed]\n";
+    return 2;
+  }
 
   GeneratorConfig gen;
   gen.num_nodes = n;

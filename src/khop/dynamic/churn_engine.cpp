@@ -4,8 +4,6 @@
 
 #include "khop/common/assert.hpp"
 #include "khop/dynamic/churn_reference.hpp"
-#include "khop/gateway/lmst.hpp"
-#include "khop/gateway/mesh.hpp"
 #include "khop/nbr/neighbor_rules.hpp"
 #include "khop/obs/metrics.hpp"
 #include "khop/obs/trace.hpp"
@@ -79,6 +77,8 @@ ChurnEngine::ChurnEngine(const Graph& g0, Hops k, Pipeline pipeline,
     sel_[heads_[i]] = sel0.selected[i];
   }
   links_ = VirtualLinkMap::build_bounded(g0, sel0.head_pairs, horizon_, ws_);
+  path_refs_.assign(g_.capacity(), 0);
+  dirty_ = heads_;
   combine();
 }
 
@@ -161,6 +161,8 @@ ChurnEngine::ChurnEngine(RestoreTag, ChurnEngineRestore r,
   }
   for (auto& [h, list] : sel_) std::sort(list.begin(), list.end());
 
+  path_refs_.assign(cap, 0);
+  dirty_ = heads_;
   combine();
 }
 
@@ -230,7 +232,10 @@ std::size_t ChurnEngine::count_groups(const std::vector<NodeId>& nodes) {
 void ChurnEngine::drop_dead_head(NodeId h) {
   const auto it = sel_.find(h);
   if (it != sel_.end()) {
+    dirty_.push_back(h);
+    dirty_.insert(dirty_.end(), it->second.begin(), it->second.end());
     for (NodeId v : it->second) {
+      retire_link(std::min(h, v), std::max(h, v));
       links_.erase(std::min(h, v), std::max(h, v));
     }
     sel_.erase(it);
@@ -374,12 +379,13 @@ ChurnEventReport ChurnEngine::apply(const ChurnEvent& e) {
   repair_distances(orphans, report);
   repair_affiliations(orphans, report);
   resweep_heads(report);
-  combine();
+  report.lmst_heads = combine();
 
   stats_.note_report(report);
   span.arg("orphans", static_cast<std::int64_t>(report.orphans));
   span.arg("heads_resweeped",
            static_cast<std::int64_t>(report.heads_resweeped));
+  span.arg("lmst_heads", static_cast<std::int64_t>(report.lmst_heads));
   span.arg("touched", static_cast<std::int64_t>(report.touched_nodes));
   if (obs::enabled()) {
     // Per-event repair distributions; touched / n is the event's repair
@@ -387,6 +393,7 @@ ChurnEventReport ChurnEngine::apply(const ChurnEvent& e) {
     obs::Registry& reg = obs::Registry::global();
     reg.histogram("churn.repair_touched").record(report.touched_nodes);
     reg.histogram("churn.resweep_heads").record(report.heads_resweeped);
+    reg.histogram("churn.lmst_heads").record(report.lmst_heads);
     reg.histogram("churn.event_orphans").record(report.orphans);
     reg.gauge("churn.alive_nodes")
         .set(static_cast<std::int64_t>(g_.num_alive()));
@@ -541,15 +548,22 @@ void ChurnEngine::resweep_one(NodeId h) {
     l.v = v;
     l.hops = ws_.bfs.dist(v);
     l.path = ws_.bfs.extract_path(v);
+    retire_link(h, v);
     links_.insert(std::move(l));
   }
   // Selection changes are symmetric, so a dropped pair is seen (and safely
   // erased, possibly twice) by whichever endpoint re-sweeps.
   for (NodeId v : old_sel) {
     if (!std::binary_search(nsel.begin(), nsel.end(), v)) {
+      retire_link(std::min(h, v), std::max(h, v));
       links_.erase(std::min(h, v), std::max(h, v));
     }
   }
+  // h's local virtual graph changed, and so may those of every head that
+  // has h in its selection, before or after.
+  dirty_.push_back(h);
+  dirty_.insert(dirty_.end(), old_sel.begin(), old_sel.end());
+  dirty_.insert(dirty_.end(), nsel.begin(), nsel.end());
   sel_[h] = std::move(nsel);
 }
 
@@ -564,34 +578,100 @@ void ChurnEngine::resweep_heads(ChurnEventReport& report) {
   }
 }
 
-void ChurnEngine::combine() {
-  c_.heads = heads_;
-  NeighborSelection sel;
-  sel.rule = spec_.neighbor_rule;
-  sel.selected.resize(heads_.size());
-  for (std::uint32_t i = 0; i < heads_.size(); ++i) {
-    const NodeId h = heads_[i];
-    const auto it = sel_.find(h);
-    KHOP_ASSERT(it != sel_.end(), "live head without a selection entry");
-    sel.selected[i] = it->second;
-    for (NodeId v : it->second) {
-      if (v > h) sel.head_pairs.emplace_back(h, v);
+void ChurnEngine::retire_link(NodeId a, NodeId b) {
+  // A realized link whose path is about to be replaced or dropped gives up
+  // its path counts now. Both endpoints are dirty, so combine() re-settles
+  // the pair against the new state.
+  const std::pair p(a, b);
+  const auto it = std::lower_bound(kept_links_.begin(), kept_links_.end(), p);
+  if (it == kept_links_.end() || *it != p) return;
+  kept_links_.erase(it);
+  count_path(links_.link(a, b), /*add=*/false);
+}
+
+void ChurnEngine::count_path(const VirtualLink& l, bool add) {
+  for (std::size_t i = 1; i + 1 < l.path.size(); ++i) {
+    const NodeId w = l.path[i];
+    const auto pos = std::lower_bound(interior_.begin(), interior_.end(), w);
+    if (add) {
+      if (path_refs_[w]++ == 0) interior_.insert(pos, w);
+    } else if (--path_refs_[w] == 0) {
+      interior_.erase(pos);
     }
   }
-  // Ascending heads emitting ascending larger partners: head_pairs comes
-  // out sorted + unique, matching finalize_selection's canonical order.
+}
+
+bool ChurnEngine::keeps(NodeId h, NodeId v) const {
+  const auto it = keep_.find(h);
+  return it != keep_.end() &&
+         std::binary_search(it->second.begin(), it->second.end(), v);
+}
+
+void ChurnEngine::settle(std::pair<NodeId, NodeId> p) {
+  const bool fwd = keeps(p.first, p.second);
+  const bool rev = keeps(p.second, p.first);
+  const bool want = spec_.lmst_keep == LmstKeepRule::kBothEndpoints
+                        ? fwd && rev
+                        : fwd || rev;
+  const auto it = std::lower_bound(kept_links_.begin(), kept_links_.end(), p);
+  const bool have = it != kept_links_.end() && *it == p;
+  if (want == have) return;
+  if (want) {
+    kept_links_.insert(it, p);
+  } else {
+    kept_links_.erase(it);
+  }
+  count_path(links_.link(p.first, p.second), want);
+}
+
+std::size_t ChurnEngine::combine() {
+  c_.heads = heads_;
+  std::sort(dirty_.begin(), dirty_.end());
+  dirty_.erase(std::unique(dirty_.begin(), dirty_.end()), dirty_.end());
+
+  // Recompute each dirty head's keep list, and re-settle every pair it
+  // kept before or keeps now (settle() is a no-op for unchanged pairs).
+  const auto pair_hops = [this](NodeId a, NodeId b) {
+    const VirtualLink* l = links_.find(a, b);
+    return l != nullptr ? l->hops : kUnreachable;
+  };
+  const auto note_pairs = [this](NodeId h, const std::vector<NodeId>& vs) {
+    for (NodeId v : vs) changed_.emplace_back(std::min(h, v), std::max(h, v));
+  };
+  std::size_t recomputed = 0;
+  for (NodeId h : dirty_) {
+    std::vector<NodeId>& kept = keep_[h];
+    note_pairs(h, kept);
+    if (!is_live_head(h)) {
+      keep_.erase(h);
+      continue;
+    }
+    const std::vector<NodeId>& s = sel_.at(h);
+    if (spec_.gateway == GatewayAlgorithm::kMesh) {
+      kept = s;
+    } else {
+      lmst_.keep_list(h, s, pair_hops, kept);
+    }
+    note_pairs(h, kept);
+    ++recomputed;
+  }
+
+  std::sort(changed_.begin(), changed_.end());
+  changed_.erase(std::unique(changed_.begin(), changed_.end()),
+                 changed_.end());
+  for (const auto& p : changed_) settle(p);
+  dirty_.clear();
+  changed_.clear();
+
   backbone_.pipeline = pipeline_;
   backbone_.spec = spec_;
   backbone_.heads = c_.heads;
-  if (spec_.gateway == GatewayAlgorithm::kMesh) {
-    MeshResult r = mesh_gateways(c_, sel, links_);
-    backbone_.gateways = std::move(r.gateways);
-    backbone_.virtual_links = std::move(r.kept_links);
-  } else {
-    LmstResult r = lmst_gateways(c_, sel, links_, spec_.lmst_keep);
-    backbone_.gateways = std::move(r.gateways);
-    backbone_.virtual_links = std::move(r.kept_links);
+  backbone_.virtual_links.assign(kept_links_.begin(), kept_links_.end());
+  backbone_.gateways.clear();
+  for (NodeId w : interior_) {
+    if (!is_live_head(w)) backbone_.gateways.push_back(w);
   }
+  return recomputed;
 }
 
 std::size_t ChurnEngine::run(const ChurnTrace& trace) {

@@ -23,12 +23,22 @@
 ///    gateway/head_sweep.cpp and upserts/drops its owned links. Both NC and
 ///    AC selections are symmetric and any change marks both endpoints, so
 ///    links owned by an unmarked smaller head are still valid.
-///  * Gateway combine: LMST keep decisions can shift from changes up to
-///    2*(2k+1) hops away (a neighbor's neighbor moves), so per-head scoping
-///    is NOT sound there; instead the cheap combine over the maintained
-///    selection/link state (mesh_gateways / lmst_gateways, no BFS at all)
-///    reruns globally each event. It is component-local by construction, so
-///    partitions need no special casing.
+///  * Gateway combine: head h's keep decision reads only its local virtual
+///    graph — S(h), the selected pairs among {h} ∪ S(h), and their hop
+///    counts. A pair lies in that graph only if both endpoints are in
+///    {h} ∪ S(h); selections are symmetric; and a pair's selection or link
+///    changes only when one of its endpoints re-sweeps. So the heads whose
+///    local graph can change are {x} ∪ S_old(x) ∪ S_new(x) over every
+///    re-swept or dropped head x. The dependency follows the selection
+///    graph, not a BFS radius, so it also covers a neighbor's neighbor
+///    moving. Only those dirty heads recompute their directed keep list
+///    (LmstKernel's local-MST children; mesh pipelines keep all of S(h)).
+///    A touched pair is realized by the keep rule over its endpoints' keep
+///    lists; a per-node count of the realized links' paths through it gives
+///    the gateways; a realized link whose path a re-sweep replaces or drops
+///    is recounted. The backbone is then a linear copy of the maintained
+///    sets — no NeighborSelection, no global lmst/mesh pass, no BFS. Every
+///    step is component-local, so partitions need no special casing.
 ///
 /// Partitions degrade gracefully: orphans in a split-off component elect
 /// their own heads, every surviving component keeps a valid backbone, and
@@ -47,6 +57,7 @@
 #include "khop/common/types.hpp"
 #include "khop/dynamic/churn_trace.hpp"
 #include "khop/gateway/backbone.hpp"
+#include "khop/gateway/lmst.hpp"
 #include "khop/graph/dynamic_graph.hpp"
 #include "khop/runtime/workspace.hpp"
 
@@ -67,6 +78,9 @@ struct ChurnEventReport {
   std::size_t reaffiliated = 0;
   std::size_t new_heads = 0;
   std::size_t heads_resweeped = 0;
+  /// Dirty heads whose gateway keep list was recomputed (see the combine
+  /// bullet above). Report and telemetry only; not a ChurnCounters field.
+  std::size_t lmst_heads = 0;
   /// Distinct nodes whose maintained state was recomputed this event
   /// (members distance-rechecked, orphans re-affiliated, heads re-swept).
   /// touched / n is the event's repair locality.
@@ -213,7 +227,11 @@ class ChurnEngine {
   void drop_dead_head(NodeId h);
   void resweep_heads(ChurnEventReport& report);
   void resweep_one(NodeId h);
-  void combine();
+  void retire_link(NodeId a, NodeId b);
+  std::size_t combine();
+  bool keeps(NodeId h, NodeId v) const;
+  void settle(std::pair<NodeId, NodeId> p);
+  void count_path(const VirtualLink& l, bool add);
   void touch(NodeId v, ChurnEventReport& report);
 
   DynamicGraph g_;
@@ -229,6 +247,15 @@ class ChurnEngine {
   std::vector<std::uint32_t> member_pos_;  ///< v -> index in its member list
   std::unordered_map<NodeId, std::vector<NodeId>> sel_;  ///< head -> selected
   VirtualLinkMap links_;
+  /// Gateway state, maintained by combine(): each head's directed keep list
+  /// (ascending), the realized pairs (ascending), and per node the number of
+  /// realized links whose path interior contains it (nonzero ones listed
+  /// ascending in interior_). Derived, never persisted.
+  std::unordered_map<NodeId, std::vector<NodeId>> keep_;
+  std::vector<std::pair<NodeId, NodeId>> kept_links_;
+  std::vector<std::uint32_t> path_refs_;
+  std::vector<NodeId> interior_;
+  LmstKernel lmst_;
   Backbone backbone_;
   std::size_t num_components_ = 1;
   ChurnStats stats_;
@@ -238,6 +265,8 @@ class ChurnEngine {
   std::unordered_set<NodeId> affected_k_;
   std::unordered_set<NodeId> affected_H_;
   EpochFlags touched_;
+  std::vector<NodeId> dirty_;  ///< heads whose keep list must be recomputed
+  std::vector<std::pair<NodeId, NodeId>> changed_;  ///< pairs to re-settle
 };
 
 }  // namespace khop

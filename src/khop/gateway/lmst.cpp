@@ -1,18 +1,17 @@
 #include "khop/gateway/lmst.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <functional>
+#include <tuple>
 
 #include "khop/common/assert.hpp"
-#include "khop/graph/mst.hpp"
+#include "khop/common/error.hpp"
 
 namespace khop {
 
 namespace {
 
-/// Set of selected unordered pairs for O(log) membership tests.
-using PairSet = std::set<std::pair<NodeId, NodeId>>;
+constexpr std::uint32_t kNoEdge = static_cast<std::uint32_t>(-1);
 
 std::pair<NodeId, NodeId> ordered(NodeId a, NodeId b) {
   return {std::min(a, b), std::max(a, b)};
@@ -20,73 +19,108 @@ std::pair<NodeId, NodeId> ordered(NodeId a, NodeId b) {
 
 }  // namespace
 
+void LmstKernel::prim_children(std::size_t root, std::vector<NodeId>& out) {
+  const std::size_t m = local_.size();
+  // Edge (from, to) under edge_less's (weight, min, max) order; local index
+  // order is id order, so this is the paper's id tie-break.
+  const auto key = [&](std::size_t from, std::size_t to) {
+    return std::tuple(weight_[from * m + to], std::min(from, to),
+                      std::max(from, to));
+  };
+  const auto relax = [&](std::size_t from) {
+    for (std::size_t v = 0; v < m; ++v) {
+      if (in_tree_[v] || weight_[from * m + v] == kUnreachable) continue;
+      if (best_[v] == kNoEdge || key(from, v) < key(best_[v], v)) {
+        best_[v] = static_cast<std::uint32_t>(from);
+      }
+    }
+  };
+
+  in_tree_.assign(m, 0);
+  best_.assign(m, kNoEdge);
+  in_tree_[root] = 1;
+  relax(root);
+  for (std::size_t added = 1; added < m; ++added) {
+    std::size_t pick = m;
+    for (std::size_t v = 0; v < m; ++v) {
+      if (in_tree_[v] || best_[v] == kNoEdge) continue;
+      if (pick == m || key(best_[v], v) < key(best_[pick], pick)) pick = v;
+    }
+    if (pick == m) {
+      throw NotConnected("lmst: local virtual graph is not connected");
+    }
+    in_tree_[pick] = 1;
+    relax(pick);
+  }
+
+  // best_ now holds each non-root node's tree parent.
+  out.clear();
+  for (std::size_t v = 0; v < m; ++v) {
+    if (v != root && best_[v] == root) out.push_back(local_[v]);
+  }
+}
+
 LmstResult lmst_gateways(const Clustering& c, const NeighborSelection& sel,
                          const VirtualLinkMap& links, LmstKeepRule keep) {
   KHOP_REQUIRE(sel.selected.size() == c.heads.size(),
                "selection does not match clustering");
-  const PairSet pair_set(sel.head_pairs.begin(), sel.head_pairs.end());
+  // Pair membership is a binary search over canonical (sorted, unique)
+  // head_pairs; a non-canonical input is canonicalized once.
+  std::vector<std::pair<NodeId, NodeId>> canonical;
+  const std::vector<std::pair<NodeId, NodeId>>* pairs = &sel.head_pairs;
+  if (std::adjacent_find(pairs->begin(), pairs->end(),
+                         std::greater_equal<>()) != pairs->end()) {
+    canonical = sel.head_pairs;
+    std::sort(canonical.begin(), canonical.end());
+    canonical.erase(std::unique(canonical.begin(), canonical.end()),
+                    canonical.end());
+    pairs = &canonical;
+  }
+  const auto pair_hops = [&](NodeId a, NodeId b) {
+    return std::binary_search(pairs->begin(), pairs->end(), std::pair(a, b))
+               ? links.link(a, b).hops
+               : kUnreachable;
+  };
 
   // Directed keep decisions: (head u, neighbor v) kept by u's local MST.
-  std::set<std::pair<NodeId, NodeId>> kept_directed;
-
+  LmstKernel kernel;
+  std::vector<NodeId> sorted_sel;
+  std::vector<NodeId> kept;
+  std::vector<std::pair<NodeId, NodeId>> kept_directed;
   for (std::uint32_t i = 0; i < c.heads.size(); ++i) {
     const NodeId u = c.heads[i];
-    const auto& nbrs = sel.selected[i];
+    std::span<const NodeId> nbrs = sel.selected[i];
     if (nbrs.empty()) continue;
-
-    // Local node set {u} ∪ S(u), ascending by head id. Local index order is
-    // therefore id order, so comparing local indices == comparing ids, which
-    // keeps edge_less's tie-breaking faithful to the paper's id rule.
-    std::vector<NodeId> local_nodes;
-    local_nodes.reserve(nbrs.size() + 1);
-    local_nodes.push_back(u);
-    local_nodes.insert(local_nodes.end(), nbrs.begin(), nbrs.end());
-    std::sort(local_nodes.begin(), local_nodes.end());
-
-    std::map<NodeId, NodeId> local_of;  // head id -> local index
-    for (NodeId li = 0; li < local_nodes.size(); ++li) {
-      local_of[local_nodes[li]] = li;
+    if (!std::is_sorted(nbrs.begin(), nbrs.end())) {
+      sorted_sel.assign(nbrs.begin(), nbrs.end());
+      std::sort(sorted_sel.begin(), sorted_sel.end());
+      nbrs = sorted_sel;
     }
-
-    // Local virtual-edge adjacency: every selected pair with both endpoints
-    // in the local set (u knows these from its neighbors' broadcasts).
-    std::vector<std::vector<WeightedEdge>> adj(local_nodes.size());
-    for (std::size_t a = 0; a < local_nodes.size(); ++a) {
-      for (std::size_t b = a + 1; b < local_nodes.size(); ++b) {
-        const auto p = ordered(local_nodes[a], local_nodes[b]);
-        if (!pair_set.contains(p)) continue;
-        const Hops w = links.link(p.first, p.second).hops;
-        adj[a].push_back({static_cast<NodeId>(a), static_cast<NodeId>(b), w});
-        adj[b].push_back({static_cast<NodeId>(b), static_cast<NodeId>(a), w});
-      }
-    }
-
-    // The local graph is connected: u has a selected pair with every member
-    // of S(u) by construction.
-    const std::vector<NodeId> parent =
-        prim_mst(local_nodes.size(), adj, local_of.at(u));
-
-    // u keeps exactly the on-tree links incident to itself.
-    const NodeId u_local = local_of.at(u);
-    for (NodeId li = 0; li < local_nodes.size(); ++li) {
-      if (parent[li] == u_local) {
-        kept_directed.emplace(u, local_nodes[li]);
-      } else if (li == u_local && parent[li] != kInvalidNode) {
-        kept_directed.emplace(u, local_nodes[parent[li]]);
-      }
-    }
+    kernel.keep_list(u, nbrs, pair_hops, kept);
+    for (NodeId v : kept) kept_directed.emplace_back(u, v);
   }
+  std::sort(kept_directed.begin(), kept_directed.end());
+  kept_directed.erase(std::unique(kept_directed.begin(), kept_directed.end()),
+                      kept_directed.end());
 
   // Realize links per the keep rule (union by default, intersection as the
   // stricter LMST G0 ∩ G1 variant).
   LmstResult r;
-  std::set<std::pair<NodeId, NodeId>> undirected;
+  std::vector<std::pair<NodeId, NodeId>> undirected;
+  undirected.reserve(kept_directed.size());
   for (const auto& [from, to] : kept_directed) {
-    undirected.insert(ordered(from, to));
+    undirected.push_back(ordered(from, to));
   }
+  std::sort(undirected.begin(), undirected.end());
+  undirected.erase(std::unique(undirected.begin(), undirected.end()),
+                   undirected.end());
+  const auto kept_by = [&](NodeId from, NodeId to) {
+    return std::binary_search(kept_directed.begin(), kept_directed.end(),
+                              std::pair(from, to));
+  };
   for (const auto& p : undirected) {
-    const bool fwd = kept_directed.contains({p.first, p.second});
-    const bool rev = kept_directed.contains({p.second, p.first});
+    const bool fwd = kept_by(p.first, p.second);
+    const bool rev = kept_by(p.second, p.first);
     if (fwd != rev) ++r.asymmetric_links;
     if (keep == LmstKeepRule::kBothEndpoints && !(fwd && rev)) continue;
     r.kept_links.push_back(p);

@@ -161,13 +161,18 @@ VirtualLinkMap VirtualLinkMap::build(
 }
 
 const VirtualLink& VirtualLinkMap::link(NodeId a, NodeId b) const {
-  const auto it = index_.find(key(a, b));
-  KHOP_REQUIRE(it != index_.end(), "virtual link not built for this pair");
-  return links_[it->second];
+  const VirtualLink* l = find(a, b);
+  KHOP_REQUIRE(l != nullptr, "virtual link not built for this pair");
+  return *l;
 }
 
 bool VirtualLinkMap::contains(NodeId a, NodeId b) const {
-  return index_.contains(key(a, b));
+  return find(a, b) != nullptr;
+}
+
+const VirtualLink* VirtualLinkMap::find(NodeId a, NodeId b) const {
+  const auto it = index_.find(key(a, b));
+  return it == index_.end() ? nullptr : &links_[it->second];
 }
 
 void VirtualLinkMap::insert(VirtualLink l) {

@@ -75,6 +75,9 @@ class VirtualLinkMap {
 
   bool contains(NodeId a, NodeId b) const;
 
+  /// Link for the unordered pair {a, b}, or nullptr if absent.
+  const VirtualLink* find(NodeId a, NodeId b) const;
+
   /// Upserts a link: replaces the stored path for the pair if present, else
   /// adds it. Used by the churn engine's incremental re-sweeps.
   /// \pre l.u < l.v

@@ -12,6 +12,7 @@
 #include "khop/dynamic/churn_engine.hpp"
 #include "khop/dynamic/churn_reference.hpp"
 #include "khop/dynamic/churn_trace.hpp"
+#include "khop/gateway/lmst.hpp"
 #include "khop/gateway/virtual_link.hpp"
 #include "khop/graph/dynamic_graph.hpp"
 #include "khop/net/generator.hpp"
@@ -202,6 +203,92 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<EngineCase>& info) {
       std::string name = "n" + std::to_string(info.param.n) + "_k" +
                          std::to_string(info.param.k) + "_" +
+                         std::string(pipeline_name(info.param.pipeline));
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
+
+// The incremental gateway combine recomputes keep lists only for dirty heads.
+// After every event its backbone must equal a from-scratch lmst_gateways
+// over the engine's own selections and links, on a trace with a head
+// failure and a partition.
+struct CombineCase {
+  Hops k;
+  Pipeline pipeline;
+};
+
+class IncrementalCombine : public ::testing::TestWithParam<CombineCase> {};
+
+/// The engine's selections, derived from its link store (selections are
+/// symmetric and the store holds exactly the selected pairs).
+NeighborSelection engine_selection(const ChurnEngine& engine) {
+  const std::vector<NodeId>& heads = engine.clustering().heads;
+  NeighborSelection sel;
+  sel.rule = spec_for(engine.pipeline()).neighbor_rule;
+  sel.selected.resize(heads.size());
+  const auto index_of = [&](NodeId h) {
+    return std::lower_bound(heads.begin(), heads.end(), h) - heads.begin();
+  };
+  for (const VirtualLink& l : engine.virtual_links().all()) {
+    sel.selected[index_of(l.u)].push_back(l.v);
+    sel.selected[index_of(l.v)].push_back(l.u);
+    sel.head_pairs.emplace_back(l.u, l.v);
+  }
+  for (auto& list : sel.selected) std::sort(list.begin(), list.end());
+  std::sort(sel.head_pairs.begin(), sel.head_pairs.end());
+  return sel;
+}
+
+TEST_P(IncrementalCombine, MatchesFromScratchCombineAfterEveryEvent) {
+  const CombineCase p = GetParam();
+  // Large enough that a 2k+1 ball is a small part of the network, so the
+  // dirty set is a strict subset of the heads.
+  const Graph g0 = make_network(4401 + p.k, 400);
+  ChurnTraceConfig cfg;
+  cfg.num_events = 400;
+  cfg.partition_at = 40;
+  cfg.partition_radius = 2;
+  cfg.rejoin_after = 40;
+  const ChurnTrace trace = ChurnTrace::generate(g0, cfg, 23 + p.k);
+
+  ChurnEngine engine(g0, p.k, p.pipeline);
+  const BackboneSpec spec = spec_for(p.pipeline);
+  std::size_t head_failures = 0;
+  std::size_t local_combines = 0;  // dirty set beyond the re-swept heads
+  std::size_t applied = 0;
+  for (const ChurnEvent& e : trace.events()) {
+    head_failures += e.type == ChurnEventType::kFail &&
+                     engine.clustering().head_of[e.a] == e.a;
+    const ChurnEventReport rep = engine.apply(e);
+    ++applied;
+    EXPECT_LE(rep.lmst_heads, engine.clustering().heads.size());
+    local_combines += rep.lmst_heads > rep.heads_resweeped &&
+                      rep.lmst_heads < engine.clustering().heads.size();
+    const NeighborSelection sel = engine_selection(engine);
+    const LmstResult want = lmst_gateways(engine.clustering(), sel,
+                                          engine.virtual_links(),
+                                          spec.lmst_keep);
+    ASSERT_EQ(engine.backbone().virtual_links, want.kept_links)
+        << "after event " << applied;
+    ASSERT_EQ(engine.backbone().gateways, want.gateways)
+        << "after event " << applied;
+  }
+  EXPECT_GT(head_failures, 0u);
+  EXPECT_GT(engine.stats().partitions, 0u);
+  EXPECT_GT(local_combines, 0u);
+  EXPECT_EQ(engine.audit(), "");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Churn, IncrementalCombine,
+    ::testing::Values(CombineCase{1, Pipeline::kAcLmst},
+                      CombineCase{2, Pipeline::kAcLmst},
+                      CombineCase{3, Pipeline::kAcLmst},
+                      CombineCase{1, Pipeline::kNcLmst},
+                      CombineCase{2, Pipeline::kNcLmst},
+                      CombineCase{3, Pipeline::kNcLmst}),
+    [](const ::testing::TestParamInfo<CombineCase>& info) {
+      std::string name = "k" + std::to_string(info.param.k) + "_" +
                          std::string(pipeline_name(info.param.pipeline));
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
