@@ -4,25 +4,28 @@
 //
 //   ./broadcast_flooding [N] [avg_degree] [k] [seed]
 //
+// A malformed or out-of-range number prints the usage line and exits 2.
+//
 // Builds one network, constructs the backbone with each pipeline, and shows
 // how many forwarding transmissions a broadcast costs compared with blind
 // flooding, all while delivering to every node.
-#include <cstdlib>
 #include <iostream>
 
+#include "cli_args.hpp"
 #include "khop/cds/broadcast.hpp"
 #include "khop/core/pipeline.hpp"
 #include "khop/exp/table.hpp"
 #include "khop/net/generator.hpp"
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 150;
-  const double degree = argc > 2 ? std::strtod(argv[2], nullptr) : 6.0;
-  const khop::Hops k =
-      argc > 3 ? static_cast<khop::Hops>(std::strtoul(argv[3], nullptr, 10))
-               : 2;
-  const std::uint64_t seed =
-      argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 7;
+  std::size_t n = 150;
+  double degree = 6.0;
+  khop::Hops k = 2;
+  std::uint64_t seed = 7;
+  if (!khop::examples::parse_positional(argc, argv, n, degree, k, seed)) {
+    std::cerr << "usage: broadcast_flooding [N] [avg_degree] [k] [seed]\n";
+    return 2;
+  }
 
   khop::GeneratorConfig gen;
   gen.num_nodes = n;

@@ -4,7 +4,9 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <iostream>
 #include <optional>
 #include <system_error>
 #include <type_traits>
@@ -23,6 +25,36 @@ std::optional<T> parse_number(const char* arg) {
     if (!std::isfinite(value)) return std::nullopt;
   }
   return value;
+}
+
+/// Parses \p value, the argument of option \p flag, whole into \p out; on
+/// failure prints the error and \p usage to stderr and exits 2.
+template <typename T>
+void parse_option_or_exit(const char* flag, const char* value,
+                          const char* usage, T& out) {
+  const auto parsed = parse_number<T>(value);
+  if (!parsed) {
+    std::cerr << "invalid value for " << flag << ": " << value << "\n"
+              << usage;
+    std::exit(2);
+  }
+  out = *parsed;
+}
+
+/// Parses the positional arguments argv[1..argc) whole into \p outs, in
+/// order; an absent trailing argument keeps its default. False on a
+/// malformed value or on more arguments than outputs.
+template <typename... T>
+bool parse_positional(int argc, char** argv, T&... outs) {
+  if (argc - 1 > static_cast<int>(sizeof...(T))) return false;
+  int i = 1;
+  const auto one = [&]<typename U>(U& out) {
+    if (i >= argc) return true;
+    const auto parsed = parse_number<U>(argv[i++]);
+    if (parsed) out = *parsed;
+    return parsed.has_value();
+  };
+  return (one(outs) && ...);
 }
 
 }  // namespace khop::examples

@@ -88,15 +88,9 @@ Options parse_args(int argc, char** argv) {
       return argv[++i];
     };
     // A whole, in-range number of the option's type, else usage + exit 2.
-    const auto need_number = [&]<typename T>(const char* flag, T& out) {
-      const std::string value = need_value(flag);
-      const auto parsed = examples::parse_number<T>(value.c_str());
-      if (!parsed) {
-        std::cerr << "invalid value for " << flag << ": " << value << "\n"
-                  << kUsage;
-        std::exit(2);
-      }
-      out = *parsed;
+    const auto need_number = [&](const char* flag, auto& out) {
+      examples::parse_option_or_exit(flag, need_value(flag).c_str(), kUsage,
+                                     out);
     };
     if (arg == "--n") {
       need_number("--n", opt.n);

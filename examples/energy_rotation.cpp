@@ -3,20 +3,23 @@
 // role and stretches the time until the first node dies.
 //
 //   ./energy_rotation [N] [k] [seed]
-#include <cstdlib>
+//
+// A malformed or out-of-range number prints the usage line and exits 2.
 #include <iostream>
 
+#include "cli_args.hpp"
 #include "khop/dynamic/rotation.hpp"
 #include "khop/exp/table.hpp"
 #include "khop/net/generator.hpp"
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 80;
-  const khop::Hops k =
-      argc > 2 ? static_cast<khop::Hops>(std::strtoul(argv[2], nullptr, 10))
-               : 2;
-  const std::uint64_t seed =
-      argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 11;
+  std::size_t n = 80;
+  khop::Hops k = 2;
+  std::uint64_t seed = 11;
+  if (!khop::examples::parse_positional(argc, argv, n, k, seed)) {
+    std::cerr << "usage: energy_rotation [N] [k] [seed]\n";
+    return 2;
+  }
 
   khop::GeneratorConfig gen;
   gen.num_nodes = n;

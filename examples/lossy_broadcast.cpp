@@ -2,16 +2,18 @@
 //
 //   ./lossy_broadcast [N] [avg_degree] [k] [seed]
 //
+// A malformed or out-of-range number prints the usage line and exits 2.
+//
 // Builds one connected topology, then walks the radio-model ladder - ideal
 // unit disk, quasi-UDG, log-normal shadowing - showing for each model the
 // link layer it induces (link count, mean delivery probability) and what a
 // network-wide broadcast actually delivers under per-link Bernoulli drops,
 // blind vs CDS-confined, without and with a small link-retry budget.
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "khop/cds/broadcast.hpp"
 #include "khop/core/pipeline.hpp"
 #include "khop/exp/table.hpp"
@@ -23,12 +25,14 @@
 int main(int argc, char** argv) {
   using namespace khop;
 
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 150;
-  const double degree = argc > 2 ? std::strtod(argv[2], nullptr) : 6.0;
-  const Hops k =
-      argc > 3 ? static_cast<Hops>(std::strtoul(argv[3], nullptr, 10)) : 2;
-  const std::uint64_t seed =
-      argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 7;
+  std::size_t n = 150;
+  double degree = 6.0;
+  Hops k = 2;
+  std::uint64_t seed = 7;
+  if (!examples::parse_positional(argc, argv, n, degree, k, seed)) {
+    std::cerr << "usage: lossy_broadcast [N] [avg_degree] [k] [seed]\n";
+    return 2;
+  }
 
   GeneratorConfig gen;
   gen.num_nodes = n;

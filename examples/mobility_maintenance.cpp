@@ -25,15 +25,7 @@ int main(int argc, char** argv) {
   Hops k = 2;
   std::size_t ticks = 12;
   std::uint64_t seed = 99;
-  // Positional argument i, if given, must parse whole into \p out.
-  const auto arg = [&]<typename T>(int i, T& out) {
-    if (i >= argc) return true;
-    const auto parsed = examples::parse_number<T>(argv[i]);
-    if (parsed) out = *parsed;
-    return parsed.has_value();
-  };
-  if (argc > 5 || !arg(1, n) || !arg(2, k) || !arg(3, ticks) ||
-      !arg(4, seed)) {
+  if (!examples::parse_positional(argc, argv, n, k, ticks, seed)) {
     std::cerr << "usage: mobility_maintenance [N] [k] [ticks] [seed]\n";
     return 2;
   }

@@ -2,21 +2,24 @@
 // connected k-hop clustering backbone, and print what came out.
 //
 //   ./quickstart [N] [avg_degree] [k] [seed]
-#include <cstdlib>
+//
+// A malformed or out-of-range number prints the usage line and exits 2.
 #include <iostream>
 
+#include "cli_args.hpp"
 #include "khop/core/pipeline.hpp"
 #include "khop/graph/metrics.hpp"
 #include "khop/net/generator.hpp"
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 100;
-  const double degree = argc > 2 ? std::strtod(argv[2], nullptr) : 6.0;
-  const khop::Hops k =
-      argc > 3 ? static_cast<khop::Hops>(std::strtoul(argv[3], nullptr, 10))
-               : 2;
-  const std::uint64_t seed =
-      argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 20050615;
+  std::size_t n = 100;
+  double degree = 6.0;
+  khop::Hops k = 2;
+  std::uint64_t seed = 20050615;
+  if (!khop::examples::parse_positional(argc, argv, n, degree, k, seed)) {
+    std::cerr << "usage: quickstart [N] [avg_degree] [k] [seed]\n";
+    return 2;
+  }
 
   // 1. A random connected unit-disk network in the paper's 100x100 field.
   khop::GeneratorConfig gen;

@@ -16,11 +16,14 @@
 ///   example_trace_pipeline [--n N] [--events E] [--k K] [--degree D]
 ///                          [--threads T] [--seed S]
 ///                          [--trace-out FILE] [--metrics-out FILE]
+///
+/// A malformed or out-of-range number prints the usage line and exits 2.
 #include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
 
+#include "cli_args.hpp"
 #include "khop/cluster/clustering.hpp"
 #include "khop/dynamic/churn_engine.hpp"
 #include "khop/dynamic/churn_trace.hpp"
@@ -49,35 +52,46 @@ struct Options {
   std::string metrics_out = "metrics_pipeline.json";
 };
 
+constexpr const char* kUsage =
+    "usage: example_trace_pipeline [--n N] [--events E] [--k K] "
+    "[--degree D]\n"
+    "         [--threads T] [--seed S] [--trace-out FILE] "
+    "[--metrics-out FILE]\n";
+
 Options parse_args(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto need_value = [&](const char* flag) -> std::string {
       if (i + 1 >= argc) {
-        std::cerr << flag << " requires a value\n";
+        std::cerr << flag << " requires a value\n" << kUsage;
         std::exit(2);
       }
       return argv[++i];
     };
+    // A whole, in-range number of the option's type, else usage + exit 2.
+    const auto need_number = [&](const char* flag, auto& out) {
+      examples::parse_option_or_exit(flag, need_value(flag).c_str(), kUsage,
+                                     out);
+    };
     if (arg == "--n") {
-      opt.n = std::stoull(need_value("--n"));
+      need_number("--n", opt.n);
     } else if (arg == "--events") {
-      opt.events = std::stoull(need_value("--events"));
+      need_number("--events", opt.events);
     } else if (arg == "--k") {
-      opt.k = static_cast<Hops>(std::stoul(need_value("--k")));
+      need_number("--k", opt.k);
     } else if (arg == "--degree") {
-      opt.degree = std::stod(need_value("--degree"));
+      need_number("--degree", opt.degree);
     } else if (arg == "--threads") {
-      opt.threads = std::stoull(need_value("--threads"));
+      need_number("--threads", opt.threads);
     } else if (arg == "--seed") {
-      opt.seed = std::stoull(need_value("--seed"));
+      need_number("--seed", opt.seed);
     } else if (arg == "--trace-out") {
       opt.trace_out = need_value("--trace-out");
     } else if (arg == "--metrics-out") {
       opt.metrics_out = need_value("--metrics-out");
     } else {
-      std::cerr << "unknown argument: " << arg << "\n";
+      std::cerr << "unknown argument: " << arg << "\n" << kUsage;
       std::exit(2);
     }
   }

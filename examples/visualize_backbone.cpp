@@ -6,22 +6,25 @@
 //                       (render: neato -n2 -Tpng khop_backbone.dot -o out.png)
 //
 //   ./visualize_backbone [N] [avg_degree] [k] [seed]
-#include <cstdlib>
+//
+// A malformed or out-of-range number prints the usage line and exits 2.
 #include <fstream>
 #include <iostream>
 
+#include "cli_args.hpp"
 #include "khop/core/pipeline.hpp"
 #include "khop/io/export.hpp"
 #include "khop/net/generator.hpp"
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 100;
-  const double degree = argc > 2 ? std::strtod(argv[2], nullptr) : 6.0;
-  const khop::Hops k =
-      argc > 3 ? static_cast<khop::Hops>(std::strtoul(argv[3], nullptr, 10))
-               : 3;
-  const std::uint64_t seed =
-      argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 2008;
+  std::size_t n = 100;
+  double degree = 6.0;
+  khop::Hops k = 3;
+  std::uint64_t seed = 2008;
+  if (!khop::examples::parse_positional(argc, argv, n, degree, k, seed)) {
+    std::cerr << "usage: visualize_backbone [N] [avg_degree] [k] [seed]\n";
+    return 2;
+  }
 
   khop::GeneratorConfig gen;
   gen.num_nodes = n;

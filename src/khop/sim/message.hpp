@@ -10,7 +10,7 @@
 /// Message aliases the same immutable words, instead of the historical one
 /// deep copy per neighbor. Views are valid only while the handler runs
 /// (through the end of the delivery round); protocols that keep payload data
-/// must copy it (PayloadView converts implicitly to std::vector).
+/// must copy it (to_vector(), or into their own buffers).
 #pragma once
 
 #include <algorithm>
@@ -41,10 +41,6 @@ class PayloadView {
   const std::int64_t* end() const noexcept { return words_ + size_; }
 
   std::vector<std::int64_t> to_vector() const { return {begin(), end()}; }
-
-  /// Implicit copy-out so existing call sites (`std::vector<...> fwd =
-  /// msg.data;`) keep working unchanged.
-  operator std::vector<std::int64_t>() const { return to_vector(); }
 
   /// Implicit view so forwarding call sites (`ctx.send(..., msg.data)`)
   /// hit the span-based engine API without materializing a vector.

@@ -20,10 +20,20 @@
 ///
 /// After round 6k+3 each head holds exactly the A-NCR neighbor selection the
 /// centralized select_neighbors(kAdjacent) computes.
+///
+/// Per-node state is flat and small: the heads heard by each HEADCAST flood
+/// are vectors sorted by head id (a node hears a handful), the CLUSTERID
+/// phase keeps only the distinct foreign heads, and a head's adjacency is a
+/// sorted vector. The ADJSET flood's duplicate suppression is a mark on the
+/// HEADCAST2 record of its origin (both floods span the same 2k+1 hops);
+/// only heads, which need the sets for LMSTGA, store them, in one flat pair
+/// buffer. Relays copy forwarded payloads into a reused per-thread buffer.
 #pragma once
 
-#include <map>
-#include <set>
+#include <algorithm>
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "khop/cluster/clustering.hpp"
@@ -34,9 +44,17 @@ namespace khop {
 
 class AncrAgent : public NodeAgent {
  public:
+  /// One head heard by a HEADCAST flood: hop distance and the canonical
+  /// (min-id) parent toward it.
   struct HeadInfo {
+    NodeId head = kInvalidNode;
     Hops dist = kUnreachable;
     NodeId parent = kInvalidNode;
+    /// HEADCAST2 records only: the head's ADJSET was heard. Heads also keep
+    /// it, as adjset_pairs_[adj_begin, adj_end).
+    bool adjset_heard = false;
+    std::uint32_t adj_begin = 0;
+    std::uint32_t adj_end = 0;
   };
 
   /// \p my_head / \p my_dist come from a completed clustering.
@@ -51,17 +69,13 @@ class AncrAgent : public NodeAgent {
   NodeId my_head() const noexcept { return my_head_; }
 
   /// Heads only: adjacent head ids (the A-NCR selection), ascending.
-  std::vector<NodeId> adjacent_heads() const;
-  /// Heads only: adjacency sets heard from other heads (head -> its set
-  /// with hop distances).
-  const std::map<NodeId, std::vector<std::pair<NodeId, Hops>>>&
-  neighbor_adjsets() const noexcept {
-    return heard_adjsets_;
+  const std::vector<NodeId>& adjacent_heads() const noexcept {
+    return adjacency_;
   }
-  /// Every node: info (distance, parent) per head within 2k+1 hops.
-  const std::map<NodeId, HeadInfo>& far_heads() const noexcept {
-    return far_heads_;
-  }
+  /// Every node: the heads within 2k+1 hops, ascending by head id.
+  std::span<const HeadInfo> far_heads() const noexcept { return far_heads_; }
+  /// The far_heads() record of \p head, or nullptr if not within 2k+1 hops.
+  const HeadInfo* far_head(NodeId head) const;
 
   /// Round after which the A-NCR state is complete.
   std::size_t done_round() const noexcept {
@@ -80,21 +94,41 @@ class AncrAgent : public NodeAgent {
   Hops my_dist_;
   bool am_head_ = false;
 
-  /// Phase 1: heads within k hops (distance, parent toward them).
-  std::map<NodeId, HeadInfo> near_heads_;
-  /// Neighbor -> its head id, from CLUSTERID.
-  std::map<NodeId, NodeId> neighbor_heads_;
-  /// Heads only: adjacent head ids accumulated from witnesses.
-  std::set<NodeId> adjacency_;
-  /// Phase 4: heads within 2k+1 hops.
-  std::map<NodeId, HeadInfo> far_heads_;
-  /// Phase 5: other heads' adjacency sets.
-  std::map<NodeId, std::vector<std::pair<NodeId, Hops>>> heard_adjsets_;
+  /// Phase 1: heads within k hops, ascending by head.
+  std::vector<HeadInfo> near_heads_;
+  /// Distinct heads of neighbors in other clusters, from CLUSTERID.
+  std::vector<NodeId> foreign_heads_;
+  /// Heads only: adjacent head ids accumulated from witnesses, ascending.
+  std::vector<NodeId> adjacency_;
+  /// Phase 4: heads within 2k+1 hops, ascending by head.
+  std::vector<HeadInfo> far_heads_;
+  /// Heads only: the (head, distance) pairs of every ADJSET heard, one
+  /// contiguous run per origin (see HeadInfo::adj_begin).
+  std::vector<std::pair<NodeId, Hops>> adjset_pairs_;
 
   bool ancr_done_ = false;
 
+  /// Heads only: the distance \p from reported to \p to in its ADJSET, or
+  /// kUnreachable if \p to is not in it (or it was not heard).
+  Hops reported_dist(NodeId from, NodeId to) const;
+
+  /// Inserts \p x into the ascending, duplicate-free \p v; false if present.
+  template <typename T>
+  static bool insert_sorted(std::vector<T>& v, const T& x) {
+    const auto it = std::lower_bound(v.begin(), v.end(), x);
+    if (it != v.end() && *it == x) return false;
+    v.insert(it, x);
+    return true;
+  }
+
   /// Hook for subclasses: called once at round done_round().
   virtual void on_ancr_complete(NodeContext& /*ctx*/) {}
+
+ private:
+  /// HEADCAST/HEADCAST2 reception: keep the shortest (then min-parent)
+  /// record in \p table and relay first arrivals below \p radius hops.
+  void on_headcast(NodeContext& ctx, const Message& msg,
+                   std::vector<HeadInfo>& table, Hops radius);
 };
 
 /// Runs the protocol over a clustered graph and returns the selection in the

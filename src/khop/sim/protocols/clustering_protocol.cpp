@@ -27,8 +27,8 @@ DistributedClusteringAgent::DistributedClusteringAgent(Hops k,
 
 void DistributedClusteringAgent::begin_iteration(NodeContext& ctx) {
   candidates_.clear();
-  candidate_keys_.clear();
   declares_.clear();
+  min_candidate_key_ = kNoCandidate;
   if (state_ == State::kUndecided) {
     ctx.broadcast(kCandidate,
                   {iteration_, static_cast<std::int64_t>(ctx.id()),
@@ -51,11 +51,12 @@ void DistributedClusteringAgent::on_message(NodeContext& ctx,
       const auto hops = static_cast<Hops>(msg.data[3]);
       if (origin == ctx.id()) return;
 
-      auto [it, inserted] = candidates_.try_emplace(origin);
-      if (inserted || hops < it->second.dist) {
-        it->second.dist = hops;
-        it->second.parent = msg.sender;
-        candidate_keys_[origin] = {enc_key, origin};
+      bool inserted = false;
+      KnownRecord& rec = candidates_.upsert(origin, inserted);
+      if (inserted || hops < rec.dist) {
+        rec.dist = hops;
+        rec.parent = msg.sender;
+        min_candidate_key_ = std::min(min_candidate_key_, {enc_key, origin});
         if (hops < k_) {
           ctx.broadcast(kCandidate,
                         {iter, static_cast<std::int64_t>(origin), enc_key,
@@ -71,17 +72,18 @@ void DistributedClusteringAgent::on_message(NodeContext& ctx,
       const auto hops = static_cast<Hops>(msg.data[2]);
       if (origin == ctx.id()) return;
 
-      auto [it, inserted] = declares_.try_emplace(origin);
-      if (inserted || hops < it->second.dist) {
-        it->second.dist = hops;
-        it->second.parent = msg.sender;
+      bool inserted = false;
+      KnownRecord& rec = declares_.upsert(origin, inserted);
+      if (inserted || hops < rec.dist) {
+        rec.dist = hops;
+        rec.parent = msg.sender;
         if (hops < k_) {
           ctx.broadcast(kDeclare,
                         {iter, static_cast<std::int64_t>(origin),
                          static_cast<std::int64_t>(hops + 1)});
         }
-      } else if (hops == it->second.dist && msg.sender < it->second.parent) {
-        it->second.parent = msg.sender;
+      } else if (hops == rec.dist && msg.sender < rec.parent) {
+        rec.parent = msg.sender;
       }
       break;
     }
@@ -91,10 +93,10 @@ void DistributedClusteringAgent::on_message(NodeContext& ctx,
       if (head == ctx.id()) {
         members_.push_back(member);
       } else {
-        const auto it = declares_.find(head);
-        KHOP_ASSERT(it != declares_.end(),
+        const KnownRecord* route = declares_.find(head);
+        KHOP_ASSERT(route != nullptr,
                     "JOIN relay has no route toward the head");
-        ctx.send(it->second.parent, kJoin, msg.data);
+        ctx.send(route->parent, kJoin, msg.data);
       }
       break;
     }
@@ -112,14 +114,7 @@ void DistributedClusteringAgent::on_round_end(NodeContext& ctx) {
     if (state_ == State::kUndecided) {
       const std::pair<std::int64_t, NodeId> mine{
           encode_priority(priority_.key), ctx.id()};
-      bool best = true;
-      for (const auto& [origin, key] : candidate_keys_) {
-        if (key < mine) {
-          best = false;
-          break;
-        }
-      }
-      if (best) {
+      if (!(min_candidate_key_ < mine)) {
         state_ = State::kHead;
         head_ = ctx.id();
         dist_to_head_ = 0;
@@ -131,29 +126,26 @@ void DistributedClusteringAgent::on_round_end(NodeContext& ctx) {
   } else if (local == static_cast<std::size_t>(2) * k_ && ctx.round() > 0) {
     // Affiliation point.
     if (state_ == State::kUndecided && !declares_.empty()) {
+      // The minimum under a total order, so the table's unspecified
+      // iteration order cannot change the pick.
       NodeId chosen = kInvalidNode;
       Hops chosen_dist = kUnreachable;
-      for (const auto& [origin, rec] : declares_) {
-        bool better = false;
-        if (chosen == kInvalidNode) {
-          better = true;
-        } else if (rule_ == AffiliationRule::kIdBased) {
-          better = origin < chosen;
-        } else {
-          better = std::tuple(rec.dist, origin) <
-                   std::tuple(chosen_dist, chosen);
-        }
+      NodeId route = kInvalidNode;
+      declares_.for_each([&](NodeId origin, const KnownRecord& rec) {
+        const bool better = rule_ == AffiliationRule::kIdBased
+                                ? origin < chosen
+                                : std::tuple(rec.dist, origin) <
+                                      std::tuple(chosen_dist, chosen);
         if (better) {
           chosen = origin;
           chosen_dist = rec.dist;
+          route = rec.parent;
         }
-      }
+      });
       state_ = State::kMember;
       head_ = chosen;
       dist_to_head_ = chosen_dist;
-      const auto route = declares_.find(chosen);
-      KHOP_ASSERT(route != declares_.end(), "member lost its declare route");
-      ctx.send(route->second.parent, kJoin,
+      ctx.send(route, kJoin,
                {static_cast<std::int64_t>(chosen),
                 static_cast<std::int64_t>(ctx.id())});
     }

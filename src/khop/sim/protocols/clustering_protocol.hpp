@@ -14,13 +14,22 @@
 ///
 /// The protocol terminates when every node is decided; the test suite
 /// asserts the outcome is bit-identical to the centralized khop_clustering.
+///
+/// Per-node state is flat: the iteration's CANDIDATE and DECLARE floods are
+/// recorded in KnownTables (neighborhood.hpp), cleared in O(1) at each
+/// iteration, and the election needs only the running minimum of the
+/// candidate (priority, id) keys heard. The affiliation scan is a minimum
+/// over a total order, so the table's iteration order does not matter.
 #pragma once
 
-#include <map>
+#include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "khop/cluster/clustering.hpp"
 #include "khop/sim/engine.hpp"
+#include "khop/sim/protocols/neighborhood.hpp"
 
 namespace khop {
 
@@ -53,11 +62,6 @@ class DistributedClusteringAgent : public NodeAgent {
   static constexpr std::uint16_t kDeclare = 11;
   static constexpr std::uint16_t kJoin = 12;
 
-  struct FloodRecord {
-    Hops dist = kUnreachable;
-    NodeId parent = kInvalidNode;
-  };
-
   Hops k_;
   PriorityKey priority_;
   AffiliationRule rule_;
@@ -69,9 +73,12 @@ class DistributedClusteringAgent : public NodeAgent {
 
   std::int64_t iteration_ = 0;
   /// Current-iteration flood state, keyed by origin.
-  std::map<NodeId, FloodRecord> candidates_;
-  std::map<NodeId, std::pair<std::int64_t, NodeId>> candidate_keys_;
-  std::map<NodeId, FloodRecord> declares_;
+  KnownTable candidates_;
+  KnownTable declares_;
+  static constexpr std::pair<std::int64_t, NodeId> kNoCandidate{
+      std::numeric_limits<std::int64_t>::max(), kInvalidNode};
+  /// Smallest (encoded priority, id) among this iteration's candidates.
+  std::pair<std::int64_t, NodeId> min_candidate_key_ = kNoCandidate;
 
   std::size_t iteration_len() const noexcept {
     return static_cast<std::size_t>(3) * k_;

@@ -1,92 +1,70 @@
 #include "khop/sim/protocols/gateway_protocol.hpp"
 
 #include <algorithm>
-#include <map>
-#include <optional>
 
 #include "khop/common/assert.hpp"
-#include "khop/graph/mst.hpp"
+#include "khop/gateway/lmst.hpp"
 
 namespace khop {
 
 void LmstGatewayAgent::route(NodeContext& ctx, std::uint16_t type,
-                             NodeId target, std::vector<std::int64_t> data) {
-  const auto it = far_heads_.find(target);
-  KHOP_ASSERT(it != far_heads_.end(), "no route toward mark target");
-  ctx.send(it->second.parent, type, std::move(data));
+                             NodeId target,
+                             std::span<const std::int64_t> data) {
+  const HeadInfo* toward = far_head(target);
+  KHOP_ASSERT(toward != nullptr, "no route toward mark target");
+  ctx.send(toward->parent, type, data);
+}
+
+void LmstGatewayAgent::keep(NodeId a, NodeId b) {
+  insert_sorted(kept_, std::pair(std::min(a, b), std::max(a, b)));
 }
 
 void LmstGatewayAgent::emit_mark(NodeContext& ctx, NodeId smaller) {
   // MARK travels toward the smaller endpoint; relays become gateways.
-  const auto pair = std::pair(smaller, ctx.id());
-  if (!marks_emitted_.insert(pair).second) return;  // already marked
-  if (far_heads_.at(smaller).dist == 1) return;     // no interior to mark
-  route(ctx, kMark, smaller,
-        {static_cast<std::int64_t>(smaller), static_cast<std::int64_t>(ctx.id())});
+  if (!insert_sorted(marks_emitted_, smaller)) return;  // already marked
+  const HeadInfo* toward = far_head(smaller);
+  KHOP_ASSERT(toward != nullptr, "no route toward mark target");
+  if (toward->dist == 1) return;  // no interior to mark
+  const std::int64_t words[] = {static_cast<std::int64_t>(smaller),
+                                static_cast<std::int64_t>(ctx.id())};
+  route(ctx, kMark, smaller, words);
 }
 
 void LmstGatewayAgent::on_ancr_complete(NodeContext& ctx) {
-  if (!is_head(ctx)) return;
-  const std::vector<NodeId> nbrs = adjacent_heads();
+  if (!am_head_) return;
+  const std::vector<NodeId>& nbrs = adjacent_heads();
   if (nbrs.empty()) return;
 
-  // Local node set {self} ∪ S, ascending (id order == local index order).
-  std::vector<NodeId> local_nodes = nbrs;
-  local_nodes.push_back(ctx.id());
-  std::sort(local_nodes.begin(), local_nodes.end());
-  std::map<NodeId, NodeId> local_of;
-  for (NodeId i = 0; i < local_nodes.size(); ++i) local_of[local_nodes[i]] = i;
-
-  const auto pair_known = [&](NodeId a, NodeId b) -> std::optional<Hops> {
-    // Link (self, s): own adjacency. Link (s1, s2): from s1's ADJSET.
-    if (a == ctx.id() || b == ctx.id()) {
-      const NodeId other = a == ctx.id() ? b : a;
-      const auto it = far_heads_.find(other);
-      KHOP_ASSERT(it != far_heads_.end(), "adjacent head without distance");
-      return it->second.dist;
+  const NodeId self = ctx.id();
+  // Link (self, s): own HEADCAST2 distance. Link (s1, s2), s1 < s2: from
+  // s1's ADJSET, else from s2's.
+  const auto pair_hops = [&](NodeId a, NodeId b) {
+    if (a == self || b == self) {
+      const HeadInfo* other = far_head(a == self ? b : a);
+      KHOP_ASSERT(other != nullptr, "adjacent head without distance");
+      return other->dist;
     }
-    const auto it = heard_adjsets_.find(a);
-    if (it == heard_adjsets_.end()) return std::nullopt;
-    for (const auto& [head, dist] : it->second) {
-      if (head == b) return dist;
-    }
-    return std::nullopt;
+    const Hops d = reported_dist(a, b);
+    return d != kUnreachable ? d : reported_dist(b, a);
   };
+  // Scratch only: nothing survives the call, so one per thread serves
+  // every head the thread runs.
+  thread_local LmstKernel kernel;
+  thread_local std::vector<NodeId> kept_heads;
+  kernel.keep_list(self, nbrs, pair_hops, kept_heads);
 
-  std::vector<std::vector<WeightedEdge>> adj(local_nodes.size());
-  for (std::size_t a = 0; a < local_nodes.size(); ++a) {
-    for (std::size_t b = a + 1; b < local_nodes.size(); ++b) {
-      std::optional<Hops> w;
-      if (local_nodes[a] == ctx.id() || local_nodes[b] == ctx.id()) {
-        w = pair_known(local_nodes[a], local_nodes[b]);
-      } else {
-        w = pair_known(local_nodes[a], local_nodes[b]);
-        if (!w) w = pair_known(local_nodes[b], local_nodes[a]);
-      }
-      if (!w) continue;
-      adj[a].push_back({static_cast<NodeId>(a), static_cast<NodeId>(b), *w});
-      adj[b].push_back({static_cast<NodeId>(b), static_cast<NodeId>(a), *w});
-    }
-  }
-
-  const NodeId self_local = local_of.at(ctx.id());
-  const std::vector<NodeId> parent =
-      prim_mst(local_nodes.size(), adj, self_local);
-
-  for (NodeId li = 0; li < local_nodes.size(); ++li) {
-    if (parent[li] != self_local) continue;
-    const NodeId other = local_nodes[li];
-    kept_.emplace(std::min(ctx.id(), other), std::max(ctx.id(), other));
-    if (ctx.id() > other) {
+  for (const NodeId other : kept_heads) {
+    keep(self, other);
+    if (self > other) {
       emit_mark(ctx, other);
-    } else if (far_heads_.at(other).dist == 1) {
+    } else if (far_head(other)->dist == 1) {
       // Adjacent heads cannot be 1 hop apart in a valid k-hop clustering,
       // but guard anyway: nothing to mark.
     } else {
       // The larger endpoint must emit the canonical MARK: request it.
-      route(ctx, kReqMark, other,
-            {static_cast<std::int64_t>(other),
-             static_cast<std::int64_t>(ctx.id())});
+      const std::int64_t words[] = {static_cast<std::int64_t>(other),
+                                    static_cast<std::int64_t>(self)};
+      route(ctx, kReqMark, other, words);
     }
   }
 }
@@ -97,7 +75,7 @@ void LmstGatewayAgent::on_message(NodeContext& ctx, const Message& msg) {
       const auto target = static_cast<NodeId>(msg.data[0]);
       const auto origin = static_cast<NodeId>(msg.data[1]);
       if (target == ctx.id()) {
-        kept_.emplace(std::min(origin, ctx.id()), std::max(origin, ctx.id()));
+        keep(origin, ctx.id());
         emit_mark(ctx, origin);
       } else {
         route(ctx, kReqMark, target, msg.data);
@@ -129,14 +107,17 @@ Backbone run_distributed_aclmst(const Graph& g, const Clustering& c,
   Backbone b;
   b.pipeline = Pipeline::kAcLmst;
   b.heads = c.heads;
-  std::set<std::pair<NodeId, NodeId>> links;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     const auto& agent =
         dynamic_cast<const LmstGatewayAgent&>(engine.agent(v));
     if (agent.marked_gateway()) b.gateways.push_back(v);
-    links.insert(agent.kept_links().begin(), agent.kept_links().end());
+    b.virtual_links.insert(b.virtual_links.end(), agent.kept_links().begin(),
+                           agent.kept_links().end());
   }
-  b.virtual_links.assign(links.begin(), links.end());
+  std::sort(b.virtual_links.begin(), b.virtual_links.end());
+  b.virtual_links.erase(
+      std::unique(b.virtual_links.begin(), b.virtual_links.end()),
+      b.virtual_links.end());
   return b;
 }
 

@@ -9,9 +9,18 @@
 /// endpoint (the canonical-path convention shared with the centralized
 /// implementation). When the keeper is the smaller endpoint it first routes
 /// an unmarked REQMARK to the larger endpoint, which then emits the MARK.
+///
+/// The keep decision is LmstKernel::keep_list (gateway/lmst.hpp), the same
+/// kernel the centralized lmst_gateways and the churn engine run, fed the
+/// hop distances the head heard: its own HEADCAST2 distances for links to
+/// itself, and its neighbors' ADJSET reports for the links among them. Kept
+/// links and emitted marks are small sorted vectors; MARK/REQMARK relays
+/// forward the delivered payload as is.
 #pragma once
 
-#include <set>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "khop/gateway/backbone.hpp"
 #include "khop/sim/protocols/ancr_protocol.hpp"
@@ -26,7 +35,7 @@ class LmstGatewayAgent : public AncrAgent {
 
   bool marked_gateway() const noexcept { return gateway_; }
   /// Heads only: kept virtual links as (min,max) pairs.
-  const std::set<std::pair<NodeId, NodeId>>& kept_links() const noexcept {
+  const std::vector<std::pair<NodeId, NodeId>>& kept_links() const noexcept {
     return kept_;
   }
 
@@ -38,12 +47,16 @@ class LmstGatewayAgent : public AncrAgent {
 
  private:
   bool gateway_ = false;
-  std::set<std::pair<NodeId, NodeId>> kept_;
-  std::set<std::pair<NodeId, NodeId>> marks_emitted_;
+  /// Ascending (min, max) pairs.
+  std::vector<std::pair<NodeId, NodeId>> kept_;
+  /// Smaller endpoints this (larger) head has emitted a MARK toward,
+  /// ascending.
+  std::vector<NodeId> marks_emitted_;
 
+  void keep(NodeId a, NodeId b);
   void emit_mark(NodeContext& ctx, NodeId smaller);
   void route(NodeContext& ctx, std::uint16_t type, NodeId target,
-             std::vector<std::int64_t> data);
+             std::span<const std::int64_t> data);
 };
 
 /// Runs distributed clustering-independent AC-LMST phase 2 over a clustered

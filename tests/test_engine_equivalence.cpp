@@ -83,7 +83,7 @@ class TracingFloodAgent : public NodeAgent {
 
   void on_message(NodeContext& ctx, const Message& msg) override {
     store_->rows[id_].push_back(TraceEntry{ctx.round(), id_, msg.sender,
-                                           msg.type, msg.data});
+                                           msg.type, msg.data.to_vector()});
     const auto origin = msg.data[0];
     const auto ttl = msg.data[1];
     if (ttl > 1 && !seen_.contains(origin)) {
@@ -112,7 +112,7 @@ class ReferenceTracingFloodAgent : public reference::NodeAgent {
 
   void on_message(reference::NodeContext& ctx, const Message& msg) override {
     store_->rows[id_].push_back(TraceEntry{ctx.round(), id_, msg.sender,
-                                           msg.type, msg.data});
+                                           msg.type, msg.data.to_vector()});
     const auto origin = msg.data[0];
     const auto ttl = msg.data[1];
     if (ttl > 1 && !seen_.contains(origin)) {
@@ -278,7 +278,7 @@ class MixedPhaseAgent : public Base {
 
   void on_message(Ctx& ctx, const Message& msg) override {
     store_->rows[id_].push_back(TraceEntry{ctx.round(), id_, msg.sender,
-                                           msg.type, msg.data});
+                                           msg.type, msg.data.to_vector()});
     if (ctx.round() == 1) {
       ctx.send(msg.sender, 2, {static_cast<std::int64_t>(id_)});
       ctx.broadcast(3, {static_cast<std::int64_t>(2 * id_)});

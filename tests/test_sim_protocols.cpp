@@ -98,6 +98,8 @@ TEST(DistributedClustering, MatchesCentralizedDistanceRule) {
         net.graph, k, prio, AffiliationRule::kDistanceBased);
     EXPECT_EQ(dist.heads, central.heads);
     EXPECT_EQ(dist.head_of, central.head_of);
+    EXPECT_EQ(dist.dist_to_head, central.dist_to_head);
+    EXPECT_EQ(dist.cluster_of, central.cluster_of);
   }
 }
 
@@ -198,6 +200,38 @@ TEST(DistributedProtocols, OverheadGrowsWithK) {
     // The k-hop flood volume is monotone in k in expectation; allow equality.
     EXPECT_GE(stats.transmissions + 50, prev_tx) << "k=" << k;
     prev_tx = stats.transmissions;
+  }
+}
+
+// The exact message accounting of both distributed runners on one fixed
+// network. Message counts are the overhead metric clustering surveys compare,
+// so a change to how the agents store their state must leave them unchanged.
+TEST(DistributedProtocols, GoldenMessageCounts) {
+  struct Golden {
+    Hops k;
+    SimStats cluster, gateway;  // {rounds, transmissions, receptions, words}
+  };
+  const Golden golden[] = {
+      {1, {6, 322, 1432, 1022}, {12, 1391, 8244, 5851}},
+      {2, {16, 1575, 10599, 5790}, {20, 1627, 10087, 6249}},
+      {3, {25, 3054, 20915, 11523}, {27, 1569, 9727, 5629}},
+  };
+  const AdHocNetwork net = make_net(2016, 150);
+  const auto prio = make_priorities(net.graph, PriorityRule::kLowestId);
+  const auto expect_stats = [](const SimStats& got, const SimStats& want,
+                               const char* what, Hops k) {
+    EXPECT_EQ(got.rounds, want.rounds) << what << " k=" << k;
+    EXPECT_EQ(got.transmissions, want.transmissions) << what << " k=" << k;
+    EXPECT_EQ(got.receptions, want.receptions) << what << " k=" << k;
+    EXPECT_EQ(got.payload_words, want.payload_words) << what << " k=" << k;
+  };
+  for (const Golden& g : golden) {
+    SimStats cluster_stats, gateway_stats;
+    const Clustering c = run_distributed_clustering(
+        net.graph, g.k, prio, AffiliationRule::kIdBased, &cluster_stats);
+    run_distributed_aclmst(net.graph, c, &gateway_stats);
+    expect_stats(cluster_stats, g.cluster, "clustering", g.k);
+    expect_stats(gateway_stats, g.gateway, "AC-LMST", g.k);
   }
 }
 

@@ -461,7 +461,7 @@ class TracingFloodAgent : public NodeAgent {
 
   void on_message(NodeContext& ctx, const Message& msg) override {
     trace_->push_back(TraceEntry{ctx.round(), ctx.id(), msg.sender, msg.type,
-                                 msg.data});
+                                 msg.data.to_vector()});
     const auto origin = msg.data[0];
     const auto ttl = msg.data[1];
     if (ttl > 1 && !seen_.contains(origin)) {

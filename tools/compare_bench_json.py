@@ -21,6 +21,11 @@ note.
 comparison entirely — CI uses it for the `parallel` variant, whose wall time
 depends on core count and scheduler noise that normalization cannot cancel.
 
+`parallel` rows are gated only when both files record the same thread count
+(`provenance.pool_threads`, the field of e2ebench's provenance line). The
+khop.bench v1/v2 files record none, so comparing their parallel rows exits
+non-zero and asks for --exclude-variant parallel.
+
 Kernels present in only one file are reported but not fatal (trajectories
 gain kernels over time). Exits non-zero on any regression or checksum
 mismatch.
@@ -47,6 +52,14 @@ def kernel_table(doc):
     for row in doc.get("kernels", []):
         table[(row["name"], row["variant"], row["n"], row["k"])] = row
     return table
+
+
+def pool_threads(doc):
+    """The thread count the file records, or None."""
+    provenance = doc.get("provenance")
+    if isinstance(provenance, dict):
+        return provenance.get("pool_threads")
+    return None
 
 
 def normalizer(table, spec, path):
@@ -81,10 +94,21 @@ def main():
     args = ap.parse_args()
 
     excluded = set(args.exclude_variant)
-    base = {k: v for k, v in kernel_table(load(args.baseline)).items()
+    base_doc, new_doc = load(args.baseline), load(args.new)
+    base = {k: v for k, v in kernel_table(base_doc).items()
             if k[1] not in excluded}
-    new = {k: v for k, v in kernel_table(load(args.new)).items()
+    new = {k: v for k, v in kernel_table(new_doc).items()
            if k[1] not in excluded}
+
+    if any(key[1] == "parallel" for key in base.keys() & new.keys()):
+        base_threads, new_threads = pool_threads(base_doc), pool_threads(new_doc)
+        if base_threads is None or base_threads != new_threads:
+            def show(t):
+                return "unrecorded" if t is None else str(t)
+            sys.exit("parallel rows need the same recorded thread count in "
+                     f"both files (baseline: {show(base_threads)}, new: "
+                     f"{show(new_threads)}); pass --exclude-variant parallel "
+                     "to compare the other rows")
 
     base_ref = new_ref = None
     if args.normalize_by:
