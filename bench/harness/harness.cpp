@@ -1,11 +1,17 @@
 #include "harness.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <limits>
 #include <sstream>
+#include <thread>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "khop/common/error.hpp"
 
@@ -18,6 +24,32 @@ double now_ns() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+/// `git describe --always --dirty` at build time, as a string literal
+/// (generated by bench/harness/git_describe.cmake before every build).
+constexpr const char* kGitDescribe =
+#include "khop_git_describe.inc"
+    ;
+
+/// CPUs this process may run on (its affinity mask), as e2ebench reports.
+std::size_t cpus_available() {
+#ifdef __linux__
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<std::size_t>(std::max(1, CPU_COUNT(&set)));
+  }
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+std::string quoted(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) out += c;
+  }
+  return out + "\"";
 }
 
 /// JSON number formatting: shortest round-trippable doubles.
@@ -101,8 +133,14 @@ std::string Harness::to_json() const {
   std::ostringstream os;
   os << "{\n";
   os << "  \"schema\": \"khop.bench\",\n";
-  os << "  \"schema_version\": 2,\n";
+  os << "  \"schema_version\": 3,\n";
   os << "  \"label\": \"" << label_ << "\",\n";
+  os << "  \"provenance\": {\"nproc\": " << cpus_available()
+     << ", \"pool_threads\": "
+     << (pool_threads_ ? std::to_string(*pool_threads_) : "null")
+     << ", \"compiler\": " << quoted(KHOP_BENCH_COMPILER)
+     << ", \"build_type\": " << quoted(KHOP_BENCH_BUILD_TYPE)
+     << ", \"git_describe\": " << quoted(kGitDescribe) << "},\n";
   os << "  \"kernels\": [\n";
   for (std::size_t i = 0; i < results_.size(); ++i) {
     const KernelTiming& r = results_[i];

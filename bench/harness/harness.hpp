@@ -4,11 +4,13 @@
 /// report against. Also home of the shared bench artifact plumbing that used
 /// to be copy-pasted via figure_common.hpp.
 ///
-/// JSON schema (khop.bench, version 2):
+/// JSON schema (khop.bench, version 3):
 /// {
 ///   "schema": "khop.bench",
-///   "schema_version": 2,
+///   "schema_version": 3,
 ///   "label": "<trajectory label, e.g. PR3>",
+///   "provenance": { "nproc": 4, "pool_threads": 4, "compiler": "GNU 12.2.0",
+///                   "build_type": "Release", "git_describe": "29fc562" },
 ///   "kernels": [
 ///     { "name": "clustering", "variant": "workspace", "n": 2000, "k": 2,
 ///       "reps": 5, "wall_ns_mean": 1.2e7, "wall_ns_min": 1.1e7,
@@ -21,16 +23,23 @@
 /// }
 /// `checksum` is a variant-independent digest of the kernel's output: equal
 /// checksums across variants of one (name, n) row double-check that the
-/// timed paths computed the same thing. Version 2 adds the two memory
+/// timed paths computed the same thing. Version 2 added the two memory
 /// columns: `allocs_per_rep` is the mean heap-allocation count of one timed
 /// repetition (global operator-new hook, see alloc_hooks.cpp; steady-state
 /// kernels should pin it near 0), and `peak_rss_bytes` the process
 /// high-water RSS sampled after the kernel's reps (0 where unsupported).
+/// Version 3 adds `provenance`, with e2ebench's field names: the CPUs the
+/// process may run on, the thread count of the pool the `parallel` rows ran
+/// on (null for a bench without one), the compiler and build type, and
+/// `git describe --always --dirty` of the source tree at build time
+/// ("unknown" outside a git checkout). tools/compare_bench_json.py gates
+/// `parallel` rows only between files with the same `pool_threads`.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -68,6 +77,10 @@ class Harness {
                                   const std::string& variant, std::size_t n,
                                   Hops k, const std::function<double()>& fn);
 
+  /// Records the thread count of the pool the `parallel` variants run on
+  /// (provenance.pool_threads; null until set).
+  void set_pool_threads(std::size_t threads) { pool_threads_ = threads; }
+
   const std::vector<KernelTiming>& results() const noexcept {
     return results_;
   }
@@ -87,6 +100,7 @@ class Harness {
  private:
   std::string label_;
   HarnessOptions opts_;
+  std::optional<std::size_t> pool_threads_;
   std::vector<KernelTiming> results_;
 };
 

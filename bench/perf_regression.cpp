@@ -42,27 +42,41 @@
 ///    AC-Mesh + G-MST (the flat and global extremes of the five pipelines).
 ///    `engine_flood` runs at k=1 to bound per-node discovery state.
 ///
+/// Monte-Carlo generator kernels (`generate_network_d6`, `_d10`): a batch of
+/// serial generate_network calls at the paper's N = 200 and D in {6, 10},
+/// `legacy` (every placement becomes a streamed CSR and pays a connectivity
+/// search, the pre-connectivity-first loop) vs `workspace` (the library's
+/// connectivity-first loop). These run at every invocation, whatever
+/// --sizes says; the checksum folds in each network's CSR digest and
+/// placement attempts, so the two loops must draw the same networks.
+///
 /// Usage:
 ///   bench_perf_regression [--out FILE] [--sizes n1,n2,...] [--k K]
 ///                         [--degree D] [--min-seconds S] [--min-reps R]
 ///                         [--seed S] [--max-rss-mb MB]
+///
+/// Every number is parsed whole (examples/cli_args.hpp); a malformed or
+/// out-of-range value, an empty size, or k = 0 prints the usage and exits 2.
 ///
 /// The CI smoke job runs it at tiny sizes (plus a downscaled million-node
 /// smoke with --min-reps 1 and an --max-rss-mb ceiling); the committed
 /// trajectory uses the defaults (n in {500, 2000, 8000, 1000000}).
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "../examples/cli_args.hpp"
 #include "harness/harness.hpp"
 #include "khop/cluster/reference.hpp"
 #include "khop/common/assert.hpp"
 #include "khop/exp/experiment.hpp"
 #include "khop/gateway/reference.hpp"
+#include "khop/geom/placement.hpp"
 #include "khop/graph/bfs_reference.hpp"
+#include "khop/graph/components.hpp"
 #include "khop/graph/relabel.hpp"
 #include "khop/graph/spatial_grid.hpp"
 #include "khop/net/generator.hpp"
@@ -90,46 +104,61 @@ struct Options {
   std::size_t max_rss_mb = 0;  ///< 0 = unlimited; else fail past the ceiling
 };
 
+constexpr const char* kUsage =
+    "usage: bench_perf_regression [--out FILE] [--sizes n1,n2,...] [--k K]\n"
+    "                             [--degree D] [--min-seconds S]\n"
+    "                             [--min-reps R] [--seed S] [--max-rss-mb MB]\n";
+
+[[noreturn]] void usage_error(const std::string& what) {
+  std::cerr << what << "\n" << kUsage;
+  std::exit(2);
+}
+
+/// Comma-separated node counts, each parsed whole and >= 1.
 std::vector<std::size_t> parse_sizes(const std::string& csv) {
   std::vector<std::size_t> sizes;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    sizes.push_back(static_cast<std::size_t>(std::stoull(item)));
+  std::size_t begin = 0;
+  while (true) {
+    const std::size_t end = std::min(csv.find(',', begin), csv.size());
+    const std::string item = csv.substr(begin, end - begin);
+    const auto n = examples::parse_number<std::size_t>(item.c_str());
+    if (!n || *n == 0) usage_error("invalid value for --sizes: " + csv);
+    sizes.push_back(*n);
+    if (end == csv.size()) return sizes;
+    begin = end + 1;
   }
-  return sizes;
 }
 
 Options parse_args(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto need_value = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << flag << " requires a value\n";
-        std::exit(2);
-      }
+    const char* arg = argv[i];
+    const auto value = [&]() -> const char* {
+      if (i + 1 >= argc) usage_error(std::string(arg) + " requires a value");
       return argv[++i];
     };
-    if (arg == "--out") {
-      opt.out = need_value("--out");
-    } else if (arg == "--sizes") {
-      opt.sizes = parse_sizes(need_value("--sizes"));
-    } else if (arg == "--k") {
-      opt.k = static_cast<Hops>(std::stoul(need_value("--k")));
-    } else if (arg == "--degree") {
-      opt.degree = std::stod(need_value("--degree"));
-    } else if (arg == "--min-seconds") {
-      opt.min_seconds = std::stod(need_value("--min-seconds"));
-    } else if (arg == "--min-reps") {
-      opt.min_reps = std::stoull(need_value("--min-reps"));
-    } else if (arg == "--seed") {
-      opt.seed = std::stoull(need_value("--seed"));
-    } else if (arg == "--max-rss-mb") {
-      opt.max_rss_mb = std::stoull(need_value("--max-rss-mb"));
+    const auto number = [&](auto& out) {
+      examples::parse_option_or_exit(arg, value(), kUsage, out);
+    };
+    if (std::strcmp(arg, "--out") == 0) {
+      opt.out = value();
+    } else if (std::strcmp(arg, "--sizes") == 0) {
+      opt.sizes = parse_sizes(value());
+    } else if (std::strcmp(arg, "--k") == 0) {
+      number(opt.k);
+      if (opt.k == 0) usage_error("--k must be >= 1");
+    } else if (std::strcmp(arg, "--degree") == 0) {
+      number(opt.degree);
+    } else if (std::strcmp(arg, "--min-seconds") == 0) {
+      number(opt.min_seconds);
+    } else if (std::strcmp(arg, "--min-reps") == 0) {
+      number(opt.min_reps);
+    } else if (std::strcmp(arg, "--seed") == 0) {
+      number(opt.seed);
+    } else if (std::strcmp(arg, "--max-rss-mb") == 0) {
+      number(opt.max_rss_mb);
     } else {
-      std::cerr << "unknown argument: " << arg << "\n";
-      std::exit(2);
+      usage_error(std::string("unknown argument: ") + arg);
     }
   }
   return opt;
@@ -460,13 +489,84 @@ std::size_t bench_point(bench::Harness& h, const Options& opt, std::size_t n,
   return n;
 }
 
+/// 32-bit FNV-1a fold of a graph's CSR rows, so a sum over a batch of
+/// graphs stays exact in a double checksum.
+double csr_digest(const Graph& g) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](std::uint64_t x) {
+    h ^= x;
+    h *= 1099511628211ULL;
+  };
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    mix(g.degree(u));
+    for (NodeId v : g.neighbors(u)) mix(v);
+  }
+  return static_cast<double>((h ^ (h >> 32)) & 0xffffffffULL);
+}
+
+/// The Monte-Carlo generator rows: kGeneratorBatch serial generate_network
+/// calls per rep at the paper's N = 200, one row pair per degree.
+void bench_generator(bench::Harness& h, const Options& opt) {
+  constexpr std::size_t kPaperN = 200;
+  constexpr std::size_t kGeneratorBatch = 20;
+  struct DegreeRow {
+    double degree;
+    const char* name;
+  };
+  constexpr DegreeRow kRows[] = {{6.0, "generate_network_d6"},
+                                 {10.0, "generate_network_d10"}};
+  Workspace ws;
+  for (const DegreeRow& row : kRows) {
+    ExperimentConfig cal;
+    cal.num_nodes = kPaperN;
+    cal.avg_degree = row.degree;
+    GeneratorConfig gen;
+    gen.num_nodes = kPaperN;
+    gen.explicit_radius = resolve_radius(cal, opt.seed);
+    const auto batch = [&](const auto& generate) {
+      double sum = 0.0;
+      for (std::size_t t = 0; t < kGeneratorBatch; ++t) {
+        Rng rng(opt.seed + t);
+        const AdHocNetwork net = generate(rng);
+        sum += csr_digest(net.graph) +
+               static_cast<double>(net.placement_attempts);
+      }
+      return sum;
+    };
+    // The pre-connectivity-first loop: a streamed CSR and a connectivity
+    // search for every placement, rejected or not.
+    h.time_kernel(row.name, "legacy", kPaperN, 0, [&] {
+      return batch([&](Rng& rng) {
+        AdHocNetwork net;
+        for (std::size_t attempt = 1;; ++attempt) {
+          KHOP_REQUIRE(attempt <= gen.max_placement_attempts,
+                       "no connected placement within the attempt budget");
+          net.positions = place_uniform(kPaperN, gen.field, rng);
+          net.graph = build_unit_disk_graph_streamed(
+              net.positions, *gen.explicit_radius, ws.grid);
+          net.placement_attempts = attempt;
+          if (is_connected(net.graph)) return net;
+        }
+      });
+    });
+    h.time_kernel(row.name, "workspace", kPaperN, 0, [&] {
+      return batch([&](Rng& rng) { return generate_network(gen, rng, ws); });
+    });
+  }
+  std::cout << "generate_network (n=" << kPaperN << ", serial) speedup d6 x"
+            << fmt(h.speedup("generate_network_d6", kPaperN), 2) << ", d10 x"
+            << fmt(h.speedup("generate_network_d10", kPaperN), 2) << "\n";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const Options opt = parse_args(argc, argv);
   bench::Harness harness("PR10", {opt.min_reps, opt.min_seconds});
   ThreadPool pool;  // hardware concurrency, for the parallel variants
+  harness.set_pool_threads(pool.num_threads());
 
+  bench_generator(harness, opt);
   std::vector<std::size_t> benched;
   for (std::size_t n : opt.sizes) {
     const std::size_t realized = bench_point(harness, opt, n, pool, benched);

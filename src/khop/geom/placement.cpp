@@ -8,13 +8,19 @@ namespace khop {
 
 std::vector<Point2> place_uniform(std::size_t n, const Field& field,
                                   Rng& rng) {
-  KHOP_REQUIRE(n > 0, "cannot place zero nodes");
   std::vector<Point2> pts;
-  pts.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    pts.push_back({rng.uniform(0.0, field.side), rng.uniform(0.0, field.side)});
-  }
+  place_uniform_into(n, field, rng, pts);
   return pts;
+}
+
+void place_uniform_into(std::size_t n, const Field& field, Rng& rng,
+                        std::vector<Point2>& out) {
+  KHOP_REQUIRE(n > 0, "cannot place zero nodes");
+  out.resize(n);
+  for (Point2& p : out) {
+    p.x = rng.uniform(0.0, field.side);
+    p.y = rng.uniform(0.0, field.side);
+  }
 }
 
 std::vector<Point2> place_jittered_grid(std::size_t n, const Field& field,

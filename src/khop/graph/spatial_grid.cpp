@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "khop/common/assert.hpp"
+#include "khop/graph/union_find.hpp"
 #include "khop/runtime/thread_pool.hpp"
 
 namespace khop {
@@ -116,6 +117,68 @@ std::size_t SpatialGrid::count_within_radius(NodeId u) const {
   std::size_t count = 0;
   for_each_within_radius(u, [&count](NodeId) { ++count; });
   return count;
+}
+
+bool SpatialGrid::connected_upper_rows(UnionFind& uf,
+                                       UpperRows& rows) const {
+  KHOP_REQUIRE(pts_ != nullptr, "SpatialGrid queried before rebuild()");
+  const std::size_t n = pts_->size();
+  uf.reset(n);
+  rows.offsets.resize(n + 1);
+  rows.offsets[0] = 0;
+  rows.ids.clear();
+  std::size_t sets = n;
+  for (NodeId u = 0; u < n; ++u) {
+    const std::size_t begin = rows.ids.size();
+    bool isolated = true;
+    for_each_within_radius(u, [&](NodeId v) {
+      isolated = false;
+      if (v > u) rows.ids.push_back(v);
+    });
+    // An isolated node settles the verdict; no later pair can undo it.
+    if (isolated && n > 1) return false;
+    const auto batch = rows.ids.begin() + static_cast<std::ptrdiff_t>(begin);
+    std::sort(batch, rows.ids.end());
+    if (sets > 1) {
+      for (auto it = batch; it != rows.ids.end(); ++it) {
+        if (uf.unite(u, *it)) --sets;
+      }
+    }
+    rows.offsets[u + 1] = rows.ids.size();
+  }
+  return sets == 1;
+}
+
+Graph graph_from_upper_rows(const UpperRows& rows) {
+  KHOP_REQUIRE(!rows.offsets.empty(), "upper rows need n + 1 offsets");
+  const std::size_t n = rows.offsets.size() - 1;
+  const auto upper = [&rows](std::size_t u) {
+    return std::span<const NodeId>(rows.ids.data() + rows.offsets[u],
+                                   rows.offsets[u + 1] - rows.offsets[u]);
+  };
+  // Degrees: u's own batch plus one per occurrence of u in an earlier batch.
+  std::vector<std::size_t> offsets(n + 1, 0);
+  for (std::size_t u = 0; u < n; ++u) {
+    offsets[u + 1] += upper(u).size();
+    for (NodeId v : upper(u)) ++offsets[v + 1];
+  }
+  for (std::size_t u = 0; u < n; ++u) offsets[u + 1] += offsets[u];
+
+  // offsets[u] doubles as row u's fill cursor. By the time u's own batch
+  // is appended, every lower neighbor w < u has already been placed (in
+  // ascending w), so each row comes out ascending ...
+  std::vector<NodeId> adjacency(offsets[n]);
+  for (std::size_t u = 0; u < n; ++u) {
+    const auto batch = upper(u);
+    std::copy(batch.begin(), batch.end(),
+              adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[u]));
+    offsets[u] += batch.size();
+    for (NodeId v : batch) adjacency[offsets[v]++] = static_cast<NodeId>(u);
+  }
+  // ... and leaves offsets[u] == start of row u + 1; shift back.
+  for (std::size_t u = n; u > 0; --u) offsets[u] = offsets[u - 1];
+  offsets[0] = 0;
+  return Graph::from_csr(std::move(offsets), std::move(adjacency));
 }
 
 Graph build_unit_disk_graph(const std::vector<Point2>& pts, double radius) {

@@ -21,6 +21,15 @@
 namespace khop {
 
 class ThreadPool;
+class UnionFind;
+
+/// The upper triangle of a unit-disk graph in CSR form: ids[offsets[u] ..
+/// offsets[u + 1]) are u's neighbors v > u, ascending. Reused scratch of
+/// SpatialGrid::connected_upper_rows (Workspace keeps one).
+struct UpperRows {
+  std::vector<std::size_t> offsets;  ///< n + 1 entries once complete
+  std::vector<NodeId> ids;
+};
 
 /// Uniform grid over the bounding box of a point set, cell size >= the query
 /// radius, so a range query touches at most the 3x3 surrounding cells.
@@ -52,6 +61,15 @@ class SpatialGrid {
   /// Allocation-free (no list materialization); used by the degree
   /// calibration's bisection probes and the streamed build's counting pass.
   std::size_t count_within_radius(NodeId u) const;
+
+  /// Connectivity first, for rejection sampling: one ascending-id pass of
+  /// the 3x3 walk unites each u with its neighbors v > u in \p uf (reset to
+  /// n here; unions stop once one set is left) and records u's sorted v > u
+  /// batch into \p rows. Returns false as soon as a node has no neighbor at
+  /// all (n >= 2), else whether one set is left at the end; \p rows is
+  /// complete only when it returns true. Allocation-free once the scratch
+  /// has grown, so a rejected placement costs at most one walk.
+  bool connected_upper_rows(UnionFind& uf, UpperRows& rows) const;
 
   /// Number of grid cells (cols x rows) after the cell-count cap.
   std::size_t num_cells() const noexcept { return cols_ * rows_; }
@@ -98,6 +116,14 @@ Graph build_unit_disk_graph(const std::vector<Point2>& pts, double radius);
 Graph build_unit_disk_graph_streamed(const std::vector<Point2>& pts,
                                      double radius, SpatialGrid& grid,
                                      ThreadPool* pool = nullptr);
+
+/// The unit-disk graph whose complete upper rows are \p rows (see
+/// SpatialGrid::connected_upper_rows). Row u is u's lower neighbors, placed
+/// in ascending order while the earlier rows are scattered, followed by its
+/// own ascending v > u batch, so no row is sorted and no grid is walked.
+/// Bit-identical to build_unit_disk_graph_streamed over the same points;
+/// Graph::from_csr validates the result.
+Graph graph_from_upper_rows(const UpperRows& rows);
 
 namespace reference {
 

@@ -12,8 +12,17 @@ namespace khop {
 
 class UnionFind {
  public:
-  explicit UnionFind(std::size_t n) : parent_(n), size_(n, 1) {
+  /// Empty structure; call reset() before use.
+  UnionFind() = default;
+
+  explicit UnionFind(std::size_t n) { reset(n); }
+
+  /// Re-initializes to \p n singleton sets, reusing the arrays' capacity
+  /// (Workspace keeps one across Monte-Carlo placements).
+  void reset(std::size_t n) {
+    parent_.resize(n);
     std::iota(parent_.begin(), parent_.end(), NodeId{0});
+    size_.assign(n, 1);
   }
 
   NodeId find(NodeId x) noexcept {

@@ -36,12 +36,16 @@ AdHocNetwork generate_network(const GeneratorConfig& cfg, Rng& rng,
   net.radius = radius;
   net.requested_nodes = cfg.num_nodes;
 
+  // Connectivity first: a rejected placement costs one grid walk (cut
+  // short at its first isolated node) plus union-find, and only the
+  // accepted one becomes a Graph, built from the rows that walk recorded.
   for (std::size_t attempt = 1; attempt <= cfg.max_placement_attempts;
        ++attempt) {
-    net.positions = place_uniform(cfg.num_nodes, cfg.field, rng);
-    net.graph = build_unit_disk_graph_streamed(net.positions, radius, ws.grid);
+    place_uniform_into(cfg.num_nodes, cfg.field, rng, net.positions);
     net.placement_attempts = attempt;
-    if (is_connected(net.graph)) {
+    ws.grid.rebuild(net.positions, radius);
+    if (ws.grid.connected_upper_rows(ws.uf, ws.upper_rows)) {
+      net.graph = graph_from_upper_rows(ws.upper_rows);
       net.connectivity = attempt == 1
                              ? ConnectivityOutcome::kConnectedFirstTry
                              : ConnectivityOutcome::kConnectedAfterRetry;
@@ -54,6 +58,7 @@ AdHocNetwork generate_network(const GeneratorConfig& cfg, Rng& rng,
         "generate_network: no connected placement within attempt budget");
   }
   // Keep the largest connected component of the final placement.
+  net.graph = build_unit_disk_graph_streamed(net.positions, radius, ws.grid);
   const LargestComponent lc = largest_component(net.graph);
   std::vector<Point2> kept;
   kept.reserve(lc.original_ids.size());

@@ -29,7 +29,7 @@ struct GeneratorConfig {
 
   /// Theorem 1 requires a connected G: retry placements up to this many
   /// times, then (if allow_lcc_fallback) keep the largest connected
-  /// component, else throw NotConnected.
+  /// component of the last placement, else throw NotConnected.
   std::size_t max_placement_attempts = 200;
   bool allow_lcc_fallback = true;
 };
@@ -37,11 +37,22 @@ struct GeneratorConfig {
 struct Workspace;
 
 /// Generates a network per \p cfg. Deterministic in (cfg, rng seed).
+///
+/// Each attempt is connectivity first: the placement is drawn in place
+/// (place_uniform's draws, x then y per node), the spatial grid is rebuilt,
+/// and one ascending walk over the grid's pairs unites each node with its
+/// higher-id neighbors (SpatialGrid::connected_upper_rows). The walk rejects
+/// the placement at its first isolated node, or at the end if more than one
+/// component is left. A rejected placement therefore never becomes a Graph;
+/// the accepted one is built once, from the rows that walk recorded
+/// (graph_from_upper_rows), bit-identical to build_unit_disk_graph_streamed
+/// and validated by Graph::from_csr. Uses the calling thread's
+/// tls_workspace().
 AdHocNetwork generate_network(const GeneratorConfig& cfg, Rng& rng);
 
-/// Workspace-backed variant: the unit-disk build streams through ws.grid,
-/// so Monte-Carlo trials of one configuration rebuild the grid in place
-/// instead of re-allocating it per trial. Bit-identical to the plain
+/// Workspace-backed variant: the grid, the union-find and the recorded rows
+/// live in \p ws, so Monte-Carlo trials of one configuration reuse them
+/// instead of re-allocating per placement. Bit-identical to the plain
 /// overload for the same (cfg, rng state).
 AdHocNetwork generate_network(const GeneratorConfig& cfg, Rng& rng,
                               Workspace& ws);

@@ -23,6 +23,7 @@
 #include "khop/common/types.hpp"
 #include "khop/graph/bfs_scratch.hpp"
 #include "khop/graph/spatial_grid.hpp"
+#include "khop/graph/union_find.hpp"
 
 namespace khop {
 
@@ -99,6 +100,10 @@ struct Workspace {
   /// Spatial grid reused across topology builds (Monte-Carlo trials of one
   /// configuration rebuild it in place instead of re-allocating).
   SpatialGrid grid;
+  /// Connectivity-first placement test (generate_network): the union-find
+  /// over the grid's pairs and the upper rows recorded in the same walk.
+  UnionFind uf;
+  UpperRows upper_rows;
 };
 
 /// Lazily-created workspace owned by the calling thread. Reused across calls

@@ -42,7 +42,7 @@ TEST(WorkspaceEquivalenceSlow, ClusteringMatchesReferenceAtScale) {
   }
 }
 
-TEST(BenchHarnessSlow, TimesKernelsAndEmitsSchemaV2Json) {
+TEST(BenchHarnessSlow, TimesKernelsAndEmitsSchemaV3Json) {
   bench::Harness h("test", {2, 0.0});
   const Graph g = random_topology(200, 6.0, 7);
   Workspace ws;
@@ -63,9 +63,15 @@ TEST(BenchHarnessSlow, TimesKernelsAndEmitsSchemaV2Json) {
   EXPECT_TRUE(h.checksum_mismatches().empty());
   EXPECT_GT(h.speedup("clustering", g.num_nodes()), 0.0);
 
-  const std::string json = h.to_json();
+  std::string json = h.to_json();
   EXPECT_NE(json.find("\"schema\": \"khop.bench\""), std::string::npos);
-  EXPECT_NE(json.find("\"schema_version\": 2"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 3"), std::string::npos);
+  EXPECT_NE(json.find("\"provenance\": {\"nproc\": "), std::string::npos);
+  EXPECT_NE(json.find("\"pool_threads\": null"), std::string::npos);
+  EXPECT_NE(json.find("\"git_describe\": \""), std::string::npos);
+  h.set_pool_threads(3);
+  json = h.to_json();
+  EXPECT_NE(json.find("\"pool_threads\": 3,"), std::string::npos);
   EXPECT_NE(json.find("\"allocs_per_rep\""), std::string::npos);
   EXPECT_NE(json.find("\"peak_rss_bytes\""), std::string::npos);
   EXPECT_NE(json.find("\"kernels\""), std::string::npos);

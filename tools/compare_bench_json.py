@@ -22,9 +22,10 @@ comparison entirely — CI uses it for the `parallel` variant, whose wall time
 depends on core count and scheduler noise that normalization cannot cancel.
 
 `parallel` rows are gated only when both files record the same thread count
-(`provenance.pool_threads`, the field of e2ebench's provenance line). The
-khop.bench v1/v2 files record none, so comparing their parallel rows exits
-non-zero and asks for --exclude-variant parallel.
+(`provenance.pool_threads`, the field of e2ebench's provenance line, which
+khop.bench v3 files carry). The v1/v2 files record none, so comparing their
+parallel rows exits non-zero and asks for --exclude-variant parallel; two
+v3 files from the same host gate them like any other row.
 
 Kernels present in only one file are reported but not fatal (trajectories
 gain kernels over time). Exits non-zero on any regression or checksum
@@ -42,8 +43,8 @@ def load(path):
     except (OSError, json.JSONDecodeError) as e:
         sys.exit(f"{path}: unreadable or not JSON ({e})")
     if (doc.get("schema") != "khop.bench"
-            or doc.get("schema_version") not in (1, 2)):
-        sys.exit(f"{path}: not a khop.bench v1/v2 file")
+            or doc.get("schema_version") not in (1, 2, 3)):
+        sys.exit(f"{path}: not a khop.bench v1/v2/v3 file")
     return doc
 
 

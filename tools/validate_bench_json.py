@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Validates a BENCH_*.json file against the khop.bench schema.
 
-Accepts schema versions 1 and 2. Version 2 adds two required per-kernel
-memory columns: allocs_per_rep and peak_rss_bytes.
+Accepts schema versions 1, 2 and 3. Version 2 adds two required per-kernel
+memory columns: allocs_per_rep and peak_rss_bytes. Version 3 adds a required
+provenance object: nproc, pool_threads (an integer, or null for a bench
+without a pool), compiler, build_type and git_describe.
 
 Usage: validate_bench_json.py FILE [FILE...]
 Exits non-zero (printing the first problem) if any file is invalid.
@@ -26,6 +28,13 @@ KERNEL_FIELDS_V2 = {
     "peak_rss_bytes": int,
 }
 SPEEDUP_FIELDS = {"name": str, "n": int, "speedup": (int, float)}
+PROVENANCE_FIELDS = {
+    "nproc": int,
+    "pool_threads": (int, type(None)),
+    "compiler": str,
+    "build_type": str,
+    "git_describe": str,
+}
 REQUIRED_KERNELS = {"bounded_bfs", "clustering", "backbone", "engine_flood"}
 
 
@@ -59,14 +68,21 @@ def validate(path):
     if doc.get("schema") != "khop.bench":
         fail(path, "schema must be 'khop.bench'")
     version = doc.get("schema_version")
-    if version not in (1, 2):
-        fail(path, "schema_version must be 1 or 2")
+    if version not in (1, 2, 3):
+        fail(path, "schema_version must be 1, 2 or 3")
     if not isinstance(doc.get("label"), str) or not doc["label"]:
         fail(path, "label must be a non-empty string")
     if not isinstance(doc.get("kernels"), list) or not doc["kernels"]:
         fail(path, "kernels must be a non-empty array")
     if not isinstance(doc.get("speedups"), list):
         fail(path, "speedups must be an array")
+
+    if version >= 3:
+        if not isinstance(doc.get("provenance"), dict):
+            fail(path, "provenance must be an object")
+        check_rows(path, [doc["provenance"]], PROVENANCE_FIELDS, "provenance")
+        if doc["provenance"]["nproc"] < 1:
+            fail(path, "provenance.nproc must be >= 1")
 
     kernel_fields = KERNEL_FIELDS if version == 1 else KERNEL_FIELDS_V2
     check_rows(path, doc["kernels"], kernel_fields, "kernels")
