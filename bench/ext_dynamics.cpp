@@ -28,11 +28,13 @@
 /// the comparison point and diffs it against the committed trajectory).
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "../examples/cli_args.hpp"
 #include "harness/harness.hpp"
 #include "khop/dynamic/churn_engine.hpp"
 #include "khop/dynamic/churn_reference.hpp"
@@ -58,40 +60,53 @@ struct Options {
   std::uint64_t seed = 20260808;
 };
 
+constexpr const char* kUsage =
+    "usage: bench_ext_dynamics [--out FILE] [--n N] [--events E]\n"
+    "                          [--engine-n N] [--engine-events E]\n"
+    "                          [--audit-every A] [--k K] [--degree D]\n"
+    "                          [--min-seconds S] [--seed S]\n";
+
+[[noreturn]] void usage_error(const std::string& what) {
+  std::cerr << what << "\n" << kUsage;
+  std::exit(2);
+}
+
+/// Every number is parsed whole (examples/cli_args.hpp): a malformed or
+/// out-of-range value, or k = 0, prints the usage and exits 2.
 Options parse_args(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto need_value = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << flag << " requires a value\n";
-        std::exit(2);
-      }
+    const char* arg = argv[i];
+    const auto value = [&]() -> const char* {
+      if (i + 1 >= argc) usage_error(std::string(arg) + " requires a value");
       return argv[++i];
     };
-    if (arg == "--out") {
-      opt.out = need_value("--out");
-    } else if (arg == "--n") {
-      opt.n = std::stoull(need_value("--n"));
-    } else if (arg == "--events") {
-      opt.events = std::stoull(need_value("--events"));
-    } else if (arg == "--engine-n") {
-      opt.engine_n = std::stoull(need_value("--engine-n"));
-    } else if (arg == "--engine-events") {
-      opt.engine_events = std::stoull(need_value("--engine-events"));
-    } else if (arg == "--audit-every") {
-      opt.audit_every = std::stoull(need_value("--audit-every"));
-    } else if (arg == "--k") {
-      opt.k = static_cast<Hops>(std::stoul(need_value("--k")));
-    } else if (arg == "--degree") {
-      opt.degree = std::stod(need_value("--degree"));
-    } else if (arg == "--min-seconds") {
-      opt.min_seconds = std::stod(need_value("--min-seconds"));
-    } else if (arg == "--seed") {
-      opt.seed = std::stoull(need_value("--seed"));
+    const auto number = [&](auto& out) {
+      examples::parse_option_or_exit(arg, value(), kUsage, out);
+    };
+    if (std::strcmp(arg, "--out") == 0) {
+      opt.out = value();
+    } else if (std::strcmp(arg, "--n") == 0) {
+      number(opt.n);
+    } else if (std::strcmp(arg, "--events") == 0) {
+      number(opt.events);
+    } else if (std::strcmp(arg, "--engine-n") == 0) {
+      number(opt.engine_n);
+    } else if (std::strcmp(arg, "--engine-events") == 0) {
+      number(opt.engine_events);
+    } else if (std::strcmp(arg, "--audit-every") == 0) {
+      number(opt.audit_every);
+    } else if (std::strcmp(arg, "--k") == 0) {
+      number(opt.k);
+      if (opt.k == 0) usage_error("--k must be >= 1");
+    } else if (std::strcmp(arg, "--degree") == 0) {
+      number(opt.degree);
+    } else if (std::strcmp(arg, "--min-seconds") == 0) {
+      number(opt.min_seconds);
+    } else if (std::strcmp(arg, "--seed") == 0) {
+      number(opt.seed);
     } else {
-      std::cerr << "unknown argument: " << arg << "\n";
-      std::exit(2);
+      usage_error(std::string("unknown argument: ") + arg);
     }
   }
   return opt;

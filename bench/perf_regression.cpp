@@ -39,7 +39,9 @@
 ///    allocates O(n) — the sweep would be O(n^2)); the topology switches to
 ///    jittered-grid placement with an analytic radius and a deterministic
 ///    radius-bump retry until connected, and the backbone set narrows to
-///    AC-Mesh + G-MST (the flat and global extremes of the five pipelines).
+///    AC-Mesh + G-MST (the flat and global extremes of the five pipelines)
+///    plus AC-LMST (the `backbone` kernel: the pipeline the repository
+///    benchmark's n = 10^6 workload runs), each `workspace` and `parallel`.
 ///    `engine_flood` runs at k=1 to bound per-node discovery state.
 ///
 /// Monte-Carlo generator kernels (`generate_network_d6`, `_d10`): a batch of
@@ -184,10 +186,13 @@ constexpr PipelineKernel kPipelineKernels[] = {
     {Pipeline::kGmst, "backbone_gmst"},
 };
 
-/// The two pipelines retained at n >= kBigN: the cheapest (flat adjacent
-/// cluster mesh) and the most global (gateway MST over the cluster graph).
+/// The pipelines retained at n >= kBigN: the cheapest (flat adjacent
+/// cluster mesh), the most global (gateway MST over the cluster graph) and
+/// the paper's AC-LMST, whose serial (workspace) and pooled (parallel) rows
+/// at scale price the head-block LMST kernels against the serial ones.
 bool benched_at_big_n(Pipeline p) {
-  return p == Pipeline::kAcMesh || p == Pipeline::kGmst;
+  return p == Pipeline::kAcMesh || p == Pipeline::kGmst ||
+         p == Pipeline::kAcLmst;
 }
 
 /// Million-node topology: jittered-grid placement (one node per unit cell,

@@ -24,41 +24,30 @@ std::vector<NodeId> Clustering::cluster_members(std::uint32_t c) const {
 
 namespace {
 
-/// One declaration heard this round: undecided node \p v heard head \p head
-/// at hop distance \p dist. The round's declarations live in one flat vector
-/// (winner-major fill order, then grouped by v) instead of the former
-/// vector-of-vectors `heard[v]` — at n = 10^6 the n vector headers alone
-/// were 24 MB of zeroed memory per call.
+/// One declaration heard this round under the size-based rule: undecided
+/// node \p v heard head \p head at hop distance \p dist. The round's
+/// declarations live in one flat vector (winner-major fill order, then
+/// grouped by v).
 struct Candidate {
   NodeId v = kInvalidNode;
   NodeId head = kInvalidNode;
   Hops dist = kUnreachable;
 };
 
-/// Picks among one node's candidates per the affiliation rule.
-/// \p cluster_sizes maps head -> current member count (size-based rule only;
-/// empty otherwise and never read).
-NodeId pick_cluster(std::span<const Candidate> cands, AffiliationRule rule,
-                    const std::vector<std::size_t>& cluster_sizes) {
+/// The size-based pick among one node's candidates: the currently smallest
+/// cluster, ties broken by distance, then head id. \p cluster_sizes maps
+/// head -> current member count.
+const Candidate& pick_smallest(std::span<const Candidate> cands,
+                               const std::vector<std::size_t>& cluster_sizes) {
   KHOP_ASSERT(!cands.empty(), "node heard no declarations");
   const Candidate* best = &cands.front();
   for (const Candidate& c : cands) {
-    bool better = false;
-    switch (rule) {
-      case AffiliationRule::kIdBased:
-        better = c.head < best->head;
-        break;
-      case AffiliationRule::kDistanceBased:
-        better = std::tuple(c.dist, c.head) < std::tuple(best->dist, best->head);
-        break;
-      case AffiliationRule::kSizeBased:
-        better = std::tuple(cluster_sizes[c.head], c.dist, c.head) <
-                 std::tuple(cluster_sizes[best->head], best->dist, best->head);
-        break;
+    if (std::tuple(cluster_sizes[c.head], c.dist, c.head) <
+        std::tuple(cluster_sizes[best->head], best->dist, best->head)) {
+      best = &c;
     }
-    if (better) best = &c;
   }
-  return best->head;
+  return *best;
 }
 
 }  // namespace
@@ -114,6 +103,7 @@ Clustering khop_clustering(const Graph& g, Hops k,
 
   // Round-scoped buffers, hoisted so rounds reuse their capacity.
   std::vector<NodeId> winners;
+  std::vector<NodeId> claimed;
   std::vector<Candidate> declared;
 
   while (undecided > 0) {
@@ -145,9 +135,48 @@ Clustering khop_clustering(const Graph& g, Hops k,
     }
     KHOP_ASSERT(!winners.empty(), "no winner in a round");
 
-    // Phase B - winners declare; undecided nodes within k hops collect the
-    // declarations they hear this round, filled winner-major (ascending
-    // winner id) into the flat `declared` vector.
+    if (rule != AffiliationRule::kSizeBased) {
+      // Phase B - winners declare, and undecided nodes within k hops
+      // affiliate as the declarations arrive. Every winner is marked (head
+      // of itself, rank untouched) before any searches, so a search that
+      // reaches another same-round winner is caught: same-round winners
+      // must be mutually > k hops apart, otherwise one would have seen the
+      // other's better priority. Winners search in ascending id order, so
+      // the first claim on a node is the id rule's pick; the distance rule
+      // moves a claim only to a strictly nearer head.
+      for (NodeId w : winners) {
+        result.head_of[w] = w;
+        result.dist_to_head[w] = 0;
+      }
+      claimed.clear();
+      for (NodeId w : winners) {
+        ws.bfs.run(g, w, k);
+        for (NodeId v : ws.bfs.reached()) {
+          if (v == w || decided(v)) continue;
+          const NodeId h = result.head_of[v];
+          KHOP_ASSERT(h != v, "two same-round winners within k hops");
+          const Hops d = ws.bfs.dist(v);
+          if (h == kInvalidNode) {
+            claimed.push_back(v);
+          } else if (rule == AffiliationRule::kIdBased ||
+                     d >= result.dist_to_head[v]) {
+            continue;  // the earlier claim stands
+          }
+          result.head_of[v] = w;
+          result.dist_to_head[v] = d;
+        }
+      }
+      for (NodeId w : winners) decide(w, w, 0);
+      result.heads.insert(result.heads.end(), winners.begin(), winners.end());
+      for (NodeId v : claimed) {
+        decide(v, result.head_of[v], result.dist_to_head[v]);
+      }
+      continue;
+    }
+
+    // Size-based rule. Phase B - winners declare; undecided nodes within k
+    // hops collect the declarations they hear this round, filled
+    // winner-major (ascending winner id) into the flat `declared` vector.
     declared.clear();
     for (NodeId w : winners) {
       decide(w, w, 0);
@@ -174,29 +203,29 @@ Clustering khop_clustering(const Graph& g, Hops k,
       const NodeId v = declared[i].v;
       std::size_t j = i;
       while (j < declared.size() && declared[j].v == v) ++j;
-      // Same-round winners must be mutually > k hops apart (otherwise one
-      // would have seen the other's better priority), so no declaration may
-      // target an already-decided node — at this point, exactly the winners.
+      // No declaration may target an already-decided node — at this point,
+      // exactly the winners.
       KHOP_ASSERT(!decided(v), "two same-round winners within k hops");
-      const std::span<const Candidate> cands{declared.data() + i, j - i};
-      const NodeId h = pick_cluster(cands, rule, cluster_sizes);
-      decide(v, h,
-             std::find_if(cands.begin(), cands.end(),
-                          [&](const Candidate& c) { return c.head == h; })
-                 ->dist);
+      const Candidate& pick = pick_smallest({declared.data() + i, j - i},
+                                            cluster_sizes);
+      decide(v, pick.head, pick.dist);
       i = j;
     }
   }
 
+  // cluster_of through a head -> cluster index array in the order buffer,
+  // which the election no longer needs.
   std::sort(result.heads.begin(), result.heads.end());
-  result.cluster_of.assign(n, 0);
+  std::vector<NodeId>& index_of = ws.node_buf;
+  std::fill_n(index_of.begin(), n, kInvalidNode);
+  for (std::size_t i = 0; i < result.heads.size(); ++i) {
+    index_of[result.heads[i]] = static_cast<NodeId>(i);
+  }
   for (NodeId v = 0; v < n; ++v) {
-    const auto it = std::lower_bound(result.heads.begin(), result.heads.end(),
-                                     result.head_of[v]);
-    KHOP_ASSERT(it != result.heads.end() && *it == result.head_of[v],
+    const NodeId h = result.head_of[v];
+    KHOP_ASSERT(h < n && index_of[h] != kInvalidNode,
                 "head_of references a non-head");
-    result.cluster_of[v] =
-        static_cast<std::uint32_t>(std::distance(result.heads.begin(), it));
+    result.cluster_of[v] = index_of[h];
   }
   span.arg("rounds", static_cast<std::int64_t>(result.election_rounds));
   span.arg("heads", static_cast<std::int64_t>(result.heads.size()));

@@ -61,6 +61,14 @@ Clustering khop_clustering(const Graph& g, Hops k,
 /// workspace per thread; see khop/runtime/workspace.hpp). Output is
 /// bit-identical to the overload above, which forwards here with the calling
 /// thread's tls_workspace().
+///
+/// Under kIdBased and kDistanceBased, members affiliate while the round's
+/// winners search, in ascending winner order: the first claim on a node is
+/// the id rule's pick, and the distance rule moves a claim only to a
+/// strictly nearer head, so no declaration list is kept or sorted.
+/// kSizeBased collects each round's declarations and affiliates them in
+/// ascending node order, the order its greedy is defined in. cluster_of is
+/// filled through a head -> index array in \p ws.
 Clustering khop_clustering(const Graph& g, Hops k,
                            const std::vector<PriorityKey>& priorities,
                            AffiliationRule rule, Workspace& ws);

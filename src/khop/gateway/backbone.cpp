@@ -116,8 +116,8 @@ Backbone build_backbone_impl(const Graph& g, const Clustering& c,
     // horizon-3 sweeps); their pairs all sit within 2k+1 hops, so link
     // extraction runs horizon-bounded.
     obs::Span sel_span("backbone/select_neighbors");
-    sel = select_neighbors(g, c, spec.neighbor_rule,
-                           pool != nullptr ? tls_workspace() : *ws);
+    sel = pool != nullptr ? select_neighbors(g, c, spec.neighbor_rule, *pool)
+                          : select_neighbors(g, c, spec.neighbor_rule, *ws);
     sel_span.arg("head_pairs", static_cast<std::int64_t>(sel.head_pairs.size()));
     const Hops horizon = 2 * c.k + 1;
     obs::Span links_span("backbone/extract_links");
@@ -137,7 +137,10 @@ Backbone build_backbone_impl(const Graph& g, const Clustering& c,
       b.gateways = std::move(r.gateways);
       b.virtual_links = std::move(r.kept_links);
     } else {
-      LmstResult r = lmst_gateways(c, sel, links, spec.lmst_keep);
+      LmstResult r =
+          pool != nullptr
+              ? lmst_gateways(c, sel, links, spec.lmst_keep, *pool)
+              : lmst_gateways(c, sel, links, spec.lmst_keep, *ws);
       b.gateways = std::move(r.gateways);
       b.virtual_links = std::move(r.kept_links);
     }

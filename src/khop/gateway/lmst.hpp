@@ -93,10 +93,32 @@ struct LmstResult {
 };
 
 /// Runs LMSTGA on the given neighbor selection: LmstKernel for every head,
-/// then the keep rule and the gateway marking.
-/// \pre every selected pair has a virtual link in \p links
+/// then the keep rule and the gateway marking. The kernels read the pair
+/// distances from a flat table built once per call, one row per head
+/// holding (b, hops) ascending for each selected pair {a, b} with a < b.
+/// \pre every selected pair has a virtual link in \p links, and both of
+///      its endpoints are heads (checked: throws InvalidArgument)
 LmstResult lmst_gateways(const Clustering& c, const NeighborSelection& sel,
                          const VirtualLinkMap& links,
                          LmstKeepRule keep = LmstKeepRule::kEitherEndpoint);
+
+struct Workspace;
+class ThreadPool;
+
+/// Workspace variant: the pair table lives in \p ws, so repeated calls do
+/// not allocate it. Bit-identical; the overload above forwards here with
+/// the calling thread's tls_workspace().
+LmstResult lmst_gateways(const Clustering& c, const NeighborSelection& sel,
+                         const VirtualLinkMap& links, LmstKeepRule keep,
+                         Workspace& ws);
+
+/// Pool variant, bit-identical to the serial overloads: each block of
+/// contiguous head indices runs its own LmstKernel on \p pool, and the
+/// blocks' keep decisions are concatenated in head order before the keep
+/// rule and the gateway marking run on the calling thread. A throwing head
+/// raises the exception the serial loop would raise first.
+LmstResult lmst_gateways(const Clustering& c, const NeighborSelection& sel,
+                         const VirtualLinkMap& links, LmstKeepRule keep,
+                         ThreadPool& pool);
 
 }  // namespace khop

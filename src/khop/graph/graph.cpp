@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "khop/common/assert.hpp"
+#include "khop/runtime/thread_pool.hpp"
 
 namespace khop {
 
@@ -58,8 +59,8 @@ Graph Graph::from_edges(std::size_t n,
   return g;
 }
 
-Graph Graph::from_csr(std::vector<std::size_t> offsets,
-                      std::vector<NodeId> adjacency) {
+Graph Graph::adopt_csr(std::vector<std::size_t> offsets,
+                       std::vector<NodeId> adjacency) {
   KHOP_REQUIRE(!offsets.empty(), "CSR offsets must have n+1 entries");
   const std::size_t n = offsets.size() - 1;
   check_node_count(n);
@@ -74,17 +75,39 @@ Graph Graph::from_csr(std::vector<std::size_t> offsets,
   Graph g(n);
   g.offsets_ = std::move(offsets);
   g.adjacency_ = std::move(adjacency);
-  for (NodeId u = 0; u < static_cast<NodeId>(n); ++u) {
-    const auto row = g.neighbors(u);
-    for (std::size_t j = 0; j < row.size(); ++j) {
-      const NodeId v = row[j];
-      KHOP_REQUIRE(v < n, "CSR neighbor out of range");
-      KHOP_REQUIRE(v != u, "self-loops are not allowed");
-      KHOP_REQUIRE(j == 0 || row[j - 1] < v,
-                   "CSR rows must be strictly ascending");
-      KHOP_REQUIRE(g.has_edge(v, u), "CSR adjacency must be symmetric");
-    }
+  return g;
+}
+
+void Graph::check_csr_row(NodeId u) const {
+  const std::size_t n = num_nodes();
+  const auto row = neighbors(u);
+  for (std::size_t j = 0; j < row.size(); ++j) {
+    const NodeId v = row[j];
+    KHOP_REQUIRE(v < n, "CSR neighbor out of range");
+    KHOP_REQUIRE(v != u, "self-loops are not allowed");
+    KHOP_REQUIRE(j == 0 || row[j - 1] < v,
+                 "CSR rows must be strictly ascending");
+    KHOP_REQUIRE(has_edge(v, u), "CSR adjacency must be symmetric");
   }
+}
+
+Graph Graph::from_csr(std::vector<std::size_t> offsets,
+                      std::vector<NodeId> adjacency) {
+  Graph g = adopt_csr(std::move(offsets), std::move(adjacency));
+  for (NodeId u = 0; u < static_cast<NodeId>(g.num_nodes()); ++u) {
+    g.check_csr_row(u);
+  }
+  return g;
+}
+
+Graph Graph::from_csr(std::vector<std::size_t> offsets,
+                      std::vector<NodeId> adjacency, ThreadPool& pool) {
+  Graph g = adopt_csr(std::move(offsets), std::move(adjacency));
+  // Rows are checked independently; the lowest failing row's exception is
+  // the one the ascending serial loop raises first.
+  parallel_for_throwing(pool, g.num_nodes(), [&g](std::size_t u) {
+    g.check_csr_row(static_cast<NodeId>(u));
+  });
   return g;
 }
 

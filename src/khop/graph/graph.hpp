@@ -15,6 +15,8 @@
 
 namespace khop {
 
+class ThreadPool;
+
 /// Immutable undirected simple graph (no self-loops, no multi-edges).
 class Graph {
  public:
@@ -34,6 +36,13 @@ class Graph {
   /// (v in row(u) iff u in row(v)). Throws InvalidArgument otherwise.
   static Graph from_csr(std::vector<std::size_t> offsets,
                         std::vector<NodeId> adjacency);
+
+  /// Pool variant of from_csr: the O(n) offset checks run serially, the
+  /// per-row checks (range, self-loop, ascending, symmetry) over row blocks
+  /// on \p pool. A malformed input throws the same exception, message
+  /// included, as the serial overload: the lowest failing row's.
+  static Graph from_csr(std::vector<std::size_t> offsets,
+                        std::vector<NodeId> adjacency, ThreadPool& pool);
 
   /// Number of vertices.
   std::size_t num_nodes() const noexcept { return offsets_.size() - 1; }
@@ -63,6 +72,13 @@ class Graph {
   std::vector<NodeId> adjacency_;     // grouped by source, each group sorted
 
   void check_node(NodeId u) const;
+
+  /// from_csr's header and offset checks; adopts the arrays with their
+  /// rows not yet checked.
+  static Graph adopt_csr(std::vector<std::size_t> offsets,
+                         std::vector<NodeId> adjacency);
+  /// from_csr's checks of row \p u; throws InvalidArgument on a violation.
+  void check_csr_row(NodeId u) const;
 };
 
 }  // namespace khop

@@ -238,6 +238,9 @@ Graph build_unit_disk_graph_streamed(const std::vector<Point2>& pts,
       fill_range(t * tile, std::min(n, (t + 1) * tile));
     });
   }
+  if (pool != nullptr) {
+    return Graph::from_csr(std::move(offsets), std::move(adjacency), *pool);
+  }
   return Graph::from_csr(std::move(offsets), std::move(adjacency));
 }
 

@@ -112,7 +112,8 @@ Graph build_unit_disk_graph(const std::vector<Point2>& pts, double radius);
 /// (pts, radius) and emits the CSR rows per node. With \p pool non-null the
 /// counting and placement passes run tile-parallel over contiguous id
 /// blocks (rows are written to disjoint CSR slots, so the merge is the
-/// deterministic ascending-id order of the offsets themselves).
+/// deterministic ascending-id order of the offsets themselves), and so
+/// does Graph::from_csr's validation of the result.
 Graph build_unit_disk_graph_streamed(const std::vector<Point2>& pts,
                                      double radius, SpatialGrid& grid,
                                      ThreadPool* pool = nullptr);

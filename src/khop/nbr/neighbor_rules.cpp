@@ -3,26 +3,41 @@
 #include <algorithm>
 
 #include "khop/common/assert.hpp"
+#include "khop/runtime/thread_pool.hpp"
 #include "khop/runtime/workspace.hpp"
 
 namespace khop {
+
+namespace {
+
+using ClusterPair = std::pair<std::uint32_t, std::uint32_t>;
+
+/// Appends the cluster-index pair (min, max) of every cross-cluster edge
+/// {u, v}, u < v, with u in [begin, end); then sorts and dedupes \p out.
+void cross_cluster_pairs(const Graph& g, const Clustering& c,
+                         std::size_t begin, std::size_t end,
+                         std::vector<ClusterPair>& out) {
+  for (auto u = static_cast<NodeId>(begin); u < end; ++u) {
+    const std::uint32_t cu = c.cluster_of[u];
+    for (NodeId v : g.neighbors(u)) {
+      if (u >= v) continue;
+      const std::uint32_t cv = c.cluster_of[v];
+      if (cu != cv) out.emplace_back(std::min(cu, cv), std::max(cu, cv));
+    }
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+}
+
+}  // namespace
 
 std::vector<std::pair<std::uint32_t, std::uint32_t>> adjacent_cluster_pairs(
     const Graph& g, const Clustering& c) {
   // Flat vector + sort/unique instead of a std::set: this sits on the AC
   // pipeline and ANCR protocol hot path, and the cross-edge stream is cheap
   // to buffer (<= m entries) but expensive to feed through a red-black tree.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    const std::uint32_t cu = c.cluster_of[u];
-    for (NodeId v : g.neighbors(u)) {
-      if (u >= v) continue;
-      const std::uint32_t cv = c.cluster_of[v];
-      if (cu != cv) pairs.emplace_back(std::min(cu, cv), std::max(cu, cv));
-    }
-  }
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  std::vector<ClusterPair> pairs;
+  cross_cluster_pairs(g, c, 0, g.num_nodes(), pairs);
   return pairs;
 }
 
@@ -61,11 +76,12 @@ NeighborSelection select_nc(const Graph& g, const Clustering& c,
   return finalize_selection(std::move(sel));
 }
 
-NeighborSelection select_ancr(const Graph& g, const Clustering& c) {
+NeighborSelection select_ancr(const Clustering& c,
+                              const std::vector<ClusterPair>& adjacent) {
   NeighborSelection sel;
   sel.rule = NeighborRule::kAdjacent;
   sel.selected.resize(c.heads.size());
-  for (const auto& [ci, cj] : adjacent_cluster_pairs(g, c)) {
+  for (const auto& [ci, cj] : adjacent) {
     const NodeId hi = c.heads[ci];
     const NodeId hj = c.heads[cj];
     sel.selected[ci].push_back(hj);
@@ -110,7 +126,7 @@ NeighborSelection select_neighbors(const Graph& g, const Clustering& c,
     case NeighborRule::kAllWithin2k1:
       return select_nc(g, c, ws);
     case NeighborRule::kAdjacent:
-      return select_ancr(g, c);
+      return select_ancr(c, adjacent_cluster_pairs(g, c));
     case NeighborRule::kWuLou25:
       return select_wulou(g, c, ws);
   }
@@ -121,6 +137,24 @@ NeighborSelection select_neighbors(const Graph& g, const Clustering& c,
 NeighborSelection select_neighbors(const Graph& g, const Clustering& c,
                                    NeighborRule rule) {
   return select_neighbors(g, c, rule, tls_workspace());
+}
+
+NeighborSelection select_neighbors(const Graph& g, const Clustering& c,
+                                   NeighborRule rule, ThreadPool& pool) {
+  if (rule != NeighborRule::kAdjacent) {
+    return select_neighbors(g, c, rule, tls_workspace());
+  }
+  KHOP_REQUIRE(!c.heads.empty(), "clustering has no heads");
+  // Each block collects, sorts and dedupes the pairs of its node range; the
+  // merge sorts and dedupes again, which yields the serial pair list.
+  std::vector<ClusterPair> pairs = parallel_concat<ClusterPair>(
+      pool, g.num_nodes(),
+      [&](std::size_t begin, std::size_t end, std::vector<ClusterPair>& out) {
+        cross_cluster_pairs(g, c, begin, end, out);
+      });
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  return select_ancr(c, pairs);
 }
 
 }  // namespace khop

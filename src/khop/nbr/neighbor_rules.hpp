@@ -47,6 +47,15 @@ struct Workspace;
 NeighborSelection select_neighbors(const Graph& g, const Clustering& c,
                                    NeighborRule rule, Workspace& ws);
 
+class ThreadPool;
+
+/// Pool variant, bit-identical to the overloads above. For kAdjacent the
+/// cross-cluster edge scan runs over node blocks on \p pool, each block
+/// sorting and deduping its pairs before a final merge; the other rules
+/// run the workspace path on the calling thread's tls_workspace().
+NeighborSelection select_neighbors(const Graph& g, const Clustering& c,
+                                   NeighborRule rule, ThreadPool& pool);
+
 /// Cluster-index pairs (ci < cj) whose clusters are adjacent per Definition 2
 /// (some edge of G joins a node of one to a node of the other).
 std::vector<std::pair<std::uint32_t, std::uint32_t>> adjacent_cluster_pairs(

@@ -8,6 +8,7 @@
 /// the hot path allocation-light.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -75,5 +76,29 @@ void parallel_for(ThreadPool& pool, std::size_t count,
 /// an exception escape a worker and terminate.)
 void parallel_for_throwing(ThreadPool& pool, std::size_t count,
                            const std::function<void(std::size_t)>& fn);
+
+/// Runs fill(lo, hi, out) over contiguous blocks of [0, count), four per
+/// worker, each block appending to its own vector, and returns the blocks'
+/// vectors concatenated in block order — for an order-preserving fill, the
+/// sequence one fill(0, count, out) call appends, at any thread count.
+/// Exceptions as in parallel_for_throwing: the lowest block's is rethrown.
+template <typename T, typename Fill>
+std::vector<T> parallel_concat(ThreadPool& pool, std::size_t count,
+                               Fill&& fill) {
+  const std::size_t blocks = std::max<std::size_t>(
+      1, std::min(count, pool.num_threads() * 4));
+  std::vector<std::vector<T>> parts(blocks);
+  parallel_for_throwing(pool, blocks, [&](std::size_t b) {
+    fill(count * b / blocks, count * (b + 1) / blocks, parts[b]);
+  });
+  std::size_t total = 0;
+  for (const auto& part : parts) total += part.size();
+  std::vector<T> out;
+  out.reserve(total);
+  for (const auto& part : parts) {
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  return out;
+}
 
 }  // namespace khop

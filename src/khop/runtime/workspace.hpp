@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "khop/common/types.hpp"
@@ -85,6 +86,16 @@ class EpochFlags {
   std::vector<std::uint32_t> stamp_;
 };
 
+/// LMSTGA's selected-pair distance table (gateway/lmst.cpp): row r holds
+/// (b, hops), b ascending, for every selected pair (a, b) whose smaller
+/// endpoint a is heads[r], i.e. the cluster index cluster_of[a].
+struct PairHopRows {
+  std::vector<std::size_t> offsets;
+  std::vector<std::pair<NodeId, Hops>> entries;
+  /// Sorted, deduplicated copy of a non-canonical head_pairs input.
+  std::vector<std::pair<NodeId, NodeId>> canonical;
+};
+
 /// The per-thread scratch bundle threaded through the hot paths.
 struct Workspace {
   /// Primary BFS scratch (clustering election, neighbor rules, floods).
@@ -104,6 +115,8 @@ struct Workspace {
   /// over the grid's pairs and the upper rows recorded in the same walk.
   UnionFind uf;
   UpperRows upper_rows;
+  /// The pair table lmst_gateways builds once per call.
+  PairHopRows lmst_pairs;
 };
 
 /// Lazily-created workspace owned by the calling thread. Reused across calls
