@@ -77,6 +77,10 @@ ChurnEngine::ChurnEngine(const Graph& g0, Hops k, Pipeline pipeline,
     sel_[heads_[i]] = sel0.selected[i];
   }
   links_ = VirtualLinkMap::build_bounded(g0, sel0.head_pairs, horizon_, ws_);
+  // Same contract as a restored engine: cluster_of and election_rounds
+  // describe the initial election only and would go stale under churn.
+  c_.cluster_of.clear();
+  c_.election_rounds = 0;
   path_refs_.assign(g_.capacity(), 0);
   dirty_ = heads_;
   combine();
@@ -246,6 +250,7 @@ void ChurnEngine::drop_dead_head(NodeId h) {
 }
 
 ChurnEventReport ChurnEngine::apply(const ChurnEvent& e) {
+  check_event(g_, e);  // before anything is counted or changed
   ChurnEventReport report;
   stats_.note_event(e.type);
   obs::Span span("churn/event");
@@ -254,27 +259,10 @@ ChurnEventReport ChurnEngine::apply(const ChurnEvent& e) {
   affected_H_.clear();
   touched_.begin(g_.capacity());
 
-  // Validation + structural no-op detection (before any state changes).
-  switch (e.type) {
-    case ChurnEventType::kFail:
-      KHOP_REQUIRE(g_.alive(e.a), "failure event names a dead node");
-      break;
-    case ChurnEventType::kJoin:
-      KHOP_REQUIRE(!g_.alive(e.a), "join event names an alive node");
-      for (NodeId w : e.neighbors) {
-        KHOP_REQUIRE(g_.alive(w), "join neighbor must be alive");
-      }
-      break;
-    case ChurnEventType::kLinkDown:
-      KHOP_REQUIRE(g_.alive(e.a) && g_.alive(e.b),
-                   "link event endpoints must be alive");
-      report.structural_noop = !g_.has_edge(e.a, e.b);
-      break;
-    case ChurnEventType::kLinkUp:
-      KHOP_REQUIRE(g_.alive(e.a) && g_.alive(e.b),
-                   "link event endpoints must be alive");
-      report.structural_noop = g_.has_edge(e.a, e.b);
-      break;
+  if (e.type == ChurnEventType::kLinkDown) {
+    report.structural_noop = !g_.has_edge(e.a, e.b);
+  } else if (e.type == ChurnEventType::kLinkUp) {
+    report.structural_noop = g_.has_edge(e.a, e.b);
   }
   if (report.structural_noop) {
     ++stats_.noop_events;

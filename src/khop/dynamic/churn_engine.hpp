@@ -119,7 +119,8 @@ struct ChurnStats : ChurnCounters {
   ChurnCounters published;
 
   /// Counts one incoming event of \p type (the single accounting point for
-  /// the per-type counters; called before any state mutation).
+  /// the per-type counters; called once the event is checked, before any
+  /// state mutation).
   void note_event(ChurnEventType type) noexcept;
 
   /// Folds one event's repair summary into the cumulative counters.
@@ -172,7 +173,9 @@ class ChurnEngine {
   static ChurnEngine restore(ChurnEngineRestore r,
                              ChurnEngineOptions opts = {});
 
-  /// Applies one topology event and repairs clustering + backbone.
+  /// Applies one topology event and repairs clustering + backbone. The
+  /// event is checked first (check_event): a rejected event throws
+  /// InvalidArgument and changes nothing, its counters included.
   ChurnEventReport apply(const ChurnEvent& e);
 
   /// Applies every event of \p trace; audits every opts.audit_every events
@@ -192,7 +195,9 @@ class ChurnEngine {
   Pipeline pipeline() const noexcept { return pipeline_; }
 
   /// Live clustering. heads/head_of/dist_to_head are maintained exactly;
-  /// cluster_of is NOT maintained under churn (use head_of).
+  /// cluster_of is empty and election_rounds 0 (neither is maintained under
+  /// churn; use head_of), in a fresh and a restored engine alike. Functions
+  /// that index cluster_of, such as select_neighbors, reject it.
   const Clustering& clustering() const noexcept { return c_; }
   const Backbone& backbone() const noexcept { return backbone_; }
   std::size_t num_components() const noexcept { return num_components_; }

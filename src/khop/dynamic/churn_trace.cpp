@@ -10,7 +10,49 @@
 
 namespace khop {
 
+namespace {
+
+/// True iff \p ids repeats a value. O(d) on the sorted lists traces emit.
+bool has_duplicate(const std::vector<NodeId>& ids) {
+  if (std::is_sorted(ids.begin(), ids.end())) {
+    return std::adjacent_find(ids.begin(), ids.end()) != ids.end();
+  }
+  std::vector<NodeId> sorted(ids);
+  std::sort(sorted.begin(), sorted.end());
+  return std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end();
+}
+
+}  // namespace
+
+void check_event(const DynamicGraph& g, const ChurnEvent& e) {
+  const std::size_t n = g.capacity();
+  KHOP_REQUIRE(e.a < n, "churn event node id out of range");
+  switch (e.type) {
+    case ChurnEventType::kFail:
+      KHOP_REQUIRE(g.alive(e.a), "failure event names a dead node");
+      return;
+    case ChurnEventType::kJoin:
+      KHOP_REQUIRE(!g.alive(e.a), "join event names an alive node");
+      for (NodeId w : e.neighbors) {
+        KHOP_REQUIRE(w < n, "join neighbor id out of range");
+        KHOP_REQUIRE(w != e.a, "join neighbor names the joining node");
+        KHOP_REQUIRE(g.alive(w), "join neighbor must be alive");
+      }
+      KHOP_REQUIRE(!has_duplicate(e.neighbors), "duplicate join neighbor");
+      return;
+    case ChurnEventType::kLinkDown:
+    case ChurnEventType::kLinkUp:
+      KHOP_REQUIRE(e.b < n, "churn event node id out of range");
+      KHOP_REQUIRE(e.a != e.b, "link event is a self-link");
+      KHOP_REQUIRE(g.alive(e.a) && g.alive(e.b),
+                   "link event endpoints must be alive");
+      return;
+  }
+  KHOP_REQUIRE(false, "unknown churn event type");
+}
+
 bool apply_event(DynamicGraph& g, const ChurnEvent& e) {
+  check_event(g, e);
   switch (e.type) {
     case ChurnEventType::kFail:
       g.remove_node(e.a);

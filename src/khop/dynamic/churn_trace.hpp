@@ -42,10 +42,18 @@ struct ChurnEvent {
   std::vector<NodeId> neighbors;  ///< join events: links of the revived node
 };
 
-/// Applies \p e to \p g. The single mutation path shared by the trace
-/// generator, the churn engine, and the reference maintainer, so all three
-/// always see identical topology sequences. Returns false when the event is
-/// a structural no-op (link already in the requested state).
+/// Throws InvalidArgument unless \p e is applicable to \p g: every id in
+/// range; a failure names an alive node and a join a dead one; link
+/// endpoints alive and distinct; join neighbors alive, distinct and != a.
+/// Every entry point calls it before any side effect, so a rejected event
+/// changes, counts and logs nothing.
+void check_event(const DynamicGraph& g, const ChurnEvent& e);
+
+/// Applies \p e to \p g after check_event, so it changes all or nothing.
+/// The single mutation path shared by the trace generator, the churn engine,
+/// and the reference maintainer, so all three always see identical topology
+/// sequences. Returns false when the event is a structural no-op (link
+/// already in the requested state).
 bool apply_event(DynamicGraph& g, const ChurnEvent& e);
 
 struct ChurnTraceConfig {

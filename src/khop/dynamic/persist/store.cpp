@@ -123,6 +123,9 @@ DurableChurnEngine DurableChurnEngine::create(const Graph& g0, Hops k,
 }
 
 ChurnEventReport DurableChurnEngine::apply(const ChurnEvent& e) {
+  // A rejected event must not reach the WAL: every later recover() would
+  // replay it and throw.
+  check_event(engine_.graph(), e);
   wal_.append(e);  // durability first: the event outlives the process
   ChurnEventReport report = engine_.apply(e);
   ++cursor_;

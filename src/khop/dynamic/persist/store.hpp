@@ -11,6 +11,8 @@
 ///   wal-<cursor>.khwal    events from that cursor until the next snapshot
 ///
 /// Write protocol:
+///   check_event   -> a rejected event throws before anything is written,
+///                    so the WAL holds only events the engine accepted
 ///   append(event) -> active WAL (flushed every wal_flush_every records)
 ///   apply(event)  -> engine
 ///   every snapshot_every events: encode state -> snap-*.tmp -> fsync-free
@@ -80,8 +82,9 @@ class DurableChurnEngine {
                                     DurabilityOptions dopts = {},
                                     ChurnEngineOptions eopts = {});
 
-  /// WAL-append (durability first), then engine apply, then auto-snapshot
-  /// at the snapshot_every boundary.
+  /// check_event, then WAL-append (durability first), then engine apply,
+  /// then auto-snapshot at the snapshot_every boundary. A rejected event
+  /// throws InvalidArgument before it is logged.
   ChurnEventReport apply(const ChurnEvent& e);
 
   /// Writes a snapshot at the current cursor, rotates the WAL, retires

@@ -96,13 +96,18 @@ void DynamicGraph::add_node(NodeId u, std::span<const NodeId> nbrs) {
   check_node(u);
   KHOP_REQUIRE(alive_[u] == 0, "cannot revive an alive node");
   KHOP_ASSERT(adj_[u].empty(), "dead node with edges");
-  for (NodeId w : nbrs) {
+  // Check every neighbor before inserting any: a rejected join leaves the
+  // graph untouched.
+  std::vector<NodeId> sorted(nbrs.begin(), nbrs.end());
+  std::sort(sorted.begin(), sorted.end());
+  for (NodeId w : sorted) {
     KHOP_REQUIRE(w != u, "self-loops are not allowed");
     KHOP_REQUIRE(alive(w), "join neighbor must be alive");
-    const bool inserted = sorted_insert(adj_[u], w);
-    KHOP_REQUIRE(inserted, "duplicate join neighbor");
-    sorted_insert(adj_[w], u);
   }
+  KHOP_REQUIRE(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
+               "duplicate join neighbor");
+  for (NodeId w : sorted) sorted_insert(adj_[w], u);
+  adj_[u] = std::move(sorted);
   num_edges_ += adj_[u].size();
   alive_[u] = 1;
   ++num_alive_;

@@ -64,7 +64,9 @@ class DynamicGraph {
   /// \pre alive(u)
   std::vector<NodeId> remove_node(NodeId u);
 
-  /// Revives dead node \p u with links to \p nbrs.
+  /// Revives dead node \p u with links to \p nbrs. Every precondition is
+  /// checked before the first edge is inserted, so a violation changes
+  /// nothing.
   /// \pre !alive(u); nbrs alive, unique, != u
   void add_node(NodeId u, std::span<const NodeId> nbrs);
 

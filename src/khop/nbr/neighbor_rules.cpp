@@ -122,6 +122,8 @@ NeighborSelection select_wulou(const Graph& g, const Clustering& c,
 NeighborSelection select_neighbors(const Graph& g, const Clustering& c,
                                    NeighborRule rule, Workspace& ws) {
   KHOP_REQUIRE(!c.heads.empty(), "clustering has no heads");
+  KHOP_REQUIRE(c.cluster_of.size() == g.num_nodes(),
+               "clustering has no cluster_of for this graph");
   switch (rule) {
     case NeighborRule::kAllWithin2k1:
       return select_nc(g, c, ws);
@@ -145,6 +147,8 @@ NeighborSelection select_neighbors(const Graph& g, const Clustering& c,
     return select_neighbors(g, c, rule, tls_workspace());
   }
   KHOP_REQUIRE(!c.heads.empty(), "clustering has no heads");
+  KHOP_REQUIRE(c.cluster_of.size() == g.num_nodes(),
+               "clustering has no cluster_of for this graph");
   // Each block collects, sorts and dedupes the pairs of its node range; the
   // merge sorts and dedupes again, which yields the serial pair list.
   std::vector<ClusterPair> pairs = parallel_concat<ClusterPair>(

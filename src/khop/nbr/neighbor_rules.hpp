@@ -36,7 +36,9 @@ struct NeighborSelection {
   std::vector<std::pair<NodeId, NodeId>> head_pairs;
 };
 
-/// Runs the requested rule. \pre for kWuLou25: c.k == 1.
+/// Runs the requested rule. Every overload throws InvalidArgument unless
+/// c.cluster_of covers \p g (a ChurnEngine's clustering has none).
+/// \pre for kWuLou25: c.k == 1.
 NeighborSelection select_neighbors(const Graph& g, const Clustering& c,
                                    NeighborRule rule);
 

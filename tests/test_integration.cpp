@@ -1,11 +1,11 @@
 // End-to-end integration tests: full workflows spanning generation,
-// clustering, backbone construction, broadcast, failure repair and the
+// clustering, backbone construction, broadcast, churn repair and the
 // distributed protocol stack on one network.
 #include <gtest/gtest.h>
 
 #include "khop/cds/broadcast.hpp"
 #include "khop/core/pipeline.hpp"
-#include "khop/dynamic/events.hpp"
+#include "khop/dynamic/churn_engine.hpp"
 #include "khop/dynamic/rotation.hpp"
 #include "khop/exp/experiment.hpp"
 #include "khop/graph/components.hpp"
@@ -44,33 +44,26 @@ TEST(Integration, FullDistributedStackEqualsCentralizedPipeline) {
 }
 
 TEST(Integration, BackboneSurvivesFailureStorm) {
-  // Kill ten random non-cut nodes one after another, repairing after each;
-  // the backbone must stay valid throughout.
+  // Kill ten random nodes one after another on one churn engine, cut
+  // vertices included: every component is repaired in place, and the
+  // engine's full audit must pass after each failure.
   GeneratorConfig cfg;
   cfg.num_nodes = 120;
   cfg.target_degree = 10.0;
   Rng rng(3002);
-  AdHocNetwork net = generate_network(cfg, rng);
-  Graph graph = net.graph;
-  Clustering clustering = khop_clustering(graph, 2);
-  Backbone backbone = build_backbone(graph, clustering, Pipeline::kAcLmst);
+  const AdHocNetwork net = generate_network(cfg, rng);
+  ChurnEngine engine(net.graph, 2, Pipeline::kAcLmst);
 
-  std::size_t repairs = 0;
-  for (int attempt = 0; attempt < 40 && repairs < 10; ++attempt) {
-    const auto victim =
-        static_cast<NodeId>(rng.uniform_int(graph.num_nodes()));
-    const auto rep = handle_node_failure(graph, clustering, backbone,
-                                         Pipeline::kAcLmst, victim);
-    if (!rep.remainder_connected) continue;
-    ++repairs;
-    EXPECT_TRUE(rep.validation_error.empty())
-        << "repair " << repairs << ": " << rep.validation_error;
-    graph = rep.remainder.graph;
-    clustering = rep.clustering;
-    backbone = rep.backbone;
+  for (int i = 0; i < 10; ++i) {
+    const std::vector<NodeId> alive = engine.graph().alive_nodes();
+    ChurnEvent e;
+    e.type = ChurnEventType::kFail;
+    e.a = alive[rng.uniform_int(alive.size())];
+    engine.apply(e);
+    EXPECT_EQ(engine.audit(), "") << "failure " << i << " (node " << e.a << ")";
   }
-  EXPECT_EQ(repairs, 10u);
-  EXPECT_GE(graph.num_nodes(), 110u);
+  EXPECT_EQ(engine.graph().num_alive(), 110u);
+  EXPECT_EQ(engine.stats().full_rebuilds, 0u);
 }
 
 TEST(Integration, MobilityEpochsKeepPipelineValid) {

@@ -285,6 +285,23 @@ TEST(PersistSnapshot, RoundTripRestoresBitExact) {
   expect_same_state(engine, restored);
 }
 
+TEST(PersistSnapshot, FreshAndRestoredClusteringAgree) {
+  // One contract for ChurnEngine::clustering(): a fresh engine exposes
+  // exactly what an engine restored from its own snapshot does.
+  const Graph g = make_network(4210, 60);
+  const ChurnEngine fresh(g, 2, Pipeline::kAcLmst);
+  const ChurnEngine restored = ChurnEngine::restore(
+      persist::decode_snapshot(persist::encode_snapshot(fresh, 0)).state);
+  const Clustering& a = fresh.clustering();
+  const Clustering& b = restored.clustering();
+  EXPECT_EQ(a.k, b.k);
+  EXPECT_EQ(a.heads, b.heads);
+  EXPECT_EQ(a.head_of, b.head_of);
+  EXPECT_EQ(a.dist_to_head, b.dist_to_head);
+  EXPECT_EQ(a.cluster_of, b.cluster_of);
+  EXPECT_EQ(a.election_rounds, b.election_rounds);
+}
+
 TEST(PersistSnapshot, EncodingIsDeterministic) {
   const Graph g = make_network(4202, 60);
   ChurnEngine engine(g, 2, Pipeline::kNcLmst);
@@ -376,6 +393,37 @@ TEST(PersistStore, RecoverAfterCleanShutdown) {
   EXPECT_EQ(rep.snapshot_cursor, 256u);  // last multiple of snapshot_every
   EXPECT_EQ(rep.replayed_events, 44u);
   EXPECT_TRUE(rep.fallbacks.empty());
+  expect_same_state(back.engine(), plain);
+  EXPECT_EQ(back.engine().audit(), "");
+}
+
+TEST(PersistStore, RejectedEventIsNotLogged) {
+  // A rejected event throws before the WAL append, so the directory stays
+  // recoverable at the cursor of the last accepted event.
+  const Graph g = make_network(4211, 60);
+  const ChurnTrace trace = make_trace(g, 40, 7);
+  TempDir dir("rejected_event");
+  ChurnEngine plain(g, 2, Pipeline::kAcMesh);
+  {
+    DurableChurnEngine durable =
+        DurableChurnEngine::create(g, 2, Pipeline::kAcMesh, dir.path);
+    for (const ChurnEvent& e : trace.events()) {
+      durable.apply(e);
+      plain.apply(e);
+    }
+    ChurnEvent fail;
+    fail.type = ChurnEventType::kFail;
+    fail.a = durable.engine().graph().alive_nodes().front();
+    durable.apply(fail);
+    plain.apply(fail);
+    EXPECT_THROW(durable.apply(fail), InvalidArgument);  // already dead
+    EXPECT_EQ(durable.cursor(), 41u);
+    durable.flush_wal();
+  }
+  RecoveryReport rep;
+  DurableChurnEngine back = DurableChurnEngine::recover(dir.path, &rep);
+  EXPECT_EQ(rep.cursor, 41u);
+  EXPECT_EQ(rep.replayed_events, 41u);
   expect_same_state(back.engine(), plain);
   EXPECT_EQ(back.engine().audit(), "");
 }

@@ -19,8 +19,12 @@ drifted in lockstep. Checks, per snapshot file:
 
 Per WAL file: the "KHOPWAL1" magic, the header cursor checksum, and every
 record's length/checksum/payload shape (type <= 3, neighbor count matching
-the payload size). A torn tail is an ERROR here — committed fixtures must
-be clean; runtime tolerance for torn tails lives in the C++ reader.
+the payload size), plus the state-free rules of the engine's check_event
+(src/khop/dynamic/churn_trace.hpp): a link event is no self-link, and a
+join's neighbors are distinct and differ from the joining node. The WAL
+holds only events the engine accepted, so a record breaking them is corrupt.
+A torn tail is an ERROR here — committed fixtures must be clean; runtime
+tolerance for torn tails lives in the C++ reader.
 
 Usage: validate_snapshot.py FILE [FILE...]
        (format chosen by extension: .khsnp / .khwal)
@@ -35,6 +39,7 @@ INVALID_NODE = 0xFFFFFFFF
 UNREACHABLE = 0xFFFFFFFF
 NUM_COUNTERS = 15
 MAX_PIPELINE = 4  # Pipeline::kGmst
+EVENT_JOIN = 1  # ChurnEventType::kJoin
 MAX_EVENT_TYPE = 3  # ChurnEventType::kLinkUp
 
 # CRC32C (Castagnoli), reflected polynomial 0x82F63B78 — the same function
@@ -255,14 +260,24 @@ def validate_wal(path, data):
                        f"(stored {stored:#010x}, computed {actual:#010x})")
         p = Reader(path, payload, f"record {records}")
         ev_type = p.u8()
-        p.u32()  # a
-        p.u32()  # b
+        a = p.u32()
+        b = p.u32()
         nbr_count = p.u32()
         if ev_type > MAX_EVENT_TYPE:
             fail(path, f"record {records} has unknown event type {ev_type}")
         if nbr_count * 4 != p.remaining():
             fail(path, f"record {records} neighbor count {nbr_count} does "
                        f"not match payload size")
+        nbrs = [p.u32() for _ in range(nbr_count)]
+        if ev_type > EVENT_JOIN and a == b:
+            fail(path, f"record {records} is a self-link on node {a}")
+        if ev_type == EVENT_JOIN:
+            if a in nbrs:
+                fail(path, f"record {records}: join of node {a} lists "
+                           f"itself as a neighbor")
+            if len(set(nbrs)) != len(nbrs):
+                fail(path, f"record {records}: join of node {a} repeats "
+                           f"a neighbor")
         records += 1
 
     print(f"{path}: ok (start cursor {start}, {records} records)")
