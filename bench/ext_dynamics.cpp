@@ -37,11 +37,11 @@
 #include "../examples/cli_args.hpp"
 #include "harness/harness.hpp"
 #include "khop/dynamic/churn_engine.hpp"
-#include "khop/dynamic/churn_reference.hpp"
 #include "khop/dynamic/churn_trace.hpp"
 #include "khop/net/generator.hpp"
 #include "khop/runtime/workspace.hpp"
 #include "khop/sim/protocols/neighborhood.hpp"
+#include "oracles/churn_reference.hpp"
 
 namespace {
 

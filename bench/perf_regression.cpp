@@ -15,15 +15,16 @@
 ///
 /// Engine kernels (PR 5): `engine_flood` is timed as `legacy` (the preserved
 /// pre-PR5 engine: one flat O(M log M) sort over all in-flight messages per
-/// round + std::map discovery agent, sim/reference.hpp), `workspace` (the
-/// receiver-batched engine + flat KnownTable agent) and `parallel` (the same
-/// over the hardware ThreadPool round executor). The checksum digests every
-/// node's discovered (origin, dist, parent) set, so a single reordered or
-/// lost delivery shows up as cross-variant checksum drift.
+/// round + std::map discovery agent, tests/oracles/sim_reference.hpp),
+/// `workspace` (the receiver-batched engine + flat KnownTable agent) and
+/// `parallel` (the same over the hardware ThreadPool round executor). The
+/// checksum digests every node's discovered (origin, dist, parent) set, so a
+/// single reordered or lost delivery shows up as cross-variant checksum
+/// drift.
 ///
 /// Million-node kernels (PR 8):
 ///  * `generation` — unit-disk topology build from fixed positions: `legacy`
-///    (preserved edge-pair-vector reference, graph/spatial_grid.cpp) vs
+///    (preserved edge-pair-vector reference, unit_disk_reference.cpp) vs
 ///    `workspace` (streamed grid-sharded CSR build, no edge intermediate) vs
 ///    `parallel` (the streamed build with per-tile ThreadPool fill).
 ///  * `bounded_bfs` gains an `sfc` variant: the same all-sources sweep on
@@ -72,12 +73,9 @@
 
 #include "../examples/cli_args.hpp"
 #include "harness/harness.hpp"
-#include "khop/cluster/reference.hpp"
 #include "khop/common/assert.hpp"
 #include "khop/exp/experiment.hpp"
-#include "khop/gateway/reference.hpp"
 #include "khop/geom/placement.hpp"
-#include "khop/graph/bfs_reference.hpp"
 #include "khop/graph/components.hpp"
 #include "khop/graph/relabel.hpp"
 #include "khop/graph/spatial_grid.hpp"
@@ -85,7 +83,11 @@
 #include "khop/runtime/thread_pool.hpp"
 #include "khop/runtime/workspace.hpp"
 #include "khop/sim/protocols/neighborhood.hpp"
-#include "khop/sim/reference.hpp"
+#include "oracles/bfs_reference.hpp"
+#include "oracles/cluster_reference.hpp"
+#include "oracles/gateway_reference.hpp"
+#include "oracles/sim_reference.hpp"
+#include "oracles/unit_disk_reference.hpp"
 
 namespace {
 

@@ -1,8 +1,10 @@
 // khop_tool - command-line front end for the library.
 //
 //   khop_tool generate N D seed            > network.txt
-//   khop_tool cluster  k pipeline          < network.txt   (prints summary,
-//                                           writes clustering/backbone state)
+//   khop_tool cluster  k pipeline          < network.txt   > layout.txt
+//                                           (summary on stderr; layout table
+//                                           "id x y role cluster dist_to_head"
+//                                           on stdout)
 //   khop_tool route    k src dst           < network.txt
 //   khop_tool dot      k                   < network.txt   > backbone.dot
 //
@@ -18,7 +20,6 @@
 #include "khop/cds/routing.hpp"
 #include "khop/core/pipeline.hpp"
 #include "khop/io/export.hpp"
-#include "khop/io/state.hpp"
 #include "khop/net/generator.hpp"
 
 namespace {
@@ -79,8 +80,7 @@ int cmd_cluster(int argc, char** argv) {
   std::cerr << r.clustering.num_clusters() << " clusterheads, "
             << r.backbone.gateways.size() << " gateways, CDS "
             << r.cds.size() << '\n';
-  write_clustering(std::cout, r.clustering);
-  write_backbone(std::cout, r.backbone);
+  write_layout(std::cout, net, r.clustering, r.backbone);
   return 0;
 }
 

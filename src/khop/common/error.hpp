@@ -32,8 +32,8 @@ class NotConnected : public Error {
   using Error::Error;
 };
 
-/// Persisted state (snapshot, write-ahead log, checkpoint) failed a format,
-/// checksum, or continuity check on load.
+/// Persisted state (snapshot, write-ahead log) failed a format, checksum,
+/// or continuity check on load.
 class CorruptState : public Error {
  public:
   using Error::Error;

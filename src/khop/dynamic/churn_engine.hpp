@@ -4,10 +4,10 @@
 /// A ChurnEngine owns a mutable topology (DynamicGraph) plus the live
 /// clustering and backbone, and repairs them *incrementally* after every
 /// topology event — no event path ever rebuilds the clustering or backbone
-/// from scratch. The repair policy is the one documented in
-/// churn_reference.hpp (strict domination, sticky affiliation, nearest-head
-/// adoption, iterative lowest-id election for the rest); the scoping that
-/// makes it incremental:
+/// from scratch. The repair policy is the one documented with its
+/// full-recompute oracle in tests/oracles/churn_reference.hpp (strict
+/// domination, sticky affiliation, nearest-head adoption, iterative lowest-id
+/// election for the rest); the scoping that makes it incremental:
 ///
 ///  * Distance repair: a head's member distances can only change if a
 ///    mutated vertex lies within k hops of it (any altered shortest path

@@ -17,7 +17,7 @@
 /// them across the pool (per-worker tls_workspace()) and merges results in
 /// head-index order, so the output is bit-identical to the serial overload
 /// for any thread count — and both match the reference two-pass pipeline
-/// (nbr/reference.hpp + gateway/reference.hpp) exactly.
+/// (tests/oracles/nbr_reference.hpp + gateway_reference.hpp) exactly.
 #pragma once
 
 #include "khop/cluster/clustering.hpp"

@@ -52,7 +52,8 @@ class LmstKernel {
   /// with a <= b, returns the virtual distance of the selected pair {a, b},
   /// or kUnreachable when the pair is not in the local graph. Ties break by
   /// the (weight, min id, max id) order of edge_less, so the tree is the one
-  /// prim_mst builds. Throws NotConnected if the local graph does not span.
+  /// the Prim oracle in tests/oracles/mst_reference.hpp builds. Throws
+  /// NotConnected if the local graph does not span.
   template <typename PairHops>
   void keep_list(NodeId u, std::span<const NodeId> sel, PairHops&& pair_hops,
                  std::vector<NodeId>& out) {

@@ -67,7 +67,8 @@ class VirtualLinkMap {
 
   /// Adopts already-extracted links. \pre each link has u < v; no duplicate
   /// (u,v) keys. Used by the fused NC sweep (gateway/head_sweep.hpp), which
-  /// extracts links during head discovery, and by the reference oracle.
+  /// extracts links during head discovery, and by the gateway oracle
+  /// (tests/oracles/gateway_reference.hpp).
   static VirtualLinkMap from_links(std::vector<VirtualLink> links);
 
   /// Link for the unordered pair {a, b}. Throws InvalidArgument if absent.

@@ -95,16 +95,4 @@ MultiSourceBfs multi_source_bfs(const Graph& g,
   return r;
 }
 
-std::vector<std::vector<Hops>> all_pairs_hops(const Graph& g) {
-  std::vector<std::vector<Hops>> d;
-  d.reserve(g.num_nodes());
-  BfsScratch ws;
-  BfsTree t;
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    bfs_into(g, u, ws, t);
-    d.push_back(t.dist);
-  }
-  return d;
-}
-
 }  // namespace khop

@@ -49,10 +49,6 @@ struct MultiSourceBfs {
 MultiSourceBfs multi_source_bfs(const Graph& g,
                                 const std::vector<NodeId>& seeds);
 
-/// All-pairs hop distances via n BFS runs. Intended for the small head
-/// graphs (tens of nodes); cost O(n * (n + m)).
-std::vector<std::vector<Hops>> all_pairs_hops(const Graph& g);
-
 // ---------------------------------------------------------------------------
 // Zero-allocation variants. Each *_into overload reuses the caller's scratch
 // (epoch-stamped visited marks, see BfsScratch) and writes the result into a

@@ -19,7 +19,8 @@
 /// scan over all unvisited nodes against a word-packed frontier bitset,
 /// which turns the random scatter of frontier expansion into a sequential
 /// sweep. Both directions produce bit-identical output (see bfs_scratch.cpp
-/// for the argument); reference/bfs_reference.hpp remains the oracle.
+/// for the argument); the allocating BFS in tests/oracles/bfs_reference.hpp
+/// remains the oracle.
 ///
 /// Contract:
 ///  * One run at a time: calling any run_* invalidates the previous run's

@@ -31,11 +31,4 @@ bool edge_less(const WeightedEdge& a, const WeightedEdge& b) noexcept;
 std::vector<WeightedEdge> kruskal_mst(std::size_t n,
                                       std::vector<WeightedEdge> edges);
 
-/// Prim MST rooted at \p root over nodes {0..n-1} given an adjacency list of
-/// weighted edges (both directions must be present). Returns parent array
-/// (parent[root] == kInvalidNode). Throws NotConnected when not spanning.
-std::vector<NodeId> prim_mst(
-    std::size_t n, const std::vector<std::vector<WeightedEdge>>& adj,
-    NodeId root);
-
 }  // namespace khop

@@ -244,19 +244,4 @@ Graph build_unit_disk_graph_streamed(const std::vector<Point2>& pts,
   return Graph::from_csr(std::move(offsets), std::move(adjacency));
 }
 
-namespace reference {
-
-Graph build_unit_disk_graph(const std::vector<Point2>& pts, double radius) {
-  SpatialGrid grid(pts, radius);
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  for (NodeId u = 0; u < pts.size(); ++u) {
-    for (NodeId v : grid.within_radius(u)) {
-      if (u < v) edges.emplace_back(u, v);
-    }
-  }
-  return Graph::from_edges(pts.size(), edges);
-}
-
-}  // namespace reference
-
 }  // namespace khop

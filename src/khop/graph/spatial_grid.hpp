@@ -104,8 +104,8 @@ class SpatialGrid {
 /// Builds the unit-disk graph: edge {u,v} iff dist(u,v) <= radius.
 /// O(n * average-neighborhood) via spatial hashing. Streams each node's
 /// neighborhood straight into CSR (counting pass + placement pass) without
-/// materializing an edge-pair vector; bit-identical to
-/// reference::build_unit_disk_graph.
+/// materializing an edge-pair vector; bit-identical to the edge-list
+/// oracle in tests/oracles/unit_disk_reference.hpp.
 Graph build_unit_disk_graph(const std::vector<Point2>& pts, double radius);
 
 /// The streamed build against a caller-owned grid: rebuild()s \p grid for
@@ -125,13 +125,5 @@ Graph build_unit_disk_graph_streamed(const std::vector<Point2>& pts,
 /// Bit-identical to build_unit_disk_graph_streamed over the same points;
 /// Graph::from_csr validates the result.
 Graph graph_from_upper_rows(const UpperRows& rows);
-
-namespace reference {
-
-/// Pre-PR8 builder kept verbatim as the streamed path's oracle: materializes
-/// the full (u, v) edge-pair vector and hands it to Graph::from_edges.
-Graph build_unit_disk_graph(const std::vector<Point2>& pts, double radius);
-
-}  // namespace reference
 
 }  // namespace khop

@@ -45,9 +45,13 @@ void write_dot(std::ostream& os, const AdHocNetwork& net,
 
 void write_layout(std::ostream& os, const AdHocNetwork& net,
                   const Clustering& c, const Backbone& b) {
-  const auto roles = b.roles(net.num_nodes());
+  const std::size_t n = net.num_nodes();
+  KHOP_REQUIRE(c.head_of.size() == n && c.dist_to_head.size() == n &&
+                   c.cluster_of.size() == n,
+               "write_layout: clustering does not cover the network");
+  const auto roles = b.roles(n);
   os << "# id x y role cluster dist_to_head\n";
-  for (NodeId v = 0; v < net.num_nodes(); ++v) {
+  for (NodeId v = 0; v < n; ++v) {
     os << v << ' ' << net.positions[v].x << ' ' << net.positions[v].y << ' '
        << static_cast<int>(roles[v]) << ' ' << c.cluster_of[v] << ' '
        << c.dist_to_head[v] << '\n';

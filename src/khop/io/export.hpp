@@ -19,7 +19,9 @@ void write_dot(std::ostream& os, const AdHocNetwork& net,
                const Clustering& c, const Backbone& b);
 
 /// Plain layout: one line per node, "id x y role cluster dist_to_head"
-/// (role: 0 member, 1 gateway, 2 clusterhead). Gnuplot-friendly.
+/// (role: 0 member, 1 gateway, 2 clusterhead). Gnuplot-friendly. Throws
+/// InvalidArgument unless \p c has head_of, dist_to_head and cluster_of
+/// entries for every node (ChurnEngine::clustering() has no cluster_of).
 void write_layout(std::ostream& os, const AdHocNetwork& net,
                   const Clustering& c, const Backbone& b);
 

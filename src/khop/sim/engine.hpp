@@ -20,8 +20,8 @@
 /// records, giving the canonical per-inbox (sender, type, payload) order
 /// with only tiny per-sender record sorts. No per-neighbor queue entries
 /// exist at all. The delivery sequence is bit-identical to the original
-/// flat sort (see sim/reference.hpp for the preserved engine and the
-/// equivalence suite).
+/// flat sort (see tests/oracles/sim_reference.hpp for the preserved engine
+/// and the equivalence suite).
 ///
 /// Lossy links (DeliveryModel installed) take the same path: sends are
 /// recorded exactly like ideal ones, and each per-link drop is decided at

@@ -15,7 +15,7 @@
 /// O(n^2) memory. It replaces the historical std::map<NodeId, Known>, whose
 /// per-message try_emplace (one allocation per discovered origin, pointer
 /// chasing per lookup) dominated the engine-flood profile; the preserved
-/// map-based agent lives in sim/reference.hpp.
+/// map-based agent lives in tests/oracles/sim_reference.hpp.
 #pragma once
 
 #include <cstdint>

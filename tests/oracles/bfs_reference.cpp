@@ -1,4 +1,4 @@
-#include "khop/graph/bfs_reference.hpp"
+#include "oracles/bfs_reference.hpp"
 
 #include <algorithm>
 
@@ -96,3 +96,19 @@ MultiSourceBfs multi_source_bfs(const Graph& g,
 }
 
 }  // namespace khop::reference
+
+namespace khop {
+
+std::vector<std::vector<Hops>> all_pairs_hops(const Graph& g) {
+  std::vector<std::vector<Hops>> d;
+  d.reserve(g.num_nodes());
+  BfsScratch ws;
+  BfsTree t;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    bfs_into(g, u, ws, t);
+    d.push_back(t.dist);
+  }
+  return d;
+}
+
+}  // namespace khop

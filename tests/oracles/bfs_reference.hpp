@@ -32,3 +32,11 @@ MultiSourceBfs multi_source_bfs(const Graph& g,
                                 const std::vector<NodeId>& seeds);
 
 }  // namespace khop::reference
+
+namespace khop {
+
+/// All-pairs hop distances via n BFS runs, a test helper for property
+/// checks on small graphs (tens of nodes); cost O(n * (n + m)).
+std::vector<std::vector<Hops>> all_pairs_hops(const Graph& g);
+
+}  // namespace khop

@@ -1,4 +1,4 @@
-#include "khop/cluster/reference.hpp"
+#include "oracles/cluster_reference.hpp"
 
 #include <algorithm>
 #include <map>
@@ -6,8 +6,8 @@
 
 #include "khop/common/assert.hpp"
 #include "khop/common/error.hpp"
-#include "khop/graph/bfs_reference.hpp"
 #include "khop/graph/components.hpp"
+#include "oracles/bfs_reference.hpp"
 
 namespace khop::reference {
 

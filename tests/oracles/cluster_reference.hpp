@@ -1,4 +1,4 @@
-/// \file reference.hpp
+/// \file cluster_reference.hpp
 /// Pre-workspace clustering implementations, preserved verbatim as
 /// independent oracles. The production paths in clustering.hpp / kcluster.hpp
 /// now thread a Workspace& through (BfsScratch election, DistCache ball

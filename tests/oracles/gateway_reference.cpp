@@ -1,6 +1,6 @@
-// Verbatim pre-PR4 gateway implementations (see reference.hpp). Kept
+// Verbatim pre-PR4 gateway implementations (see gateway_reference.hpp). Kept
 // byte-for-byte close to the originals on purpose — do not "clean up".
-#include "khop/gateway/reference.hpp"
+#include "oracles/gateway_reference.hpp"
 
 #include <algorithm>
 #include <map>
@@ -11,8 +11,8 @@
 #include "khop/gateway/mesh.hpp"
 #include "khop/graph/bfs.hpp"
 #include "khop/graph/mst.hpp"
-#include "khop/nbr/reference.hpp"
 #include "khop/runtime/workspace.hpp"
+#include "oracles/nbr_reference.hpp"
 
 namespace khop::reference {
 

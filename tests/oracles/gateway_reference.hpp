@@ -1,4 +1,4 @@
-/// \file reference.hpp
+/// \file gateway_reference.hpp
 /// Pre-PR4 gateway-layer implementations, preserved verbatim as independent
 /// oracles. The production paths now bound every per-source BFS to the
 /// paper's 2k+1 structural horizon, fuse NC head discovery with link
@@ -30,7 +30,7 @@ VirtualLinkMap build_virtual_links(
 GmstResult gmst_gateways(const Graph& g, const Clustering& c);
 
 /// Phase 2 composed entirely from the reference pieces above plus the
-/// reference neighbor rules (nbr/reference.hpp); output bit-identical to
+/// reference neighbor rules (nbr_reference.hpp); output bit-identical to
 /// khop::build_backbone. (Mesh and LMSTGA are pure functions of the
 /// selection and links, unchanged by PR4, and are shared.)
 Backbone build_backbone(const Graph& g, const Clustering& c,

@@ -14,8 +14,8 @@
 #include "khop/common/assert.hpp"
 #include "khop/gateway/lmst.hpp"
 #include "khop/gateway/virtual_link.hpp"
-#include "khop/graph/mst.hpp"
 #include "khop/nbr/neighbor_rules.hpp"
+#include "oracles/mst_reference.hpp"
 
 namespace khop::oracle {
 

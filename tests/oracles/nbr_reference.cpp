@@ -1,6 +1,6 @@
-// Verbatim pre-PR4 neighbor-rule implementations (see reference.hpp). Kept
-// byte-for-byte close to the originals on purpose — do not "clean up".
-#include "khop/nbr/reference.hpp"
+// Verbatim pre-PR4 neighbor-rule implementations (see nbr_reference.hpp).
+// Kept byte-for-byte close to the originals on purpose — do not "clean up".
+#include "oracles/nbr_reference.hpp"
 
 #include <algorithm>
 #include <set>

@@ -1,4 +1,4 @@
-/// \file reference.hpp
+/// \file nbr_reference.hpp
 /// Pre-PR4 neighbor-rule implementations, preserved verbatim as independent
 /// oracles. The production paths in neighbor_rules.hpp now discover neighbor
 /// heads by scanning each bounded sweep's reached set against the clustering's

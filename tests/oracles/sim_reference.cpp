@@ -1,4 +1,4 @@
-#include "khop/sim/reference.hpp"
+#include "oracles/sim_reference.hpp"
 
 #include <algorithm>
 #include <tuple>

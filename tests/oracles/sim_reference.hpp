@@ -1,4 +1,4 @@
-/// \file reference.hpp
+/// \file sim_reference.hpp
 /// Pre-PR5 synchronous engine, preserved as an independent oracle.
 ///
 /// The production SyncEngine (engine.hpp) now records broadcasts once per

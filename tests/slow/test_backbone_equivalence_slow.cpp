@@ -8,10 +8,10 @@
 #include <vector>
 
 #include "khop/gateway/backbone.hpp"
-#include "khop/gateway/reference.hpp"
 #include "khop/net/generator.hpp"
 #include "khop/runtime/thread_pool.hpp"
 #include "khop/runtime/workspace.hpp"
+#include "oracles/gateway_reference.hpp"
 
 namespace khop {
 namespace {

@@ -8,9 +8,9 @@
 #include <string>
 
 #include "khop/dynamic/churn_engine.hpp"
-#include "khop/dynamic/churn_reference.hpp"
 #include "khop/dynamic/churn_trace.hpp"
 #include "khop/net/generator.hpp"
+#include "oracles/churn_reference.hpp"
 
 namespace khop {
 namespace {

@@ -19,7 +19,7 @@
 #include "khop/sim/protocols/clustering_protocol.hpp"
 #include "khop/sim/protocols/gateway_protocol.hpp"
 #include "khop/sim/protocols/neighborhood.hpp"
-#include "khop/sim/reference.hpp"
+#include "oracles/sim_reference.hpp"
 
 namespace khop {
 namespace {

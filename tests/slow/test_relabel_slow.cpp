@@ -9,13 +9,13 @@
 #include <vector>
 
 #include "khop/cds/cds.hpp"
-#include "khop/cluster/reference.hpp"
-#include "khop/gateway/reference.hpp"
 #include "khop/graph/relabel.hpp"
 #include "khop/graph/spatial_grid.hpp"
 #include "khop/net/generator.hpp"
 #include "khop/runtime/thread_pool.hpp"
 #include "khop/runtime/workspace.hpp"
+#include "oracles/cluster_reference.hpp"
+#include "oracles/gateway_reference.hpp"
 
 namespace khop {
 namespace {

@@ -11,9 +11,9 @@
 #include "khop/common/error.hpp"
 
 #include "harness/harness.hpp"
-#include "khop/cluster/reference.hpp"
 #include "khop/net/generator.hpp"
 #include "khop/runtime/workspace.hpp"
+#include "oracles/cluster_reference.hpp"
 
 namespace khop {
 namespace {

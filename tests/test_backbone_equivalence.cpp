@@ -9,11 +9,11 @@
 
 #include "khop/gateway/backbone.hpp"
 #include "khop/gateway/head_sweep.hpp"
-#include "khop/gateway/reference.hpp"
 #include "khop/net/generator.hpp"
-#include "khop/nbr/reference.hpp"
 #include "khop/runtime/thread_pool.hpp"
 #include "khop/runtime/workspace.hpp"
+#include "oracles/gateway_reference.hpp"
+#include "oracles/nbr_reference.hpp"
 
 namespace khop {
 namespace {

@@ -10,6 +10,7 @@
 #include "khop/geom/placement.hpp"
 #include "khop/graph/bfs.hpp"
 #include "khop/graph/spatial_grid.hpp"
+#include "oracles/bfs_reference.hpp"
 
 namespace khop {
 namespace {

@@ -12,7 +12,6 @@
 
 #include "khop/common/error.hpp"
 #include "khop/dynamic/churn_engine.hpp"
-#include "khop/dynamic/churn_reference.hpp"
 #include "khop/dynamic/churn_trace.hpp"
 #include "khop/gateway/lmst.hpp"
 #include "khop/gateway/validate.hpp"
@@ -23,6 +22,8 @@
 #include "khop/net/generator.hpp"
 #include "khop/net/mobility.hpp"
 #include "khop/runtime/thread_pool.hpp"
+#include "oracles/bfs_reference.hpp"
+#include "oracles/churn_reference.hpp"
 
 namespace khop {
 namespace {

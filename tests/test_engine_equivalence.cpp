@@ -1,8 +1,8 @@
 // Bit-exact equivalence suite for the PR5 SyncEngine round loop: the
 // receiver-batched serial engine and the ThreadPool round executor must
-// reproduce the preserved pre-PR5 engine (sim/reference.hpp) exactly -
-// delivery traces and stats, drops and retransmissions included - on
-// random topologies, for ideal and lossy links, for any thread count. The
+// reproduce the preserved pre-PR5 engine (tests/oracles/sim_reference.hpp)
+// exactly - delivery traces and stats, drops and retransmissions included -
+// on random topologies, for ideal and lossy links, for any thread count. The
 // flattened NeighborhoodDiscoveryAgent is cross-checked against the
 // preserved std::map agent the same way.
 #include <gtest/gtest.h>
@@ -18,7 +18,7 @@
 #include "khop/runtime/thread_pool.hpp"
 #include "khop/sim/engine.hpp"
 #include "khop/sim/protocols/neighborhood.hpp"
-#include "khop/sim/reference.hpp"
+#include "oracles/sim_reference.hpp"
 
 namespace khop {
 namespace {

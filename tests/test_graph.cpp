@@ -11,6 +11,7 @@
 #include "khop/graph/spatial_grid.hpp"
 #include "khop/graph/subgraph.hpp"
 #include "khop/runtime/thread_pool.hpp"
+#include "oracles/unit_disk_reference.hpp"
 
 namespace khop {
 namespace {

@@ -1,8 +1,8 @@
 // LmstKernel / lmst_gateways checked against an independent oracle: the
 // set-based LMSTGA implementation that preceded the flat kernel, kept
-// verbatim in tests/lmst_oracle.hpp (test-only, outside libkhop).
-// gateway/reference forwards to the shared lmst_gateways, so only the
-// oracle can catch a kernel bug.
+// verbatim in tests/oracles/lmst_oracle.hpp (test-only, outside libkhop).
+// The gateway oracle (gateway_reference) forwards to the shared
+// lmst_gateways, so only this oracle can catch a kernel bug.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,7 @@
 #include "khop/gateway/virtual_link.hpp"
 #include "khop/nbr/neighbor_rules.hpp"
 #include "khop/net/generator.hpp"
-#include "lmst_oracle.hpp"
+#include "oracles/lmst_oracle.hpp"
 
 namespace khop {
 namespace {

@@ -8,6 +8,7 @@
 #include "khop/common/rng.hpp"
 #include "khop/graph/mst.hpp"
 #include "khop/graph/union_find.hpp"
+#include "oracles/mst_reference.hpp"
 
 namespace khop {
 namespace {

@@ -10,8 +10,9 @@
 #include "khop/graph/components.hpp"
 #include "khop/nbr/cluster_graph.hpp"
 #include "khop/nbr/neighbor_rules.hpp"
-#include "khop/nbr/reference.hpp"
 #include "khop/net/generator.hpp"
+#include "oracles/bfs_reference.hpp"
+#include "oracles/nbr_reference.hpp"
 
 namespace khop {
 namespace {

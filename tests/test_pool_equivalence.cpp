@@ -17,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "khop/cluster/reference.hpp"
 #include "khop/common/error.hpp"
 #include "khop/common/rng.hpp"
 #include "khop/gateway/lmst.hpp"
@@ -26,7 +25,8 @@
 #include "khop/nbr/neighbor_rules.hpp"
 #include "khop/runtime/thread_pool.hpp"
 #include "khop/runtime/workspace.hpp"
-#include "lmst_oracle.hpp"
+#include "oracles/cluster_reference.hpp"
+#include "oracles/lmst_oracle.hpp"
 
 namespace khop {
 namespace {

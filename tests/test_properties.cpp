@@ -12,6 +12,7 @@
 #include "khop/graph/bfs.hpp"
 #include "khop/nbr/cluster_graph.hpp"
 #include "khop/net/generator.hpp"
+#include "oracles/bfs_reference.hpp"
 
 namespace khop {
 namespace {

@@ -1,9 +1,8 @@
 // Deterministic mutation fuzz over every reader of untrusted bytes:
-// read_network, read_clustering / read_backbone (v1 and v2 documents), and
-// the persist snapshot and WAL decoders. Valid seed inputs are mutated by
-// seeded byte flips, truncation at every k-th offset, and header/count
-// inflation; every mutant must either decode to a result that passes its
-// structural validator or throw khop::Error. Any other exception
+// read_network and the persist snapshot and WAL decoders. Valid seed inputs
+// are mutated by seeded byte flips, truncation at every k-th offset, and
+// header/count inflation; every mutant must either decode to a result that
+// passes its structural validator or throw khop::Error. Any other exception
 // (std::bad_alloc, std::length_error, ...) escapes and fails the test, and
 // the sanitizer CI job runs this file to catch UB. Fast tier: well under
 // two seconds.
@@ -17,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "khop/cluster/clustering.hpp"
 #include "khop/common/error.hpp"
 #include "khop/common/rng.hpp"
 #include "khop/dynamic/churn_engine.hpp"
@@ -26,7 +24,6 @@
 #include "khop/dynamic/persist/wal.hpp"
 #include "khop/gateway/backbone.hpp"
 #include "khop/io/export.hpp"
-#include "khop/io/state.hpp"
 #include "khop/net/generator.hpp"
 
 namespace khop {
@@ -82,14 +79,6 @@ std::vector<std::string> text_mutants(const std::string& seed,
   return out;
 }
 
-/// The v1 (checksum-free) form of a v2 state document, so mutants reach
-/// the parser instead of stopping at the checksum.
-std::string as_v1(const std::string& v2) {
-  std::string doc = v2;
-  doc.replace(doc.find(" v2\n"), 4, " v1\n");
-  return doc.substr(0, doc.rfind("crc32c "));
-}
-
 AdHocNetwork small_network(std::uint64_t seed) {
   GeneratorConfig cfg;
   cfg.num_nodes = 30;
@@ -109,31 +98,6 @@ std::string validate_network(const AdHocNetwork& net) {
                         net.radius * net.radius) {
         return "edge longer than the radius";
       }
-    }
-  }
-  return {};
-}
-
-std::string validate_clustering_shape(const Clustering& c) {
-  const std::size_t n = c.head_of.size();
-  if (c.k < 1 || c.heads.empty() || c.dist_to_head.size() != n ||
-      c.cluster_of.size() != n) {
-    return "size mismatch";
-  }
-  for (std::size_t i = 0; i < c.heads.size(); ++i) {
-    if (c.heads[i] >= n || (i > 0 && c.heads[i] <= c.heads[i - 1])) {
-      return "head list not ascending in range";
-    }
-    if (c.head_of[c.heads[i]] != c.heads[i]) return "head not its own head";
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    const std::uint32_t ci = c.cluster_of[v];
-    if (ci >= c.heads.size() || c.heads[ci] != c.head_of[v]) {
-      return "affiliation to a non-head";
-    }
-    const bool is_head = c.head_of[v] == v;
-    if (c.dist_to_head[v] > c.k || is_head != (c.dist_to_head[v] == 0)) {
-      return "distance out of range";
     }
   }
   return {};
@@ -190,33 +154,6 @@ TEST(ReaderFuzz, ReadNetwork) {
            return read_network(is);
          },
          validate_network);
-  }
-}
-
-TEST(ReaderFuzz, ReadClusteringAndBackbone) {
-  const AdHocNetwork net = small_network(21);
-  const Clustering c = khop_clustering(
-      net.graph, 2, make_priorities(net.graph, PriorityRule::kLowestId),
-      AffiliationRule::kIdBased);
-  const Backbone b = build_backbone(net.graph, c, Pipeline::kAcLmst);
-  std::ostringstream cs, bs;
-  write_clustering(cs, c);
-  write_backbone(bs, b);
-  for (const std::string& doc : {cs.str(), as_v1(cs.str())}) {
-    fuzz(text_mutants(doc, 31, 300, 2),
-         [](const std::string& text) {
-           std::istringstream is(text);
-           return read_clustering(is);
-         },
-         validate_clustering_shape);
-  }
-  for (const std::string& doc : {bs.str(), as_v1(bs.str())}) {
-    fuzz(text_mutants(doc, 41, 300, 2),
-         [](const std::string& text) {
-           std::istringstream is(text);
-           return read_backbone(is);
-         },
-         validate_backbone_shape);
   }
 }
 

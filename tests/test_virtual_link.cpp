@@ -6,12 +6,12 @@
 #include <vector>
 
 #include "khop/common/error.hpp"
-#include "khop/gateway/reference.hpp"
 #include "khop/gateway/virtual_link.hpp"
 #include "khop/graph/bfs.hpp"
 #include "khop/net/generator.hpp"
 #include "khop/runtime/thread_pool.hpp"
 #include "khop/runtime/workspace.hpp"
+#include "oracles/gateway_reference.hpp"
 
 namespace khop {
 namespace {

@@ -11,15 +11,15 @@
 #include <utility>
 #include <vector>
 
-#include "khop/cluster/reference.hpp"
 #include "khop/common/error.hpp"
 #include "khop/exp/trial.hpp"
 #include "khop/gateway/backbone.hpp"
 #include "khop/graph/bfs.hpp"
-#include "khop/graph/bfs_reference.hpp"
 #include "khop/net/generator.hpp"
 #include "khop/runtime/workspace.hpp"
 #include "khop/sim/engine.hpp"
+#include "oracles/bfs_reference.hpp"
+#include "oracles/cluster_reference.hpp"
 
 namespace khop {
 namespace {
