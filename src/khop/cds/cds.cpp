@@ -6,6 +6,7 @@
 #include "khop/common/assert.hpp"
 #include "khop/gateway/validate.hpp"
 #include "khop/graph/bfs.hpp"
+#include "khop/runtime/workspace.hpp"
 
 namespace khop {
 
@@ -27,7 +28,12 @@ std::string validate_k_cds(const Graph& g, const Clustering& c,
                            const Backbone& b) {
   if (std::string err = validate_backbone(g, b); !err.empty()) return err;
 
-  // k-hop domination by heads.
+  // k-hop domination by heads: one k-bounded coverage sweep decides it.
+  if (tls_workspace().bfs.run_cover(g, b.heads, c.k) == g.num_nodes()) {
+    return {};
+  }
+  // Some node is undominated; the full search names the first one and its
+  // nearest head's distance, which may lie beyond k.
   const MultiSourceBfs ms = multi_source_bfs(g, b.heads);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (ms.dist[v] == kUnreachable || ms.dist[v] > c.k) {
@@ -39,7 +45,7 @@ std::string validate_k_cds(const Graph& g, const Clustering& c,
       return os.str();
     }
   }
-  return {};
+  throw InvariantViolation("coverage sweep and full search disagree");
 }
 
 }  // namespace khop

@@ -26,8 +26,15 @@ struct Cds {
 /// Extracts the CDS from a backbone.
 Cds extract_cds(const Clustering& c, const Backbone& b);
 
-/// Full k-hop CDS validation: connected in g AND every node of g is within
-/// k hops of some clusterhead. Empty string on success.
+/// Full k-hop CDS validation: validate_backbone (which checks that the CDS
+/// is connected in g) AND every node of g is within k hops of some
+/// clusterhead. Empty string on success, else the first violation.
+///
+/// Domination is decided by one k-bounded coverage sweep from the heads on
+/// the calling thread's scratch (BfsScratch::run_cover): no owners, no level
+/// sort, no n-sized output. Only when some node is left undominated does a
+/// full multi_source_bfs run, to name the lowest such node and its nearest
+/// head's distance in the error.
 std::string validate_k_cds(const Graph& g, const Clustering& c,
                            const Backbone& b);
 

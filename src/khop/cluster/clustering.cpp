@@ -50,18 +50,37 @@ const Candidate& pick_smallest(std::span<const Candidate> cands,
   return *best;
 }
 
-}  // namespace
-
-Clustering khop_clustering(const Graph& g, Hops k,
-                           const std::vector<PriorityKey>& priorities,
-                           AffiliationRule rule, Workspace& ws) {
-  KHOP_REQUIRE(k >= 1, "k must be >= 1");
-  KHOP_REQUIRE(priorities.size() == g.num_nodes(),
-               "one priority key per node required");
-  if (!is_connected(g)) {
-    throw NotConnected("khop_clustering: input graph must be connected");
+/// The connected-input precondition, decided from a finished clustering: G
+/// is connected iff its cluster graph is. Every node lies within k hops of
+/// its head in G, so each cluster sits inside one component of G, and an
+/// edge of G joins the components of its endpoints' clusters. One
+/// union-find over the cluster indices and one pass over the adjacency
+/// (each edge once, from its smaller end), which stops once every cluster
+/// is joined.
+bool clusters_connected(const Graph& g, const Clustering& c, UnionFind& uf) {
+  const std::size_t h = c.heads.size();
+  if (h <= 1) return true;
+  uf.reset(h);
+  std::size_t joins = 0;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    const std::uint32_t cu = c.cluster_of[u];
+    for (NodeId v : g.neighbors(u)) {
+      if (v < u) continue;
+      const std::uint32_t cv = c.cluster_of[v];
+      if (cv != cu && uf.unite(cu, cv) && ++joins == h - 1) return true;
+    }
   }
+  return false;
+}
 
+[[noreturn]] void throw_not_connected() {
+  throw NotConnected("khop_clustering: input graph must be connected");
+}
+
+/// The election itself; khop_clustering wraps it with the precondition.
+Clustering elect(const Graph& g, Hops k,
+                 const std::vector<PriorityKey>& priorities,
+                 AffiliationRule rule, Workspace& ws) {
   obs::Span span("cluster/elect");
 
   const std::size_t n = g.num_nodes();
@@ -229,6 +248,28 @@ Clustering khop_clustering(const Graph& g, Hops k,
   }
   span.arg("rounds", static_cast<std::int64_t>(result.election_rounds));
   span.arg("heads", static_cast<std::int64_t>(result.heads.size()));
+  return result;
+}
+
+}  // namespace
+
+Clustering khop_clustering(const Graph& g, Hops k,
+                           const std::vector<PriorityKey>& priorities,
+                           AffiliationRule rule, Workspace& ws) {
+  KHOP_REQUIRE(k >= 1, "k must be >= 1");
+  KHOP_REQUIRE(priorities.size() == g.num_nodes(),
+               "one priority key per node required");
+  Clustering result;
+  try {
+    result = elect(g, k, priorities, rule, ws);
+  } catch (const Error&) {
+    // The precondition comes first: a disconnected input reports
+    // NotConnected whatever else it trips (a NaN key, tied keys within k
+    // hops).
+    if (!is_connected(g)) throw_not_connected();
+    throw;
+  }
+  if (!clusters_connected(g, result, ws.uf)) throw_not_connected();
   return result;
 }
 

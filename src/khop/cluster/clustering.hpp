@@ -52,6 +52,15 @@ struct Workspace;
 /// that both win a round throw InvariantViolation.
 /// \pre k >= 1; no key is NaN (checked: throws InvalidArgument);
 ///      g connected (checked: throws NotConnected)
+///
+/// The connectivity precondition is decided after the election, from the
+/// cluster graph: every node lies within k hops of its head, so each cluster
+/// sits inside one component of g, and g is connected iff the clusters are
+/// joined by its edges (a union-find over the cluster indices and one pass
+/// over the adjacency; no search over all n nodes). The error behaviour is
+/// that of a check made first: a disconnected input throws NotConnected, also
+/// when the election on it would trip an error of its own (a NaN key, tied
+/// keys within k hops); only then is a full is_connected search run.
 Clustering khop_clustering(const Graph& g, Hops k,
                            const std::vector<PriorityKey>& priorities,
                            AffiliationRule rule = AffiliationRule::kIdBased);

@@ -2,7 +2,6 @@
 
 #include "khop/common/assert.hpp"
 #include "khop/exp/experiment.hpp"
-#include "khop/graph/bfs.hpp"
 #include "khop/graph/components.hpp"
 #include "khop/net/generator.hpp"
 #include "khop/radio/lossy_flood.hpp"
@@ -53,18 +52,14 @@ std::unique_ptr<LinkModel> make_link_model(const LossyExperimentConfig& cfg,
 
 namespace {
 
-/// Survival in a sampled realized topology: the CDS still induces a
-/// connected subgraph (the validator's connectivity check) AND the paper's
-/// k-domination still holds (every node within k realized hops of a head).
-bool backbone_survives(const Graph& realized, const Backbone& b, Hops k) {
-  if (!is_connected_subset(realized, b.cds_mask(realized.num_nodes()))) {
-    return false;
-  }
-  const MultiSourceBfs ms = multi_source_bfs(realized, b.heads);
-  for (NodeId v = 0; v < realized.num_nodes(); ++v) {
-    if (ms.dist[v] > k) return false;
-  }
-  return true;
+/// Survival in a sampled realized topology: validate_k_cds's two checks.
+/// The CDS still induces a connected subgraph AND the paper's k-domination
+/// still holds (one k-bounded coverage sweep from the heads reaches every
+/// node).
+bool backbone_survives(const Graph& realized, const Backbone& b, Hops k,
+                       BfsScratch& bfs) {
+  return is_connected_subset(realized, b.heads, b.gateways) &&
+         bfs.run_cover(realized, b.heads, k) == realized.num_nodes();
 }
 
 }  // namespace
@@ -117,7 +112,7 @@ LossyTrialMetrics run_lossy_trial(const LossyExperimentConfig& cfg, Rng& rng,
   m.drops = static_cast<double>(cds.stats.drops);
   m.retransmissions = static_cast<double>(cds.stats.retransmissions);
   m.backbone_survival =
-      backbone_survives(realized, backbone, cfg.k) ? 1.0 : 0.0;
+      backbone_survives(realized, backbone, cfg.k, ws.bfs) ? 1.0 : 0.0;
   return m;
 }
 

@@ -20,12 +20,15 @@ std::string validate_backbone(const Graph& g, const Backbone& b) {
           b.gateways.end()) {
     return "gateways are not sorted-unique";
   }
-  for (NodeId h : b.heads) {
-    if (h >= n) return "head id out of range";
-  }
+  // Both lists are sorted-unique from here on: the largest head is the last,
+  // and one merge walk finds the first gateway (in list order) that is out of
+  // range or also a head.
+  if (!b.heads.empty() && b.heads.back() >= n) return "head id out of range";
+  auto head = b.heads.begin();
   for (NodeId w : b.gateways) {
     if (w >= n) return "gateway id out of range";
-    if (std::binary_search(b.heads.begin(), b.heads.end(), w)) {
+    while (head != b.heads.end() && *head < w) ++head;
+    if (head != b.heads.end() && *head == w) {
       err << "node " << w << " is both head and gateway";
       return err.str();
     }
@@ -38,7 +41,7 @@ std::string validate_backbone(const Graph& g, const Backbone& b) {
     }
   }
 
-  if (!is_connected_subset(g, b.cds_mask(n))) {
+  if (!is_connected_subset(g, b.heads, b.gateways)) {
     return "CDS (heads + gateways) is not connected in G";
   }
   return {};

@@ -29,24 +29,29 @@ std::vector<std::pair<NodeId, NodeId>> normalized_pairs(
 }
 
 /// Extracts the links of one source group np[first..last) (all sharing
-/// np[first].first as source) with a single sweep bounded at \p horizon.
-/// If any target lies beyond the horizon the source is rerun unbounded
-/// (identical dist/parent inside the horizon, so identical paths either
-/// way). Returns the number of fallback reruns (0 or 1).
+/// np[first].first as source) with a single sweep bounded at \p horizon
+/// that stops once its last target is stamped (BfsScratch::run_to_targets:
+/// a stamped node's canonical parent is already final). If any target lies
+/// beyond the horizon the source is rerun unbounded (identical dist/parent
+/// inside the horizon, so identical paths either way). Returns the number of
+/// fallback reruns (0 or 1).
 std::size_t extract_group(const Graph& g,
                           const std::pair<NodeId, NodeId>* first,
                           const std::pair<NodeId, NodeId>* last, Hops horizon,
                           Workspace& ws, std::vector<VirtualLink>& out) {
   const NodeId src = first->first;
-  ws.bfs.run(g, src, horizon);
+  std::vector<NodeId>& targets = ws.node_buf;
+  targets.clear();
+  for (const auto* it = first; it != last; ++it) targets.push_back(it->second);
+  ws.bfs.run_to_targets(g, src, horizon, targets);
   std::size_t fallbacks = 0;
   if (horizon != kUnreachable) {
     bool beyond = false;
-    for (const auto* it = first; it != last; ++it) {
-      beyond = beyond || ws.bfs.dist(it->second) == kUnreachable;
+    for (const NodeId dst : targets) {
+      beyond = beyond || ws.bfs.dist(dst) == kUnreachable;
     }
     if (beyond) {
-      ws.bfs.run(g, src, kUnreachable);
+      ws.bfs.run_to_targets(g, src, kUnreachable, targets);
       fallbacks = 1;
     }
   }

@@ -31,7 +31,8 @@ struct VirtualLink {
 class VirtualLinkMap {
  public:
   /// Builds links for all \p pairs (unordered (min,max) head-id pairs).
-  /// One unbounded BFS per distinct smaller endpoint.
+  /// One unbounded BFS per distinct smaller endpoint, stopped once it has
+  /// stamped that endpoint's last target (see build_bounded).
   static VirtualLinkMap build(
       const Graph& g, const std::vector<std::pair<NodeId, NodeId>>& pairs);
 
@@ -41,7 +42,11 @@ class VirtualLinkMap {
       const Graph& g, const std::vector<std::pair<NodeId, NodeId>>& pairs,
       Workspace& ws);
 
-  /// Horizon-bounded build: each per-source sweep stops at \p horizon hops.
+  /// Horizon-bounded build: each per-source sweep stops at \p horizon hops,
+  /// or earlier, the moment its last target is stamped — possibly in the
+  /// middle of a level. That early stop is exact: each level expands in
+  /// ascending id order, so a node's first stamp already fixes its min-id
+  /// parent, and every target's canonical path is complete by then.
   /// The paper's structure guarantees every selected pair lies within
   /// 2k+1 hops, so backbone construction passes that bound; a pair whose
   /// endpoints are farther apart (invariant-violating input) transparently

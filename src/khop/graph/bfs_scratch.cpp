@@ -48,8 +48,15 @@ void BfsScratch::begin(std::size_t n) {
   level_end_.clear();
 }
 
-template <typename GraphT>
-void BfsScratch::expand_bottom_up(const GraphT& g, std::size_t lvl_begin,
+bool BfsScratch::settle_target(NodeId v) {
+  const auto it = std::remove(pending_.begin(), pending_.end(), v);
+  if (it == pending_.end()) return false;
+  pending_.erase(it, pending_.end());
+  return pending_.empty();
+}
+
+template <bool kToTargets, typename GraphT>
+bool BfsScratch::expand_bottom_up(const GraphT& g, std::size_t lvl_begin,
                                   std::size_t lvl_end, Hops level) {
   const std::size_t n = g.num_nodes();
   if (frontier_bits_.size() < (n + 63) / 64) {
@@ -68,7 +75,8 @@ void BfsScratch::expand_bottom_up(const GraphT& g, std::size_t lvl_begin,
   // taking the first frontier hit yields exactly that node. Appending v in
   // the ascending v-scan order reproduces the sorted level order the
   // top-down direction gets from its tail sort.
-  for (NodeId v = 0; v < static_cast<NodeId>(n); ++v) {
+  bool done = false;
+  for (NodeId v = 0; v < static_cast<NodeId>(n) && !done; ++v) {
     if (stamp_[v] == epoch_) continue;
     for (NodeId u : g.neighbors(v)) {
       if ((frontier_bits_[u >> 6] >> (u & 63)) & 1u) {
@@ -76,6 +84,7 @@ void BfsScratch::expand_bottom_up(const GraphT& g, std::size_t lvl_begin,
         dist_[v] = level + 1;
         parent_[v] = u;
         reached_.push_back(v);
+        if constexpr (kToTargets) done = settle_target(v);
         break;
       }
     }
@@ -84,9 +93,10 @@ void BfsScratch::expand_bottom_up(const GraphT& g, std::size_t lvl_begin,
     const NodeId u = reached_[i];
     frontier_bits_[u >> 6] &= ~(std::uint64_t{1} << (u & 63));
   }
+  return done;
 }
 
-template <typename GraphT>
+template <bool kToTargets, typename GraphT>
 void BfsScratch::run_any(const GraphT& g, NodeId source, Hops max_hops) {
   KHOP_REQUIRE(source < g.num_nodes(), "BFS source out of range");
   const std::size_t n = g.num_nodes();
@@ -97,6 +107,7 @@ void BfsScratch::run_any(const GraphT& g, NodeId source, Hops max_hops) {
   parent_[source] = kInvalidNode;
   reached_.push_back(source);
   level_end_.push_back(reached_.size());
+  if (kToTargets && pending_.empty()) return;
 
   const bool telemetry_on = obs::enabled();
   std::size_t lvl_begin = 0;
@@ -106,7 +117,10 @@ void BfsScratch::run_any(const GraphT& g, NodeId source, Hops max_hops) {
     const std::size_t frontier_size = lvl_end - lvl_begin;
     if (telemetry_on) frontier_size_hist().record(frontier_size);
     if (n >= kDenseMinNodes && frontier_size * kDenseFrontierDivisor >= n) {
-      expand_bottom_up(g, lvl_begin, lvl_end, level);
+      if (expand_bottom_up<kToTargets>(g, lvl_begin, lvl_end, level)) {
+        level_end_.push_back(reached_.size());
+        return;
+      }
     } else {
       for (std::size_t i = lvl_begin; i < lvl_end; ++i) {
         const NodeId u = reached_[i];
@@ -116,6 +130,13 @@ void BfsScratch::run_any(const GraphT& g, NodeId source, Hops max_hops) {
             dist_[v] = level + 1;
             parent_[v] = u;
             reached_.push_back(v);
+            if constexpr (kToTargets) {
+              // Every stamped node's parent is final: stop mid-level.
+              if (settle_target(v)) {
+                level_end_.push_back(reached_.size());
+                return;
+              }
+            }
           }
         }
       }
@@ -132,12 +153,67 @@ void BfsScratch::run_any(const GraphT& g, NodeId source, Hops max_hops) {
 }
 
 void BfsScratch::run(const Graph& g, NodeId source, Hops max_hops) {
-  run_any(g, source, max_hops);
+  run_any<false>(g, source, max_hops);
 }
 
 void BfsScratch::run(const DynamicGraph& g, NodeId source, Hops max_hops) {
   KHOP_REQUIRE(g.alive(source), "BFS source must be alive");
-  run_any(g, source, max_hops);
+  run_any<false>(g, source, max_hops);
+}
+
+void BfsScratch::run_to_targets(const Graph& g, NodeId source, Hops max_hops,
+                                std::span<const NodeId> targets) {
+  pending_.clear();
+  for (NodeId t : targets) {
+    KHOP_REQUIRE(t < g.num_nodes(), "BFS target out of range");
+    if (t != source) pending_.push_back(t);
+  }
+  run_any<true>(g, source, max_hops);
+}
+
+std::size_t BfsScratch::run_cover(const Graph& g,
+                                  std::span<const NodeId> seeds,
+                                  Hops max_hops) {
+  const std::size_t n = g.num_nodes();
+  begin(n);
+  source_ = kInvalidNode;
+  for (NodeId s : seeds) {
+    KHOP_REQUIRE(s < n, "seed out of range");
+    if (stamp_[s] == epoch_) continue;
+    stamp_[s] = epoch_;
+    dist_[s] = 0;
+    reached_.push_back(s);
+  }
+  if (!reached_.empty()) level_end_.push_back(reached_.size());
+
+  // Coverage needs only the set of nodes at each level, which both
+  // directions compute; no parent, owner or level order is kept.
+  const bool telemetry_on = obs::enabled();
+  std::size_t lvl_begin = 0;
+  std::size_t lvl_end = reached_.size();
+  Hops level = 0;
+  while (lvl_begin < lvl_end && level < max_hops) {
+    const std::size_t frontier_size = lvl_end - lvl_begin;
+    if (telemetry_on) frontier_size_hist().record(frontier_size);
+    if (n >= kDenseMinNodes && frontier_size * kDenseFrontierDivisor >= n) {
+      expand_bottom_up<false>(g, lvl_begin, lvl_end, level);
+    } else {
+      for (std::size_t i = lvl_begin; i < lvl_end; ++i) {
+        for (NodeId v : g.neighbors(reached_[i])) {
+          if (stamp_[v] != epoch_) {
+            stamp_[v] = epoch_;
+            dist_[v] = level + 1;
+            reached_.push_back(v);
+          }
+        }
+      }
+    }
+    if (reached_.size() > lvl_end) level_end_.push_back(reached_.size());
+    lvl_begin = lvl_end;
+    lvl_end = reached_.size();
+    ++level;
+  }
+  return reached_.size();
 }
 
 void BfsScratch::run_multi(const Graph& g, std::span<const NodeId> seeds) {

@@ -29,6 +29,9 @@
 ///    tls_workspace() in khop/runtime/workspace.hpp).
 ///  * dist()/parent()/owner() queries are valid for any v < num_nodes of the
 ///    graph given to the last run.
+///  * Early stop: run_to_targets() ends once its last target is stamped, so
+///    reached() is partial for that run; every stamped node's dist() and
+///    parent() are still the full run's.
 #pragma once
 
 #include <cstdint>
@@ -56,9 +59,30 @@ class BfsScratch {
   /// \pre g.alive(source)
   void run(const DynamicGraph& g, NodeId source, Hops max_hops);
 
+  /// The canonical bounded BFS of run(g, source, max_hops), stopped as soon
+  /// as every node of \p targets is stamped, which may be in the middle of a
+  /// level. A node's first stamp already fixes its min-id parent (each level
+  /// expands in ascending order, top-down and bottom-up alike), so dist(),
+  /// parent() and extract_path() of every stamped node — each target among
+  /// them — equal those of the full run. reached() is partial for this run:
+  /// it ends wherever the last target was stamped, and that last level is
+  /// not sorted. A target beyond \p max_hops is simply not stamped.
+  /// \pre every target < g.num_nodes() (throws InvalidArgument)
+  void run_to_targets(const Graph& g, NodeId source, Hops max_hops,
+                      std::span<const NodeId> targets);
+
   /// Multi-source BFS; equivalent to multi_source_bfs(g, seeds). After this
   /// run owner() is meaningful and parent() must not be used.
   void run_multi(const Graph& g, std::span<const NodeId> seeds);
+
+  /// Multi-source coverage sweep: stamps every node within \p max_hops of a
+  /// seed and returns how many distinct nodes that is. It keeps no owners and
+  /// does not sort its levels, so it costs one bounded sweep and nothing
+  /// more. Afterwards dist() and reached() are valid (reached() level by
+  /// level, unordered within a level); parent() and owner() must not be
+  /// used.
+  std::size_t run_cover(const Graph& g, std::span<const NodeId> seeds,
+                        Hops max_hops);
 
   /// Hop distance of \p v from the last run's source(s); kUnreachable if the
   /// run did not reach v.
@@ -76,7 +100,9 @@ class BfsScratch {
   NodeId owner(NodeId v) const noexcept { return parent(v); }
 
   /// Every node the last run reached (sources included), in visit order:
-  /// level by level, ascending id within each level.
+  /// level by level, ascending id within each level. Exceptions: after
+  /// run_cover the levels are unordered, and after run_to_targets the last
+  /// level is cut short and unsorted.
   std::span<const NodeId> reached() const noexcept { return reached_; }
 
   /// The nodes of the last run at distance <= \p d: a prefix of reached()
@@ -98,17 +124,23 @@ class BfsScratch {
   /// Grows the per-node arrays to \p n and opens a fresh epoch.
   void begin(std::size_t n);
 
-  /// Shared body of the single-source overloads; GraphT needs num_nodes()
-  /// and sorted neighbors(u). Defined in the .cpp and instantiated there.
-  template <typename GraphT>
+  /// Shared body of the single-source runs; GraphT needs num_nodes() and
+  /// sorted neighbors(u). With kToTargets the run stops once pending_ (the
+  /// unstamped targets) is empty. Defined in the .cpp and instantiated there.
+  template <bool kToTargets, typename GraphT>
   void run_any(const GraphT& g, NodeId source, Hops max_hops);
 
   /// Bottom-up expansion of one dense level: every unvisited node scans its
   /// (sorted) adjacency for a member of the current frontier, whose
-  /// membership is looked up in the word-packed frontier_bits_ set.
-  template <typename GraphT>
-  void expand_bottom_up(const GraphT& g, std::size_t lvl_begin,
+  /// membership is looked up in the word-packed frontier_bits_ set. Returns
+  /// true when kToTargets and the level stamped the last pending target (the
+  /// scan stops there).
+  template <bool kToTargets, typename GraphT>
+  bool expand_bottom_up(const GraphT& g, std::size_t lvl_begin,
                         std::size_t lvl_end, Hops level);
+
+  /// Removes \p v from pending_ if it is a target; true once none is left.
+  bool settle_target(NodeId v);
 
   std::uint8_t epoch_ = 0;
   std::vector<std::uint8_t> stamp_;  ///< stamp_[v] == epoch_ <=> v visited
@@ -117,6 +149,7 @@ class BfsScratch {
   std::vector<NodeId> reached_;  ///< doubles as flat frontier storage
   std::vector<std::size_t> level_end_;  ///< level_end_[d] = #reached at <= d
   std::vector<std::uint64_t> frontier_bits_;  ///< dense-level membership set
+  std::vector<NodeId> pending_;  ///< run_to_targets: targets not yet stamped
   NodeId source_ = kInvalidNode;
 };
 

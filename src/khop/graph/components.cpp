@@ -1,6 +1,7 @@
 #include "khop/graph/components.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "khop/common/assert.hpp"
 
@@ -34,35 +35,38 @@ bool is_connected(const Graph& g) {
   return connected_components(g).count == 1;
 }
 
-bool is_connected_subset(const Graph& g, const std::vector<bool>& in_subset) {
-  KHOP_REQUIRE(in_subset.size() == g.num_nodes(),
-               "subset mask size mismatch");
-  NodeId start = kInvalidNode;
-  std::size_t subset_size = 0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (in_subset[v]) {
-      ++subset_size;
-      if (start == kInvalidNode) start = v;
+bool is_connected_subset(const Graph& g, std::span<const NodeId> part_a,
+                         std::span<const NodeId> part_b) {
+  // mark: 0 outside the subset, 1 member not yet reached, 2 reached.
+  std::vector<std::uint8_t> mark(g.num_nodes(), 0);
+  std::size_t members = 0;
+  for (const std::span<const NodeId> part : {part_a, part_b}) {
+    for (const NodeId v : part) {
+      KHOP_REQUIRE(v < g.num_nodes(), "subset id out of range");
+      if (mark[v] == 0) {
+        mark[v] = 1;
+        ++members;
+      }
     }
   }
-  if (subset_size <= 1) return true;
+  if (members <= 1) return true;
 
-  std::vector<bool> seen(g.num_nodes(), false);
+  const NodeId start = part_a.empty() ? part_b.front() : part_a.front();
   std::vector<NodeId> stack{start};
-  seen[start] = true;
+  mark[start] = 2;
   std::size_t reached = 1;
   while (!stack.empty()) {
     const NodeId u = stack.back();
     stack.pop_back();
     for (NodeId v : g.neighbors(u)) {
-      if (in_subset[v] && !seen[v]) {
-        seen[v] = true;
-        ++reached;
+      if (mark[v] == 1) {
+        mark[v] = 2;
+        if (++reached == members) return true;
         stack.push_back(v);
       }
     }
   }
-  return reached == subset_size;
+  return false;
 }
 
 LargestComponent largest_component(const Graph& g) {

@@ -2,6 +2,7 @@
 /// Connected-component analysis.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "khop/common/types.hpp"
@@ -21,10 +22,14 @@ Components connected_components(const Graph& g);
 /// True iff the graph is connected (vacuously true for <= 1 node).
 bool is_connected(const Graph& g);
 
-/// True iff the nodes in \p subset induce a connected subgraph of \p g
-/// (edges with both endpoints in the subset). Vacuously true for <= 1 node.
-/// \p in_subset is an n-sized membership mask.
-bool is_connected_subset(const Graph& g, const std::vector<bool>& in_subset);
+/// True iff the nodes listed in \p part_a and \p part_b together induce a
+/// connected subgraph of \p g (edges with both endpoints in the subset).
+/// Vacuously true for <= 1 node. The two lists are a backbone's heads and
+/// gateways; an id may repeat within or across them. One byte mark per node
+/// and one search over the subset, which stops once it has reached every
+/// member. \pre every id < g.num_nodes() (throws InvalidArgument)
+bool is_connected_subset(const Graph& g, std::span<const NodeId> part_a,
+                         std::span<const NodeId> part_b);
 
 /// Extraction of the largest connected component with a dense re-labelling.
 struct LargestComponent {

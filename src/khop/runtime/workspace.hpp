@@ -113,6 +113,8 @@ struct Workspace {
   SpatialGrid grid;
   /// Connectivity-first placement test (generate_network): the union-find
   /// over the grid's pairs and the upper rows recorded in the same walk.
+  /// khop_clustering reuses the union-find, over cluster indices, for its
+  /// connected-input check.
   UnionFind uf;
   UpperRows upper_rows;
   /// The pair table lmst_gateways builds once per call.

@@ -2,6 +2,8 @@
 // hand-computed expectations on small topologies.
 #include <gtest/gtest.h>
 
+#include <exception>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -177,6 +179,87 @@ TEST(Clustering, DeterministicAcrossCalls) {
   const Clustering b = khop_clustering(net.graph, 3);
   EXPECT_EQ(a.heads, b.heads);
   EXPECT_EQ(a.head_of, b.head_of);
+}
+
+// The connected-input precondition is decided after the election, from the
+// cluster graph. A disconnected input must still throw NotConnected with the
+// message of the check that used to run first, under every rule, and never
+// the InvariantViolation the election itself would raise on tied keys.
+
+constexpr AffiliationRule kAllRules[] = {AffiliationRule::kIdBased,
+                                         AffiliationRule::kDistanceBased,
+                                         AffiliationRule::kSizeBased};
+constexpr const char* kNotConnectedMessage =
+    "khop_clustering: input graph must be connected";
+
+void expect_not_connected(const Graph& g, Hops k,
+                          const std::vector<PriorityKey>& prios) {
+  for (const AffiliationRule rule : kAllRules) {
+    try {
+      (void)khop_clustering(g, k, prios, rule);
+      ADD_FAILURE() << "no throw: rule " << static_cast<int>(rule)
+                    << " k=" << k;
+    } catch (const NotConnected& e) {
+      EXPECT_STREQ(e.what(), kNotConnectedMessage);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "rule " << static_cast<int>(rule) << " k=" << k
+                    << " threw something else: " << e.what();
+    }
+  }
+}
+
+TEST(Clustering, DisconnectedInputThrowsNotConnectedTwoComponents) {
+  // Paths 0-1-2-3 and 4-5-6: each component elects on its own, the cluster
+  // graph stays split at every k.
+  const Graph g = Graph::from_edges(
+      7, EdgeList{{0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6}});
+  for (Hops k = 1; k <= 4; ++k) {
+    expect_not_connected(g, k, make_priorities(g, PriorityRule::kLowestId));
+  }
+}
+
+TEST(Clustering, DisconnectedInputThrowsNotConnectedIsolatedNode) {
+  // Node 3 of a 6-node graph has no edge; it heads a cluster of its own.
+  const Graph g = Graph::from_edges(
+      6, EdgeList{{0, 1}, {1, 2}, {2, 4}, {4, 5}});
+  for (Hops k = 1; k <= 4; ++k) {
+    expect_not_connected(g, k, make_priorities(g, PriorityRule::kLowestId));
+  }
+}
+
+TEST(Clustering, DisconnectedInputThrowsNotConnectedTwoNodesNoEdge) {
+  const Graph g(2);
+  for (Hops k = 1; k <= 3; ++k) {
+    expect_not_connected(g, k, make_priorities(g, PriorityRule::kLowestId));
+  }
+}
+
+TEST(Clustering, DisconnectedInputThrowsNotConnectedWithTiedKeys) {
+  // Component {0..4} is a path whose nodes 0 and 2 share the best key, 2
+  // hops apart: at k = 2 both win round 1, which the election rejects with
+  // InvariantViolation on a connected graph. With a second component
+  // {5, 6} the input is disconnected, and that must be what is reported.
+  const std::vector<PriorityKey> prios = {{0.0, 0}, {5.0, 0}, {0.0, 0},
+                                          {6.0, 0}, {7.0, 0}, {8.0, 0},
+                                          {9.0, 0}};
+  const Graph split = Graph::from_edges(
+      7, EdgeList{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {5, 6}});
+  expect_not_connected(split, 2, prios);
+
+  // A NaN key on a disconnected input is reported as NotConnected too.
+  std::vector<PriorityKey> nan_prios = prios;
+  nan_prios[6].key = std::numeric_limits<double>::quiet_NaN();
+  expect_not_connected(split, 2, nan_prios);
+
+  // Joined into one component, the same keys are the election's error.
+  const Graph joined = Graph::from_edges(
+      7, EdgeList{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}});
+  for (const AffiliationRule rule : kAllRules) {
+    EXPECT_THROW((void)khop_clustering(joined, 2, prios, rule),
+                 InvariantViolation);
+    EXPECT_THROW((void)khop_clustering(joined, 2, nan_prios, rule),
+                 InvalidArgument);
+  }
 }
 
 }  // namespace

@@ -47,28 +47,34 @@ TEST(Components, TwoIsolatedNodesAreNot) {
 }
 
 TEST(ConnectedSubset, DetectsSplitSubsets) {
-  // Path 0-1-2-3-4: subset {0,1} connected; {0,2} not; {0,1,2} connected.
+  // Path 0-1-2-3-4: subset {0,1} connected; {0,2} not; {0,1,2} connected,
+  // also when its ids are split across the two lists or repeated.
   const Graph g =
       Graph::from_edges(5, EdgeList{{0, 1}, {1, 2}, {2, 3}, {3, 4}});
-  std::vector<bool> mask(5, false);
-  mask[0] = mask[1] = true;
-  EXPECT_TRUE(is_connected_subset(g, mask));
-  mask[1] = false;
-  mask[2] = true;
-  EXPECT_FALSE(is_connected_subset(g, mask));
-  mask[1] = true;
-  EXPECT_TRUE(is_connected_subset(g, mask));
+  using Ids = std::vector<NodeId>;
+  EXPECT_TRUE(is_connected_subset(g, Ids{0, 1}, Ids{}));
+  EXPECT_FALSE(is_connected_subset(g, Ids{0}, Ids{2}));
+  EXPECT_TRUE(is_connected_subset(g, Ids{0, 2}, Ids{1}));
+  EXPECT_TRUE(is_connected_subset(g, Ids{}, Ids{2, 1, 0}));
+  EXPECT_TRUE(is_connected_subset(g, Ids{0, 1, 1}, Ids{2, 0}));
+  EXPECT_FALSE(is_connected_subset(g, Ids{0, 0}, Ids{4, 4}));
 }
 
 TEST(ConnectedSubset, EmptyAndSingletonAreConnected) {
   const Graph g = Graph::from_edges(3, EdgeList{{0, 1}});
-  EXPECT_TRUE(is_connected_subset(g, {false, false, false}));
-  EXPECT_TRUE(is_connected_subset(g, {false, false, true}));
+  using Ids = std::vector<NodeId>;
+  EXPECT_TRUE(is_connected_subset(g, Ids{}, Ids{}));
+  EXPECT_TRUE(is_connected_subset(g, Ids{2}, Ids{}));
+  EXPECT_TRUE(is_connected_subset(g, Ids{2}, Ids{2}));
 }
 
-TEST(ConnectedSubset, RejectsWrongMaskSize) {
+TEST(ConnectedSubset, RejectsOutOfRangeIds) {
   const Graph g = Graph::from_edges(3, EdgeList{{0, 1}});
-  EXPECT_THROW((void)is_connected_subset(g, {true, true}), InvalidArgument);
+  using Ids = std::vector<NodeId>;
+  EXPECT_THROW((void)is_connected_subset(g, Ids{0, 3}, Ids{}),
+               InvalidArgument);
+  EXPECT_THROW((void)is_connected_subset(g, Ids{0}, Ids{1, 7}),
+               InvalidArgument);
 }
 
 TEST(LargestComponent, PicksBiggerIsland) {

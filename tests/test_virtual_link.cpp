@@ -2,21 +2,45 @@
 // the horizon-bounded and parallel builds introduced in PR 4.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <utility>
 #include <vector>
 
+#include "khop/cluster/clustering.hpp"
 #include "khop/common/error.hpp"
 #include "khop/gateway/virtual_link.hpp"
 #include "khop/graph/bfs.hpp"
+#include "khop/nbr/neighbor_rules.hpp"
 #include "khop/net/generator.hpp"
 #include "khop/runtime/thread_pool.hpp"
 #include "khop/runtime/workspace.hpp"
+#include "oracles/bfs_reference.hpp"
 #include "oracles/gateway_reference.hpp"
 
 namespace khop {
 namespace {
 
 using EdgeList = std::vector<std::pair<NodeId, NodeId>>;
+
+/// The fallback count of full horizon-bounded sweeps, from the oracle BFS:
+/// one per source with a target farther than \p horizon.
+std::size_t full_sweep_fallbacks(
+    const Graph& g, const std::vector<std::pair<NodeId, NodeId>>& pairs,
+    Hops horizon) {
+  std::map<NodeId, std::vector<NodeId>> by_source;
+  for (const auto& [a, b] : pairs) {
+    by_source[std::min(a, b)].push_back(std::max(a, b));
+  }
+  std::size_t fallbacks = 0;
+  for (const auto& [src, targets] : by_source) {
+    const BfsTree t = reference::bfs_bounded(g, src, horizon);
+    fallbacks += std::any_of(targets.begin(), targets.end(), [&](NodeId v) {
+      return t.dist[v] == kUnreachable;
+    });
+  }
+  return fallbacks;
+}
 
 void expect_links_eq(const VirtualLinkMap& got, const VirtualLinkMap& want) {
   ASSERT_EQ(got.all().size(), want.all().size());
@@ -183,6 +207,118 @@ TEST(VirtualLink, BoundedAndParallelMatchUnboundedOnRandomNetworks) {
           want);
     }
   }
+
+  // The pair sets the backbones extract: NC (every head within 2k+1 hops)
+  // and AC (adjacent clusters), at the paper's horizon 2k+1 and at a tight
+  // horizon k that forces fallbacks, serial and at 1, 2 and 4 threads. The
+  // early-stopping sweeps must give the oracle's links and the fallback
+  // count of full horizon-bounded sweeps.
+  Workspace ws;
+  for (Hops k = 1; k <= 4; ++k) {
+    const Clustering c = khop_clustering(net.graph, k);
+    for (const NeighborRule rule :
+         {NeighborRule::kAllWithin2k1, NeighborRule::kAdjacent}) {
+      const auto sel_pairs = select_neighbors(net.graph, c, rule).head_pairs;
+      const auto oracle = reference::build_virtual_links(net.graph, sel_pairs);
+      for (const Hops horizon : {2 * k + 1, k}) {
+        const std::size_t fallbacks =
+            full_sweep_fallbacks(net.graph, sel_pairs, horizon);
+        if (horizon == 2 * k + 1) EXPECT_EQ(fallbacks, 0u);
+        std::vector<VirtualLinkMap> builds;
+        builds.push_back(
+            VirtualLinkMap::build_bounded(net.graph, sel_pairs, horizon, ws));
+        for (const std::size_t threads : {1u, 2u, 4u}) {
+          ThreadPool pool(threads);
+          builds.push_back(VirtualLinkMap::build_bounded(net.graph, sel_pairs,
+                                                         horizon, pool));
+        }
+        for (const VirtualLinkMap& got : builds) {
+          expect_links_eq(got, oracle);
+          EXPECT_EQ(got.bounded_fallbacks(), fallbacks)
+              << "k=" << k << " horizon=" << horizon;
+        }
+      }
+    }
+  }
+}
+
+TEST(VirtualLink, EarlyStopMidLevelKeepsMinIdPath) {
+  // Source 0, level 1 = {1, 2}. Expanding node 1 stamps both targets 5 and
+  // 6, so the sweep stops in the middle of level 2, before node 2 is
+  // expanded, although 2 offers an equally short path 0-2-6 through a
+  // larger id. The canonical path is 0-1-6.
+  const Graph g = Graph::from_edges(
+      8, EdgeList{{0, 1}, {0, 2}, {1, 5}, {1, 6}, {2, 6}, {2, 7}, {3, 4}});
+  const std::vector<std::pair<NodeId, NodeId>> pairs = {{0, 5}, {6, 0}};
+  const auto links = VirtualLinkMap::build_bounded(g, pairs, 5);
+  EXPECT_EQ(links.bounded_fallbacks(), 0u);
+  EXPECT_EQ(links.link(0, 6).path, (std::vector<NodeId>{0, 1, 6}));
+  EXPECT_EQ(links.link(0, 5).path, (std::vector<NodeId>{0, 1, 5}));
+  expect_links_eq(links, reference::build_virtual_links(g, pairs));
+
+  BfsScratch bfs;
+  bfs.run_to_targets(g, 0, 5, std::vector<NodeId>{6, 5});
+  EXPECT_EQ(bfs.parent(6), 1u);
+  EXPECT_EQ(bfs.dist(6), 2u);
+  EXPECT_EQ(bfs.dist(7), kUnreachable);  // node 2 was never expanded
+  EXPECT_EQ(bfs.reached().size(), 5u);   // 0, 1, 2, 5, 6
+}
+
+TEST(VirtualLink, EarlyStopMidLevelBottomUpKeepsMinIdPath) {
+  // Level 1 holds 20 of 130 nodes, so level 2 expands bottom-up (a frontier
+  // of at least n / 8). Each level-2 node v is adjacent to two level-1
+  // nodes; the scan visits v in ascending order and stops at the last
+  // target, leaving the larger level-2 ids unstamped. Every target keeps
+  // the min-id parent of the full sweep.
+  constexpr NodeId kN = 130;
+  EdgeList edges;
+  for (NodeId f = 1; f <= 20; ++f) edges.emplace_back(0, f);
+  for (NodeId v = 21; v < kN; ++v) {
+    const NodeId f1 = 1 + v % 20;
+    const NodeId f2 = 1 + (v * 7 + 3) % 20;
+    edges.emplace_back(std::min(f1, f2), v);
+    if (f1 != f2) edges.emplace_back(std::max(f1, f2), v);
+  }
+  const Graph g = Graph::from_edges(kN, edges);
+  const std::vector<NodeId> targets = {77, 40, 58};
+
+  BfsScratch full;
+  full.run(g, 0, 5);
+  BfsScratch early;
+  early.run_to_targets(g, 0, 5, targets);
+  for (const NodeId t : targets) {
+    EXPECT_EQ(early.dist(t), 2u);
+    EXPECT_EQ(early.parent(t), full.parent(t)) << t;
+    EXPECT_EQ(early.extract_path(t), full.extract_path(t)) << t;
+  }
+  // The scan stopped at 77: larger level-2 nodes were never stamped.
+  EXPECT_EQ(early.dist(78), kUnreachable);
+  EXPECT_EQ(early.reached().size(), 21u + (77 - 21 + 1));
+  EXPECT_EQ(full.reached().size(), std::size_t{kN});
+
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (const NodeId t : targets) pairs.emplace_back(0, t);
+  expect_links_eq(VirtualLinkMap::build_bounded(g, pairs, 5),
+                  reference::build_virtual_links(g, pairs));
+}
+
+TEST(VirtualLink, EarlyStopTargetBeyondHorizonFallsBackExactly) {
+  // Chain 0..6 with a spur 1-7: targets 7 (2 hops) and 6 (6 hops). At
+  // horizon 5 the sweep cannot stamp 6, so the source reruns unbounded and
+  // stops once 6 is stamped.
+  const Graph g = Graph::from_edges(
+      8, EdgeList{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {1, 7}});
+  const std::vector<std::pair<NodeId, NodeId>> pairs = {{0, 7}, {0, 6}};
+  const auto links = VirtualLinkMap::build_bounded(g, pairs, 5);
+  EXPECT_EQ(links.bounded_fallbacks(), 1u);
+  expect_links_eq(links, reference::build_virtual_links(g, pairs));
+
+  BfsScratch bfs;
+  bfs.run_to_targets(g, 0, 5, std::vector<NodeId>{7, 6});
+  EXPECT_EQ(bfs.dist(7), 2u);
+  EXPECT_EQ(bfs.dist(6), kUnreachable);
+  EXPECT_THROW(bfs.run_to_targets(g, 0, 5, std::vector<NodeId>{8}),
+               InvalidArgument);
 }
 
 TEST(VirtualLink, FromLinksRejectsBadInput) {
