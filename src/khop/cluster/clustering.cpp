@@ -73,6 +73,27 @@ bool clusters_connected(const Graph& g, const Clustering& c, UnionFind& uf) {
   return false;
 }
 
+/// The sparse form of min_label_pass, for rounds with few undecided nodes:
+/// pushes in[s] from every source s into its closed neighborhood in \p out,
+/// which must hold kNoLabel on every node outside the sources' balls.
+/// \p touched receives each node whose label the pass set, once.
+void push_label_pass(const Graph& g, std::span<const std::uint32_t> in,
+                     std::span<const NodeId> sources,
+                     std::span<std::uint32_t> out,
+                     std::vector<NodeId>& touched) {
+  touched.clear();
+  for (const NodeId s : sources) {
+    const std::uint32_t l = in[s];
+    const auto lower = [&](NodeId v) {
+      if (l >= out[v]) return;
+      if (out[v] == kNoLabel) touched.push_back(v);
+      out[v] = l;
+    };
+    lower(s);
+    for (const NodeId v : g.neighbors(s)) lower(v);
+  }
+}
+
 [[noreturn]] void throw_not_connected() {
   throw NotConnected("khop_clustering: input graph must be connected");
 }
@@ -120,14 +141,32 @@ Clustering elect(const Graph& g, Hops k,
     --undecided;
   };
 
-  // Round-scoped buffers, hoisted so rounds reuse their capacity.
-  std::vector<NodeId> winners;
-  std::vector<NodeId> claimed;
+  // Round-scoped buffers, reused across rounds (and calls, in ws).
+  std::vector<NodeId>& winners = ws.election.winners;
+  std::vector<NodeId>& claimed = ws.election.claimed;
   std::vector<Candidate> declared;
+
+  // Once fewer than n/4 nodes are undecided, phase A works from the
+  // ascending undecided list instead of all n nodes: the sweep buffers hold
+  // kNoLabel except where this round's pushes set a label, and only those
+  // entries are reset after the winner test.
+  std::vector<NodeId>& active = ws.election.undecided;
+  bool sparse = false;
 
   while (undecided > 0) {
     ++result.election_rounds;
     KHOP_ASSERT(result.election_rounds <= n, "election failed to make progress");
+    if (sparse) {
+      std::erase_if(active, decided);
+    } else if (undecided < n / 4) {
+      sparse = true;
+      active.clear();
+      for (NodeId v = 0; v < n; ++v) {
+        if (!decided(v)) active.push_back(v);
+      }
+      std::fill(sweep_a.begin(), sweep_a.end(), kNoLabel);
+      std::fill(sweep_b.begin(), sweep_b.end(), kNoLabel);
+    }
 
     // Phase A - declaration: an undecided node wins iff it holds the best
     // priority among *undecided* nodes within its k-hop neighborhood, i.e.
@@ -136,20 +175,55 @@ Clustering elect(const Graph& g, Hops k,
     // pass is folded into the winner test, which needs it only at undecided
     // nodes and stops at the first better neighbor.
     std::span<const std::uint32_t> label = rank;
-    for (Hops i = 1; i < k; ++i) {
-      const std::span<std::uint32_t> out =
-          i % 2 == 1 ? sweep_a : std::span<std::uint32_t>(sweep_b);
-      const bool dropped = min_label_pass(g, label, out);
-      label = out;
-      if (!dropped) break;
-    }
-    winners.clear();
-    for (NodeId u = 0; u < n; ++u) {
-      if (decided(u) || label[u] < rank[u]) continue;
+    const auto wins = [&](NodeId u) {
+      if (label[u] < rank[u]) return false;
       const auto nbrs = g.neighbors(u);
-      if (std::all_of(nbrs.begin(), nbrs.end(),
-                      [&](NodeId v) { return label[v] >= rank[u]; })) {
-        winners.push_back(u);
+      return std::all_of(nbrs.begin(), nbrs.end(),
+                         [&](NodeId v) { return label[v] >= rank[u]; });
+    };
+    winners.clear();
+    if (!sparse) {
+      for (Hops i = 1; i < k; ++i) {
+        const std::span<std::uint32_t> out =
+            i % 2 == 1 ? sweep_a : std::span<std::uint32_t>(sweep_b);
+        const bool dropped = min_label_pass(g, label, out);
+        label = out;
+        if (!dropped) break;
+      }
+      for (NodeId u = 0; u < n; ++u) {
+        if (!decided(u) && wins(u)) winners.push_back(u);
+      }
+    } else {
+      // Pass i pushes from the nodes pass i - 1 set (the undecided list
+      // first) into the buffer pass i - 2 wrote, whose labels lie on those
+      // same nodes, so clearing them first leaves it all kNoLabel. Unlike
+      // the dense passes these never stop early: labels stop dropping only
+      // once a ball spans its whole component, and every component holds a
+      // head, which is more than k hops from each undecided node.
+      std::span<const NodeId> sources = active;
+      std::vector<NodeId>* touched = &ws.election.frontier;
+      std::vector<NodeId>* spare = &ws.election.frontier_next;
+      for (Hops i = 1; i < k; ++i) {
+        const std::span<std::uint32_t> out =
+            i % 2 == 1 ? sweep_a : std::span<std::uint32_t>(sweep_b);
+        if (i >= 3) {
+          for (const NodeId v : sources) out[v] = kNoLabel;
+        }
+        push_label_pass(g, label, sources, out, *touched);
+        label = out;
+        sources = *touched;
+        std::swap(touched, spare);
+      }
+      for (const NodeId u : active) {
+        if (wins(u)) winners.push_back(u);
+      }
+      // The last pass set labels on `sources`, a superset of the nodes the
+      // pass before it set in the other buffer.
+      if (k >= 2) {
+        for (const NodeId v : sources) {
+          sweep_a[v] = kNoLabel;
+          if (k >= 3) sweep_b[v] = kNoLabel;
+        }
       }
     }
     KHOP_ASSERT(!winners.empty(), "no winner in a round");

@@ -66,10 +66,17 @@ Clustering khop_clustering(const Graph& g, Hops k,
                            AffiliationRule rule = AffiliationRule::kIdBased);
 
 /// Workspace variant: the election's priority-order and min-label sweep
-/// buffer and the declaring heads' k-bounded BFS runs reuse \p ws (one
-/// workspace per thread; see khop/runtime/workspace.hpp). Output is
-/// bit-identical to the overload above, which forwards here with the calling
-/// thread's tls_workspace().
+/// buffer, its round lists (Workspace::election), and the declaring heads'
+/// k-bounded BFS runs reuse \p ws (one workspace per thread; see
+/// khop/runtime/workspace.hpp). Output is bit-identical to the overload
+/// above, which forwards here with the calling thread's tls_workspace().
+///
+/// Each round's declaration test runs k - 1 min-label passes over the whole
+/// graph while many nodes are undecided. Once fewer than n/4 are, it keeps
+/// the undecided nodes in an ascending list, pushes the passes from that
+/// list into its (k-1)-balls, tests only the listed nodes and resets only
+/// the labels it set, so a late round costs in proportion to the undecided
+/// set and its balls, not to n.
 ///
 /// Under kIdBased and kDistanceBased, members affiliate while the round's
 /// winners search, in ascending winner order: the first claim on a node is

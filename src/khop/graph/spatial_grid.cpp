@@ -23,6 +23,8 @@ void SpatialGrid::rebuild(const std::vector<Point2>& pts, double radius) {
   min_x_ = pts[0].x;
   min_y_ = pts[0].y;
   for (const auto& p : pts) {
+    KHOP_REQUIRE(std::isfinite(p.x) && std::isfinite(p.y),
+                 "point coordinates must be finite");
     min_x_ = std::min(min_x_, p.x);
     min_y_ = std::min(min_y_, p.y);
     max_x = std::max(max_x, p.x);
@@ -37,6 +39,10 @@ void SpatialGrid::rebuild(const std::vector<Point2>& pts, double radius) {
   // collinear) spreads where one dimension floors at a single row.
   const double span_x = max_x - min_x_;
   const double span_y = max_y - min_y_;
+  // Finite points can still lie more than DBL_MAX apart; the cell counts
+  // below would then be inf / inf.
+  KHOP_REQUIRE(std::isfinite(span_x) && std::isfinite(span_y),
+               "point spread overflows a double");
   const double max_cells = 4.0 * static_cast<double>(pts.size()) + 1024.0;
   while ((span_x / cell_ + 1.0) * (span_y / cell_ + 1.0) > max_cells) {
     cell_ *= 2.0;
@@ -196,48 +202,49 @@ Graph build_unit_disk_graph_streamed(const std::vector<Point2>& pts,
   // size. The distance predicate is exactly symmetric in IEEE arithmetic
   // (dx*dx + dy*dy is invariant under operand negation), so per-node rows
   // reproduce the symmetric adjacency from_edges would build.
+  //
+  // Both passes visit the nodes in cell order and each node writes only its
+  // own slots of offsets/adjacency, so tiles (contiguous blocks of that
+  // order) never share a slot and the "merge" is simply the ascending-id
+  // layout of CSR itself - deterministic for any thread count.
+  const std::span<const NodeId> order = grid.cell_order();
   std::vector<std::size_t> offsets(n + 1, 0);
   const auto count_range = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t u = begin; u < end; ++u) {
-      offsets[u + 1] = grid.count_within_radius(static_cast<NodeId>(u));
+    for (std::size_t i = begin; i < end; ++i) {
+      const NodeId u = order[i];
+      offsets[u + 1] = grid.count_within_radius(u);
     }
   };
-
-  // Tile partition: contiguous id blocks. Tiles write disjoint slots of
-  // offsets/adjacency, so the "merge" is simply the ascending-id layout of
-  // CSR itself - deterministic for any thread count.
   const std::size_t num_tiles =
       pool == nullptr ? 1
                       : std::min<std::size_t>(pool->num_threads() * 4,
                                               std::max<std::size_t>(n, 1));
   const std::size_t tile = (n + num_tiles - 1) / num_tiles;
-  if (pool == nullptr || num_tiles <= 1) {
-    count_range(0, n);
-  } else {
+  const auto run_tiles = [&](const auto& range) {
+    if (num_tiles <= 1) {
+      range(0, n);
+      return;
+    }
     parallel_for_throwing(*pool, num_tiles, [&](std::size_t t) {
-      count_range(t * tile, std::min(n, (t + 1) * tile));
+      range(t * tile, std::min(n, (t + 1) * tile));
     });
-  }
+  };
+  run_tiles(count_range);
   for (std::size_t u = 0; u < n; ++u) offsets[u + 1] += offsets[u];
 
   std::vector<NodeId> adjacency(offsets[n]);
   const auto fill_range = [&](std::size_t begin, std::size_t end) {
     std::vector<NodeId> row;
-    for (std::size_t u = begin; u < end; ++u) {
-      grid.within_radius_into(static_cast<NodeId>(u), row);
+    for (std::size_t i = begin; i < end; ++i) {
+      const NodeId u = order[i];
+      grid.within_radius_into(u, row);
       KHOP_ASSERT(row.size() == offsets[u + 1] - offsets[u],
                   "streamed build: counting/placement mismatch");
       std::copy(row.begin(), row.end(),
                 adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[u]));
     }
   };
-  if (pool == nullptr || num_tiles <= 1) {
-    fill_range(0, n);
-  } else {
-    parallel_for_throwing(*pool, num_tiles, [&](std::size_t t) {
-      fill_range(t * tile, std::min(n, (t + 1) * tile));
-    });
-  }
+  run_tiles(fill_range);
   if (pool != nullptr) {
     return Graph::from_csr(std::move(offsets), std::move(adjacency), *pool);
   }

@@ -71,6 +71,11 @@ class SpatialGrid {
   /// has grown, so a rejected placement costs at most one walk.
   bool connected_upper_rows(UnionFind& uf, UpperRows& rows) const;
 
+  /// Every point id once, grouped by cell in row-major cell order and
+  /// ascending within a cell: consecutive queries in this order walk
+  /// overlapping 3x3 windows.
+  std::span<const NodeId> cell_order() const noexcept { return cell_ids_; }
+
   /// Number of grid cells (cols x rows) after the cell-count cap.
   std::size_t num_cells() const noexcept { return cols_ * rows_; }
 
@@ -109,11 +114,13 @@ class SpatialGrid {
 Graph build_unit_disk_graph(const std::vector<Point2>& pts, double radius);
 
 /// The streamed build against a caller-owned grid: rebuild()s \p grid for
-/// (pts, radius) and emits the CSR rows per node. With \p pool non-null the
-/// counting and placement passes run tile-parallel over contiguous id
-/// blocks (rows are written to disjoint CSR slots, so the merge is the
-/// deterministic ascending-id order of the offsets themselves), and so
-/// does Graph::from_csr's validation of the result.
+/// (pts, radius) and emits the CSR rows per node. The counting and
+/// placement passes query the nodes in the grid's cell_order(), so
+/// consecutive queries read the same few cells' points instead of
+/// scattered ones; each node still writes only its own CSR slots, so the
+/// rows land in ascending-id layout whatever the query order. With \p pool
+/// non-null both passes run tile-parallel over contiguous blocks of that
+/// order, and so does Graph::from_csr's validation of the result.
 Graph build_unit_disk_graph_streamed(const std::vector<Point2>& pts,
                                      double radius, SpatialGrid& grid,
                                      ThreadPool* pool = nullptr);

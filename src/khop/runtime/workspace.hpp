@@ -96,6 +96,17 @@ struct PairHopRows {
   std::vector<std::pair<NodeId, NodeId>> canonical;
 };
 
+/// khop_clustering's round lists: each round's winners and claimed
+/// members, and for its active-set rounds the ascending undecided list and
+/// the two frontiers its label pushes alternate between.
+struct ElectionLists {
+  std::vector<NodeId> winners;
+  std::vector<NodeId> claimed;
+  std::vector<NodeId> undecided;
+  std::vector<NodeId> frontier;
+  std::vector<NodeId> frontier_next;
+};
+
 /// The per-thread scratch bundle threaded through the hot paths.
 struct Workspace {
   /// Primary BFS scratch (clustering election, neighbor rules, floods).
@@ -119,6 +130,8 @@ struct Workspace {
   UpperRows upper_rows;
   /// The pair table lmst_gateways builds once per call.
   PairHopRows lmst_pairs;
+  /// The election's per-round lists (khop_clustering).
+  ElectionLists election;
 };
 
 /// Lazily-created workspace owned by the calling thread. Reused across calls

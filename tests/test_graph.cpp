@@ -1,6 +1,7 @@
 // Unit tests for the CSR graph and unit-disk construction.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -146,6 +147,27 @@ TEST(SpatialGrid, CellCountCappedForTinyRadius) {
   }
   const Graph lg = build_unit_disk_graph(line, 1e-15);
   EXPECT_EQ(lg.num_edges(), 0u);
+}
+
+TEST(SpatialGrid, RejectsNonFiniteCoordinatesAndSpan) {
+  // A NaN or infinite coordinate, or finite points more than DBL_MAX apart
+  // (the span overflows to inf), would turn the cell counts into NaN.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<Point2>> bad = {
+      {{0, 0}, {nan, 1}},
+      {{nan, nan}, {0, 0}},
+      {{0, 0}, {1, -inf}},
+      {{-1e308, 0}, {1e308, 0}},
+      {{0, 1e308}, {0, -1e308}}};
+  for (const auto& pts : bad) {
+    EXPECT_THROW(build_unit_disk_graph(pts, 1.0), InvalidArgument);
+    SpatialGrid grid;
+    EXPECT_THROW(grid.rebuild(pts, 1.0), InvalidArgument);
+  }
+  // The widest finite span still builds.
+  const Graph g = build_unit_disk_graph({{-8e307, 0}, {8e307, 0}}, 1.0);
+  EXPECT_EQ(g.num_edges(), 0u);
 }
 
 TEST(SpatialGrid, CountMatchesListLength) {

@@ -116,6 +116,13 @@ TEST(IoNetwork, RejectsInflatedHeaderCountWithoutAllocating) {
   EXPECT_THROW(read_network(negative), InvalidArgument);
 }
 
+TEST(IoNetwork, RejectsPositionsSpreadBeyondADouble) {
+  // Both coordinates are finite, but their span overflows to inf: a clean
+  // InvalidArgument, not undefined behaviour or std::length_error.
+  std::istringstream overflow("2 1 10\n-1e308 0\n1e308 0\n");
+  EXPECT_THROW(read_network(overflow), InvalidArgument);
+}
+
 TEST(IoNetwork, RejectsTrailingGarbage) {
   const Fixture f(1611);
   std::ostringstream os;

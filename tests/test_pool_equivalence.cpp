@@ -6,13 +6,20 @@
 // on-the-fly affiliation is checked against the reference election on the
 // cases it decides differently from a sorted declaration list: distance
 // ties, a nearer larger head, and tied same-round winners within k
-// (test_workspace_equivalence covers random topologies).
+// (test_workspace_equivalence covers random topologies). Shuffled-id
+// jittered grids, the static_scale topology in miniature, pin the two
+// stages that work in another order than ascending ids: the election's
+// active-set rounds and the unit-disk build's cell-order queries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
+#include <numbers>
+#include <numeric>
 #include <optional>
 #include <string>
+#include <thread>
 #include <typeinfo>
 #include <utility>
 #include <vector>
@@ -21,12 +28,16 @@
 #include "khop/common/rng.hpp"
 #include "khop/gateway/lmst.hpp"
 #include "khop/gateway/virtual_link.hpp"
+#include "khop/geom/placement.hpp"
+#include "khop/graph/components.hpp"
+#include "khop/graph/spatial_grid.hpp"
 #include "khop/net/generator.hpp"
 #include "khop/nbr/neighbor_rules.hpp"
 #include "khop/runtime/thread_pool.hpp"
 #include "khop/runtime/workspace.hpp"
 #include "oracles/cluster_reference.hpp"
 #include "oracles/lmst_oracle.hpp"
+#include "oracles/unit_disk_reference.hpp"
 
 namespace khop {
 namespace {
@@ -393,6 +404,254 @@ TEST(ElectionEquivalence, TiedWinnersWithinKThrow) {
     const auto lowest = make_priorities(g, PriorityRule::kLowestId);
     expect_clustering_eq(khop_clustering(g, 2, lowest, rule, ws),
                          reference::khop_clustering(g, 2, lowest, rule));
+  }
+}
+
+// --- shuffled-id jittered grids ---------------------------------------------
+
+/// One node per unit cell of a ceil(sqrt(n))^2 lattice, displaced within
+/// its cell, with ids in random order: a node's id says nothing of where it
+/// lies, as in static_scale.
+std::vector<Point2> shuffled_jittered_grid(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  const Field field{std::ceil(std::sqrt(static_cast<double>(n)))};
+  std::vector<Point2> pts = place_jittered_grid(n, field, rng);
+  for (std::size_t i = n; i > 1; --i) {
+    std::swap(pts[i - 1], pts[rng.uniform_int(i)]);
+  }
+  return pts;
+}
+
+/// Radius for a mean degree of about 8 at one node per unit area.
+const double kGridRadius = std::sqrt(9.0 / std::numbers::pi);
+
+/// The first connected n-node shuffled jittered grid from \p seed on.
+Graph connected_jittered_grid(std::size_t n, std::uint64_t seed) {
+  for (;; ++seed) {
+    Graph g = build_unit_disk_graph(shuffled_jittered_grid(n, seed),
+                                    kGridRadius);
+    if (is_connected(g)) return g;
+  }
+}
+
+/// The undecided count at the start of each election round, found without
+/// the election: a round's winners are the undecided nodes no undecided key
+/// in their closed k-ball beats, and every node within k hops of a winner
+/// is decided in that round, whatever the affiliation rule.
+std::vector<std::size_t> undecided_per_round(
+    const Graph& g, Hops k, const std::vector<PriorityKey>& prios) {
+  const std::size_t n = g.num_nodes();
+  BfsScratch bfs;
+  std::vector<bool> decided(n, false);
+  std::vector<std::size_t> counts;
+  for (std::size_t undecided = n; undecided > 0;) {
+    counts.push_back(undecided);
+    std::vector<NodeId> winners;
+    for (NodeId u = 0; u < n; ++u) {
+      if (decided[u]) continue;
+      bfs.run(g, u, k);
+      const auto ball = bfs.reached();
+      if (std::none_of(ball.begin(), ball.end(), [&](NodeId v) {
+            return !decided[v] && prios[v] < prios[u];
+          })) {
+        winners.push_back(u);
+      }
+    }
+    for (NodeId w : winners) {
+      bfs.run(g, w, k);
+      for (NodeId v : bfs.reached()) {
+        if (!decided[v]) --undecided;
+        decided[v] = true;
+      }
+    }
+  }
+  return counts;
+}
+
+/// k = GetParam() on a 2 * 10^4-node grid, every rule, lowest-id and
+/// highest-degree keys. Each election runs at least four rounds, and at
+/// least two of them start with fewer than n/4 nodes undecided, the
+/// active-set path.
+class ElectionEquivalenceMultiRound : public ::testing::TestWithParam<Hops> {};
+
+TEST_P(ElectionEquivalenceMultiRound, JitteredGridMatchesReference) {
+  const Hops k = GetParam();
+  const Graph g = connected_jittered_grid(20000, 2201);
+  const std::size_t n = g.num_nodes();
+  Workspace ws;
+  for (const PriorityRule pr :
+       {PriorityRule::kLowestId, PriorityRule::kHighestDegree}) {
+    SCOPED_TRACE("priority " + std::to_string(static_cast<int>(pr)));
+    const std::vector<PriorityKey> prios = make_priorities(g, pr);
+    const std::vector<std::size_t> counts = undecided_per_round(g, k, prios);
+    EXPECT_GE(counts.size(), 4u);
+    EXPECT_GE(std::count_if(counts.begin(), counts.end(),
+                            [&](std::size_t u) { return 4 * u < n; }),
+              2);
+    for (AffiliationRule rule : kAllRules) {
+      SCOPED_TRACE("rule " + std::to_string(static_cast<int>(rule)));
+      const Clustering want = reference::khop_clustering(g, k, prios, rule);
+      EXPECT_EQ(want.election_rounds, counts.size());
+      expect_clustering_eq(khop_clustering(g, k, prios, rule, ws), want);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(K, ElectionEquivalenceMultiRound,
+                         ::testing::Values(Hops{1}, Hops{2}, Hops{3},
+                                           Hops{4}));
+
+TEST(ElectionEquivalence, TriangleFreeGraphsMatchReference) {
+  // In a unit-disk graph a node's neighbors mostly neighbor each other, so
+  // a k-ball grows by whole neighborhoods. A random tree and a shuffled-id
+  // lattice have no triangles: there an undecided node can be the only one
+  // for several hops, and the label passes must still cover its closed
+  // balls exactly.
+  Rng rng(2207);
+  constexpr std::size_t kTreeNodes = 3000;
+  std::vector<std::pair<NodeId, NodeId>> tree;
+  for (NodeId v = 1; v < kTreeNodes; ++v) {
+    tree.emplace_back(static_cast<NodeId>(rng.uniform_int(v)), v);
+  }
+  constexpr NodeId kSide = 60;
+  std::vector<NodeId> id(kSide * kSide);
+  std::iota(id.begin(), id.end(), NodeId{0});
+  for (std::size_t i = id.size(); i > 1; --i) {
+    std::swap(id[i - 1], id[rng.uniform_int(i)]);
+  }
+  std::vector<std::pair<NodeId, NodeId>> lattice;
+  for (NodeId c = 0; c < kSide * kSide; ++c) {
+    if (c % kSide + 1 < kSide) lattice.emplace_back(id[c], id[c + 1]);
+    if (c / kSide + 1 < kSide) lattice.emplace_back(id[c], id[c + kSide]);
+  }
+  Workspace ws;
+  for (const Graph& g : {Graph::from_edges(kTreeNodes, tree),
+                         Graph::from_edges(kSide * kSide, lattice)}) {
+    for (Hops k = 1; k <= 4; ++k) {
+      for (const PriorityRule pr :
+           {PriorityRule::kLowestId, PriorityRule::kHighestDegree}) {
+        const std::vector<PriorityKey> prios = make_priorities(g, pr);
+        const std::vector<std::size_t> counts =
+            undecided_per_round(g, k, prios);
+        EXPECT_TRUE(std::any_of(counts.begin(), counts.end(), [&](auto u) {
+          return 4 * u < g.num_nodes();
+        }));
+        for (AffiliationRule rule : kAllRules) {
+          expect_clustering_eq(khop_clustering(g, k, prios, rule, ws),
+                               reference::khop_clustering(g, k, prios, rule));
+        }
+      }
+    }
+  }
+}
+
+TEST(ElectionEquivalence, KAtLeastTheDiameterElectsOneHead) {
+  // k at least the diameter: the best key wins round 1 and every node joins
+  // it at its hop distance, under every rule and priority. The reference
+  // confirms that on a smaller grid; on the large one the answer is built
+  // from one BFS, the reference's n full searches being too slow here.
+  Workspace ws;
+  BfsScratch bfs;
+  for (const std::size_t n : {std::size_t{1000}, std::size_t{20000}}) {
+    const Graph g = connected_jittered_grid(n, 2202);
+    bfs.run(g, 0, kUnreachable);
+    const Hops k = 2 * bfs.dist(bfs.reached().back());  // >= the diameter
+    for (const PriorityRule pr :
+         {PriorityRule::kLowestId, PriorityRule::kHighestDegree}) {
+      const std::vector<PriorityKey> prios = make_priorities(g, pr);
+      const auto best = static_cast<NodeId>(
+          std::min_element(prios.begin(), prios.end()) - prios.begin());
+      bfs.run(g, best, kUnreachable);
+      Clustering want;
+      want.k = k;
+      want.heads = {best};
+      want.head_of.assign(n, best);
+      want.dist_to_head.resize(n);
+      for (NodeId v = 0; v < n; ++v) want.dist_to_head[v] = bfs.dist(v);
+      want.cluster_of.assign(n, 0);
+      want.election_rounds = 1;
+      for (AffiliationRule rule : kAllRules) {
+        expect_clustering_eq(khop_clustering(g, k, prios, rule, ws), want);
+        if (n <= 1000) {
+          expect_clustering_eq(reference::khop_clustering(g, k, prios, rule),
+                               want);
+        }
+      }
+    }
+  }
+}
+
+TEST(ElectionEquivalence, TiedPairWinningInALateRoundThrows) {
+  // Path 0..2m-1 with keys rising from both ends toward the middle: each
+  // round the leftmost and the rightmost undecided node win and each covers
+  // k more nodes, so with (m - 1) a multiple of k + 1 the middle pair
+  // a = m - 1, b = m first competes in round (m - 1) / (k + 1) + 1, when
+  // two nodes are undecided. Untied, a wins it and b joins a; tied, both
+  // win within k hops of each other, which the election must reject.
+  constexpr NodeId m = 121;  // m - 1 = 120 is a multiple of 2, 3, 4 and 5
+  const Graph g = path_graph(2 * m);
+  std::vector<PriorityKey> prios(2 * m);
+  for (NodeId i = 0; i < m; ++i) {
+    prios[i] = {2.0 * i, 0};
+    prios[2 * m - 1 - i] = {2.0 * i + 1.0, 0};
+  }
+  std::vector<PriorityKey> tied = prios;
+  tied[m] = tied[m - 1];
+  Workspace ws;
+  for (Hops k = 1; k <= 4; ++k) {
+    for (AffiliationRule rule : kAllRules) {
+      const Clustering c = khop_clustering(g, k, prios, rule, ws);
+      EXPECT_EQ(c.election_rounds, (m - 1) / (k + 1) + 1);
+      EXPECT_EQ(c.head_of[m], m - 1);
+      expect_clustering_eq(c, reference::khop_clustering(g, k, prios, rule));
+      EXPECT_THROW(reference::khop_clustering(g, k, tied, rule),
+                   InvariantViolation);
+      EXPECT_THROW(khop_clustering(g, k, tied, rule, ws), InvariantViolation);
+    }
+  }
+}
+
+TEST(ElectionEquivalence, DisconnectedJitteredGridThrowsNotConnected) {
+  // A strip four cells wide, wider than the radius, emptied down the middle
+  // of the grid: two components, each a multi-round election that reaches
+  // the active-set path.
+  std::vector<Point2> pts = shuffled_jittered_grid(20000, 2203);
+  std::erase_if(pts, [](const Point2& p) { return p.x >= 60 && p.x < 64; });
+  const Graph g = build_unit_disk_graph(pts, kGridRadius);
+  ASSERT_FALSE(is_connected(g));
+  const auto prios = make_priorities(g, PriorityRule::kLowestId);
+  EXPECT_LT(4 * undecided_per_round(g, 2, prios)[1], g.num_nodes());
+  Workspace ws;
+  for (Hops k = 1; k <= 4; ++k) {
+    for (AffiliationRule rule : kAllRules) {
+      EXPECT_THROW(reference::khop_clustering(g, k, prios, rule),
+                   NotConnected);
+      EXPECT_THROW(khop_clustering(g, k, prios, rule, ws), NotConnected);
+    }
+  }
+}
+
+TEST(UnitDisk, CellOrderBuildMatchesReferenceAtPoolSizes) {
+  // One grid reused across point sets of different n; serial and at pool
+  // sizes 1, 2 and the hardware's, the cell-order queries must leave the
+  // CSR the edge-list oracle builds.
+  SpatialGrid grid;
+  const std::size_t hardware =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  for (const auto& [n, seed] :
+       {std::pair<std::size_t, std::uint64_t>{16000, 2204},
+        {10000, 2205},
+        {12345, 2206}}) {
+    const std::vector<Point2> pts = shuffled_jittered_grid(n, seed);
+    const Graph want = reference::build_unit_disk_graph(pts, kGridRadius);
+    expect_graph_eq(build_unit_disk_graph_streamed(pts, kGridRadius, grid),
+                    want);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                      hardware}) {
+      ThreadPool pool(threads);
+      expect_graph_eq(
+          build_unit_disk_graph_streamed(pts, kGridRadius, grid, &pool), want);
+    }
   }
 }
 

@@ -157,6 +157,19 @@ TEST(ReaderFuzz, ReadNetwork) {
   }
 }
 
+TEST(ReaderFuzz, ReadNetworkOverflowingSpan) {
+  // Finite coordinates whose span overflows a double, and its mutants.
+  const std::string seed = "2 1 10\n-1e308 0\n1e308 0\n";
+  std::istringstream is(seed);
+  EXPECT_THROW(read_network(is), InvalidArgument);
+  fuzz(text_mutants(seed, 13, 300, 1),
+       [](const std::string& text) {
+         std::istringstream in(text);
+         return read_network(in);
+       },
+       validate_network);
+}
+
 std::string fixture(const std::string& name) {
   const std::string path =
       std::string(KHOP_SOURCE_DIR) + "/tests/fixtures/persist/" + name;
