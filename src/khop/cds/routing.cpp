@@ -83,12 +83,12 @@ std::vector<NodeId> BackboneRouter::head_path(std::uint32_t from_cluster,
   while (cur != to_cluster) {
     const std::uint32_t next = head_route_[cur][to_cluster];
     KHOP_ASSERT(next != cur, "routing loop in cluster graph");
-    const VirtualLink& link = links_.link(heads[cur], heads[next]);
+    const auto link = links_.path(links_.link(heads[cur], heads[next]));
     // Append the gateway path in the correct orientation.
-    if (link.path.front() == heads[cur]) {
-      path.insert(path.end(), link.path.begin() + 1, link.path.end());
+    if (link.front() == heads[cur]) {
+      path.insert(path.end(), link.begin() + 1, link.end());
     } else {
-      path.insert(path.end(), link.path.rbegin() + 1, link.path.rend());
+      path.insert(path.end(), link.rbegin() + 1, link.rend());
     }
     cur = next;
   }

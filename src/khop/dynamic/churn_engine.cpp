@@ -152,12 +152,13 @@ ChurnEngine::ChurnEngine(RestoreTag, ChurnEngineRestore r,
                  "restored virtual link endpoint is not a live head");
     // The gateway rules index node arrays by path ids: the path must be a
     // walk u..v over live edges, hops long, within the 2k+1 horizon.
-    KHOP_REQUIRE(l.hops <= horizon_ && l.path.size() == l.hops + 1u &&
-                     l.path.front() == l.u && l.path.back() == l.v,
+    const std::span<const NodeId> path = links_.path(l);
+    KHOP_REQUIRE(l.hops <= horizon_ && path.size() == l.hops + 1u &&
+                     path.front() == l.u && path.back() == l.v,
                  "restored virtual link path malformed");
-    for (std::size_t i = 1; i < l.path.size(); ++i) {
-      KHOP_REQUIRE(l.path[i] < cap && g_.alive(l.path[i]) &&
-                       g_.has_edge(l.path[i - 1], l.path[i]),
+    for (std::size_t i = 1; i < path.size(); ++i) {
+      KHOP_REQUIRE(path[i] < cap && g_.alive(path[i]) &&
+                       g_.has_edge(path[i - 1], path[i]),
                    "restored virtual link path leaves the topology");
     }
     iu->second.push_back(l.v);
@@ -531,13 +532,10 @@ void ChurnEngine::resweep_one(NodeId h) {
     if (v <= h) continue;
     KHOP_ASSERT(ws_.bfs.dist(v) != kUnreachable,
                 "selected head beyond the 2k+1 horizon");
-    VirtualLink l;
-    l.u = h;
-    l.v = v;
-    l.hops = ws_.bfs.dist(v);
-    l.path = ws_.bfs.extract_path(v);
+    ws_.node_buf.clear();
+    ws_.bfs.append_path(v, ws_.node_buf);
     retire_link(h, v);
-    links_.insert(std::move(l));
+    links_.insert(h, v, ws_.bfs.dist(v), ws_.node_buf);
   }
   // Selection changes are symmetric, so a dropped pair is seen (and safely
   // erased, possibly twice) by whichever endpoint re-sweeps.
@@ -578,8 +576,7 @@ void ChurnEngine::retire_link(NodeId a, NodeId b) {
 }
 
 void ChurnEngine::count_path(const VirtualLink& l, bool add) {
-  for (std::size_t i = 1; i + 1 < l.path.size(); ++i) {
-    const NodeId w = l.path[i];
+  for (const NodeId w : links_.interior(l)) {
     const auto pos = std::lower_bound(interior_.begin(), interior_.end(), w);
     if (add) {
       if (path_refs_[w]++ == 0) interior_.insert(pos, w);
@@ -774,7 +771,9 @@ std::string ChurnEngine::audit() {
     }
     ws_.bfs.run(g_, l.u, horizon_);
     if (ws_.bfs.dist(l.v) != l.hops) return "virtual link hops not shortest";
-    if (ws_.bfs.extract_path(l.v) != l.path) {
+    ws_.node_buf.clear();
+    ws_.bfs.append_path(l.v, ws_.node_buf);
+    if (!std::ranges::equal(ws_.node_buf, links_.path(l))) {
       return "virtual link path not canonical";
     }
   }

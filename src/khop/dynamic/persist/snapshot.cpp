@@ -135,14 +135,14 @@ std::string encode_snapshot(const ChurnEngine& engine, std::uint64_t cursor) {
   }
   {
     ByteWriter li;
-    const auto& links = engine.virtual_links().all();
-    li.put_u32(static_cast<std::uint32_t>(links.size()));
-    for (const VirtualLink& l : links) {
+    const VirtualLinkMap& links = engine.virtual_links();
+    li.put_u32(static_cast<std::uint32_t>(links.all().size()));
+    for (const VirtualLink& l : links.all()) {
       li.put_u32(l.u);
       li.put_u32(l.v);
       li.put_u32(l.hops);
-      li.put_u32(static_cast<std::uint32_t>(l.path.size()));
-      for (NodeId w : l.path) li.put_u32(w);
+      li.put_u32(l.length);
+      for (NodeId w : links.path(l)) li.put_u32(w);
     }
     put_section(out, kLinksTag, li.bytes());
   }
@@ -168,15 +168,19 @@ SnapshotData decode_snapshot(std::string_view bytes) {
     throw CorruptState("snapshot: unknown pipeline " +
                        std::to_string(pipeline_raw));
   }
-  // Guards the adjacency allocation below against a corrupt capacity that
-  // slipped past the checksum (e.g. a hand-damaged fixture).
-  if (cap64 > (std::uint64_t{1} << 32)) {
+  // Guards the allocations below against a corrupt capacity that slipped
+  // past the checksum (e.g. a hand-damaged fixture): every node takes at
+  // least 5 graph-section bytes (alive flag and degree), so a capacity the
+  // section cannot hold is rejected before anything is sized by it.
+  ByteReader gr(get_section(in, kGraphTag));
+  if (cap64 > gr.remaining() / 5) {
     throw CorruptState("snapshot: implausible capacity " +
-                       std::to_string(cap64));
+                       std::to_string(cap64) + " for a " +
+                       std::to_string(gr.remaining()) +
+                       "-byte graph section");
   }
   const std::size_t cap = static_cast<std::size_t>(cap64);
 
-  ByteReader gr(get_section(in, kGraphTag));
   std::vector<std::vector<NodeId>> adj(cap);
   std::vector<char> alive(cap, 0);
   for (std::size_t u = 0; u < cap; ++u) {
@@ -217,35 +221,46 @@ SnapshotData decode_snapshot(std::string_view bytes) {
 
   ByteReader li(get_section(in, kLinksTag));
   const std::uint32_t link_count = li.get_u32();
-  std::vector<VirtualLink> links;
   if (std::uint64_t{link_count} * 16 > li.remaining()) {
     throw CorruptState("snapshot: link count " + std::to_string(link_count) +
                        " exceeds section size");
   }
-  links.reserve(link_count);
+  // Headers and paths go straight into one block: what remains of the
+  // section after the 16-byte headers is the paths' 4-byte nodes.
+  std::vector<VirtualLinkBlock> links(1);
+  VirtualLinkBlock& block = links.front();
+  block.links.reserve(link_count);
+  block.arena.reserve((li.remaining() - std::size_t{link_count} * 16) / 4);
   for (std::uint32_t i = 0; i < link_count; ++i) {
     VirtualLink l;
     l.u = li.get_u32();
     l.v = li.get_u32();
     l.hops = li.get_u32();
-    const std::uint32_t path_len = li.get_u32();
+    l.length = li.get_u32();
+    l.offset = block.arena.size();
     if (l.u >= l.v) {
       throw CorruptState("snapshot: virtual link endpoints unordered");
     }
-    if (std::uint64_t{path_len} * 4 > li.remaining()) {
-      throw CorruptState("snapshot: link path length " +
-                         std::to_string(path_len) + " exceeds section size");
+    // The link index is sized by the largest source id.
+    if (l.v >= cap) {
+      throw CorruptState("snapshot: virtual link endpoint " +
+                         std::to_string(l.v) + " beyond capacity");
     }
-    l.path.reserve(path_len);
-    for (std::uint32_t j = 0; j < path_len; ++j) l.path.push_back(li.get_u32());
-    links.push_back(std::move(l));
+    if (std::uint64_t{l.length} * 4 > li.remaining()) {
+      throw CorruptState("snapshot: link path length " +
+                         std::to_string(l.length) + " exceeds section size");
+    }
+    for (std::uint32_t j = 0; j < l.length; ++j) {
+      block.arena.push_back(li.get_u32());
+    }
+    block.links.push_back(l);
   }
   if (!li.at_end()) throw CorruptState("snapshot: oversized links section");
   // from_links requires unique (u, v) keys — enforce before handing over.
   {
     std::vector<std::pair<NodeId, NodeId>> keys;
-    keys.reserve(links.size());
-    for (const VirtualLink& l : links) keys.emplace_back(l.u, l.v);
+    keys.reserve(block.links.size());
+    for (const VirtualLink& l : block.links) keys.emplace_back(l.u, l.v);
     std::sort(keys.begin(), keys.end());
     if (std::adjacent_find(keys.begin(), keys.end()) != keys.end()) {
       throw CorruptState("snapshot: duplicate virtual link");

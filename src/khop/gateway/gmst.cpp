@@ -86,9 +86,7 @@ GmstResult gmst_impl(const Graph& g, const Clustering& c, Workspace* ws,
   std::sort(pairs.begin(), pairs.end());
   r.kept_links = pairs;
   for (const auto& [u, v] : pairs) {
-    const VirtualLink& link = links.link(u, v);
-    for (std::size_t i = 1; i + 1 < link.path.size(); ++i) {
-      const NodeId w = link.path[i];
+    for (const NodeId w : links.interior(links.link(u, v))) {
       if (!c.is_head(w)) r.gateways.push_back(w);
     }
   }

@@ -13,85 +13,85 @@ namespace khop {
 
 namespace {
 
-/// One head's share of the fused pass: neighbor heads discovered from the
-/// sweep's reached set, and the canonical links for the pairs this head
-/// sources (v > u, extracted from the same BFS state). `selected` is left
-/// sorted ascending; links are emitted in ascending target order, matching
+/// One head's share of the fused pass: its neighbor heads, discovered from
+/// the sweep's reached set and left sorted ascending in \p selected, and the
+/// canonical links for the pairs this head sources (v > u, extracted from the
+/// same BFS state) appended to \p out in ascending target order, matching
 /// the source-major/ascending-target order of the grouped build.
-struct PerHead {
-  std::vector<NodeId> selected;
-  std::vector<VirtualLink> links;
-};
-
 void sweep_one(const Graph& g, const Clustering& c, NodeId u, Hops horizon,
-               Workspace& ws, PerHead& out) {
+               Workspace& ws, std::vector<NodeId>& selected,
+               VirtualLinkBlock& out) {
   ws.bfs.run(g, u, horizon);
   for (NodeId w : ws.bfs.reached()) {
     if (w == u || !c.is_head(w)) continue;
-    out.selected.push_back(w);
+    selected.push_back(w);
   }
   // The reached set is level-ordered; selection lists and link targets are
   // id-ordered, so sort once here (NC discovery never yields duplicates).
-  std::sort(out.selected.begin(), out.selected.end());
-  for (NodeId v : out.selected) {
-    if (v <= u) continue;  // pair (v, u) is extracted during v's own sweep
-    VirtualLink link;
-    link.u = u;
-    link.v = v;
-    link.hops = ws.bfs.dist(v);
-    link.path = ws.bfs.extract_path(v);
-    out.links.push_back(std::move(link));
+  std::sort(selected.begin(), selected.end());
+  for (NodeId v : selected) {
+    if (v > u) out.append(v, ws.bfs);  // (v, u) comes from v's own sweep
   }
 }
 
-/// Head-index-ordered merge of the per-head slices into the two phase-1
-/// outputs. Heads ascend in id, so link order is source-major ascending —
-/// the same order VirtualLinkMap::build produces.
-HeadSweep merge(const Clustering& c, std::vector<PerHead> slots) {
+/// Sweeps heads [begin, end) into their selection lists and one block.
+void sweep_range(const Graph& g, const Clustering& c, std::size_t begin,
+                 std::size_t end, Workspace& ws, NeighborSelection& sel,
+                 VirtualLinkBlock& out) {
+  const Hops horizon = 2 * c.k + 1;
+  for (std::size_t i = begin; i < end; ++i) {
+    sweep_one(g, c, c.heads[i], horizon, ws, sel.selected[i], out);
+  }
+}
+
+/// Adopts the blocks (in head order, hence source-major ascending — the
+/// order VirtualLinkMap::build produces) and derives head_pairs from them:
+/// NC selection is symmetric (distance is), so the selected pairs are
+/// exactly the links, already sorted and unique.
+HeadSweep finish(std::vector<VirtualLinkBlock> blocks, NeighborSelection sel) {
   // Per-head neighbor-head counts measure the density of the head overlay
   // the gateway stage prunes; observational only.
   if (obs::enabled()) {
     obs::Histogram& h =
         obs::Registry::global().histogram("backbone.head_neighbors");
-    for (const PerHead& s : slots) h.record(s.selected.size());
+    for (const auto& s : sel.selected) h.record(s.size());
   }
   HeadSweep r;
-  r.sel.rule = NeighborRule::kAllWithin2k1;
-  r.sel.selected.resize(c.heads.size());
-  std::vector<VirtualLink> links;
-  for (std::uint32_t i = 0; i < c.heads.size(); ++i) {
-    const NodeId u = c.heads[i];
-    for (NodeId v : slots[i].selected) {
-      r.sel.head_pairs.emplace_back(std::min(u, v), std::max(u, v));
-    }
-    r.sel.selected[i] = std::move(slots[i].selected);
-    for (VirtualLink& l : slots[i].links) links.push_back(std::move(l));
+  r.links = VirtualLinkMap::from_links(std::move(blocks));
+  r.sel = std::move(sel);
+  r.sel.head_pairs.reserve(r.links.all().size());
+  for (const VirtualLink& l : r.links.all()) {
+    r.sel.head_pairs.emplace_back(l.u, l.v);
   }
-  r.sel = finalize_selection(std::move(r.sel));
-  r.links = VirtualLinkMap::from_links(std::move(links));
   return r;
+}
+
+NeighborSelection empty_nc_selection(const Clustering& c) {
+  KHOP_REQUIRE(!c.heads.empty(), "clustering has no heads");
+  NeighborSelection sel;
+  sel.rule = NeighborRule::kAllWithin2k1;
+  sel.selected.resize(c.heads.size());
+  return sel;
 }
 
 }  // namespace
 
 HeadSweep nc_sweep(const Graph& g, const Clustering& c, Workspace& ws) {
-  KHOP_REQUIRE(!c.heads.empty(), "clustering has no heads");
-  const Hops horizon = 2 * c.k + 1;
-  std::vector<PerHead> slots(c.heads.size());
-  for (std::uint32_t i = 0; i < c.heads.size(); ++i) {
-    sweep_one(g, c, c.heads[i], horizon, ws, slots[i]);
-  }
-  return merge(c, std::move(slots));
+  NeighborSelection sel = empty_nc_selection(c);
+  std::vector<VirtualLinkBlock> blocks(1);
+  sweep_range(g, c, 0, c.heads.size(), ws, sel, blocks.front());
+  return finish(std::move(blocks), std::move(sel));
 }
 
 HeadSweep nc_sweep(const Graph& g, const Clustering& c, ThreadPool& pool) {
-  KHOP_REQUIRE(!c.heads.empty(), "clustering has no heads");
-  const Hops horizon = 2 * c.k + 1;
-  std::vector<PerHead> slots(c.heads.size());
-  parallel_for_throwing(pool, c.heads.size(), [&](std::size_t i) {
-    sweep_one(g, c, c.heads[i], horizon, tls_workspace(), slots[i]);
-  });
-  return merge(c, std::move(slots));
+  NeighborSelection sel = empty_nc_selection(c);
+  std::vector<VirtualLinkBlock> blocks(block_count(pool, c.heads.size()));
+  parallel_blocks(pool, c.heads.size(),
+                  [&](std::size_t b, std::size_t begin, std::size_t end) {
+                    sweep_range(g, c, begin, end, tls_workspace(), sel,
+                                blocks[b]);
+                  });
+  return finish(std::move(blocks), std::move(sel));
 }
 
 }  // namespace khop

@@ -13,11 +13,13 @@
 /// bounds every sweep, and replaces the O(H^2) probes with an O(|reached|)
 /// scan against the clustering's O(1) head test.
 ///
-/// Determinism: sweeps are independent per head; the parallel overload fans
-/// them across the pool (per-worker tls_workspace()) and merges results in
-/// head-index order, so the output is bit-identical to the serial overload
-/// for any thread count — and both match the reference two-pass pipeline
-/// (tests/oracles/nbr_reference.hpp + gateway_reference.hpp) exactly.
+/// Determinism: sweeps are independent per head; the parallel overload runs
+/// blocks of consecutive heads on the pool (per-worker tls_workspace()),
+/// each appending its links to its own VirtualLinkBlock, and concatenates
+/// the blocks in head order, so the output is bit-identical to the serial
+/// overload for any thread count — and both match the reference two-pass
+/// pipeline (tests/oracles/nbr_reference.hpp + gateway_reference.hpp)
+/// exactly. NC selection is symmetric, so head_pairs is read off the links.
 #pragma once
 
 #include "khop/cluster/clustering.hpp"

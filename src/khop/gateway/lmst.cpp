@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <tuple>
+#include <utility>
 
 #include "khop/common/assert.hpp"
 #include "khop/common/error.hpp"
@@ -14,10 +15,6 @@ namespace khop {
 namespace {
 
 constexpr std::uint32_t kNoEdge = static_cast<std::uint32_t>(-1);
-
-std::pair<NodeId, NodeId> ordered(NodeId a, NodeId b) {
-  return {std::min(a, b), std::max(a, b)};
-}
 
 }  // namespace
 
@@ -65,54 +62,85 @@ void LmstKernel::prim_children(std::size_t root, std::vector<NodeId>& out) {
 namespace {
 
 constexpr std::uint32_t kNoRow = static_cast<std::uint32_t>(-1);
+constexpr std::size_t kNoEntry = static_cast<std::size_t>(-1);
 
-/// The selected pairs' virtual distances as a flat table in \p rows (see
-/// PairHopRows), built once per call with one links.link probe per pair.
-/// A lookup is then a search of one short row instead of a search over all
-/// pairs plus a hash probe.
+/// The link of canonical pair \p i, (a, b): position i of a map built from
+/// exactly the canonical pairs, else found by search.
+const VirtualLink& pair_link(const VirtualLinkMap& links, std::size_t i,
+                             NodeId a, NodeId b) {
+  const std::vector<VirtualLink>& all = links.all();
+  return i < all.size() && all[i].u == a && all[i].v == b ? all[i]
+                                                          : links.link(a, b);
+}
+
+/// The selected pairs as a flat table in \p rows (see PairHopRows), built
+/// once per call: entry i is canonical pair i, with its virtual distance,
+/// read by position when \p links was built from exactly these pairs. A
+/// lookup is a search of one short row instead of a search over all pairs.
+/// The kernels record their keep decisions in the table (mark), so the
+/// keep rule is one pass over the pairs in canonical order.
 class PairTable {
  public:
   PairTable(const Clustering& c, const NeighborSelection& sel,
             const VirtualLinkMap& links, PairHopRows& rows)
-      : c_(c), rows_(rows) {
+      : c_(c), rows_(rows), pairs_(&sel.head_pairs) {
     // Canonical (sorted, unique) pairs; a non-canonical input is
     // canonicalized once into scratch.
-    const std::vector<std::pair<NodeId, NodeId>>* pairs = &sel.head_pairs;
-    if (std::adjacent_find(pairs->begin(), pairs->end(),
-                           std::greater_equal<>()) != pairs->end()) {
-      rows.canonical.assign(pairs->begin(), pairs->end());
+    if (std::adjacent_find(pairs_->begin(), pairs_->end(),
+                           std::greater_equal<>()) != pairs_->end()) {
+      rows.canonical.assign(pairs_->begin(), pairs_->end());
       std::sort(rows.canonical.begin(), rows.canonical.end());
       rows.canonical.erase(
           std::unique(rows.canonical.begin(), rows.canonical.end()),
           rows.canonical.end());
-      pairs = &rows.canonical;
+      pairs_ = &rows.canonical;
     }
 
     const std::size_t num_rows = c.heads.size();
     std::vector<std::size_t>& offsets = rows.offsets;
     offsets.assign(num_rows + 1, 0);
-    for (const auto& [a, b] : *pairs) {
+    for (const auto& [a, b] : *pairs_) {
       KHOP_REQUIRE(row(a) != kNoRow && row(b) != kNoRow,
                    "selected pair endpoints must be clusterheads");
       ++offsets[row(a) + 1];
     }
     for (std::size_t r = 0; r < num_rows; ++r) offsets[r + 1] += offsets[r];
-    // offsets[r] doubles as row r's fill cursor; canonical order fills
-    // each row ascending ...
-    rows.entries.resize(offsets[num_rows]);
-    for (const auto& [a, b] : *pairs) {
-      rows.entries[offsets[row(a)]++] = {b, links.link(a, b).hops};
+    // Rows ascend with the head index, hence with the smaller id, so row
+    // order is canonical order and entry i is pair i.
+    rows.entries.resize(pairs_->size());
+    for (std::size_t i = 0; i < pairs_->size(); ++i) {
+      const auto& [a, b] = (*pairs_)[i];
+      rows.entries[i] = {b, pair_link(links, i, a, b).hops};
     }
-    // ... and leaves offsets[r] == start of row r + 1; shift back.
-    for (std::size_t r = num_rows; r > 0; --r) offsets[r] = offsets[r - 1];
-    offsets[0] = 0;
+    rows.kept_by_smaller.assign(pairs_->size(), 0);
+    rows.kept_by_larger.assign(pairs_->size(), 0);
   }
 
   /// Virtual distance of the selected pair {a, b}, a <= b, or kUnreachable
   /// when the pair is not selected.
   Hops operator()(NodeId a, NodeId b) const {
+    const std::size_t e = entry(a, b);
+    return e == kNoEntry ? kUnreachable : rows_.entries[e].second;
+  }
+
+  /// Records that head \p from keeps its link to \p to. Each flag has one
+  /// writer, the block running head \p from.
+  void mark(NodeId from, NodeId to) {
+    const std::size_t e = entry(std::min(from, to), std::max(from, to));
+    KHOP_ASSERT(e != kNoEntry, "kept link is not a selected pair");
+    (from < to ? rows_.kept_by_smaller : rows_.kept_by_larger)[e] = 1;
+  }
+
+  const std::vector<std::pair<NodeId, NodeId>>& pairs() const {
+    return *pairs_;
+  }
+  const PairHopRows& rows() const { return rows_; }
+
+ private:
+  /// Entry index of the selected pair {a, b}, a <= b, or kNoEntry.
+  std::size_t entry(NodeId a, NodeId b) const {
     const std::uint32_t r = row(a);
-    if (r == kNoRow) return kUnreachable;
+    if (r == kNoRow) return kNoEntry;
     const auto first = rows_.entries.begin() +
                        static_cast<std::ptrdiff_t>(rows_.offsets[r]);
     const auto last = rows_.entries.begin() +
@@ -121,10 +149,11 @@ class PairTable {
         first, last, b, [](const std::pair<NodeId, Hops>& e, NodeId id) {
           return e.first < id;
         });
-    return it != last && it->first == b ? it->second : kUnreachable;
+    return it != last && it->first == b
+               ? static_cast<std::size_t>(it - rows_.entries.begin())
+               : kNoEntry;
   }
 
- private:
   /// Row of head \p a (its index in heads), or kNoRow if \p a is not a
   /// head. cluster_of gives it directly; a clustering whose cluster_of is
   /// absent or stale (built by hand, or churned) is searched instead.
@@ -141,71 +170,46 @@ class PairTable {
   }
 
   const Clustering& c_;
-  const PairHopRows& rows_;
+  PairHopRows& rows_;
+  const std::vector<std::pair<NodeId, NodeId>>* pairs_;
 };
 
-/// One LmstKernel and its buffers, run over a contiguous range of heads.
-struct HeadRangeKeeper {
+/// Runs LmstKernel for heads[begin, end) and marks in \p table every link
+/// each head keeps.
+void keep_range(const Clustering& c, const NeighborSelection& sel,
+                PairTable& table, std::size_t begin, std::size_t end) {
   LmstKernel kernel;
   std::vector<NodeId> sorted_sel;
   std::vector<NodeId> kept;
-
-  /// Appends (u, v) for every neighbor v that head heads[i], i in
-  /// [begin, end), keeps, in head order and ascending v per head.
-  void run(const Clustering& c, const NeighborSelection& sel,
-           const PairTable& pair_hops, std::size_t begin, std::size_t end,
-           std::vector<std::pair<NodeId, NodeId>>& out) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const NodeId u = c.heads[i];
-      std::span<const NodeId> nbrs = sel.selected[i];
-      if (nbrs.empty()) continue;
-      if (!std::is_sorted(nbrs.begin(), nbrs.end())) {
-        sorted_sel.assign(nbrs.begin(), nbrs.end());
-        std::sort(sorted_sel.begin(), sorted_sel.end());
-        nbrs = sorted_sel;
-      }
-      kernel.keep_list(u, nbrs, pair_hops, kept);
-      for (NodeId v : kept) out.emplace_back(u, v);
+  for (std::size_t i = begin; i < end; ++i) {
+    const NodeId u = c.heads[i];
+    std::span<const NodeId> nbrs = sel.selected[i];
+    if (nbrs.empty()) continue;
+    if (!std::is_sorted(nbrs.begin(), nbrs.end())) {
+      sorted_sel.assign(nbrs.begin(), nbrs.end());
+      std::sort(sorted_sel.begin(), sorted_sel.end());
+      nbrs = sorted_sel;
     }
+    kernel.keep_list(u, nbrs, std::as_const(table), kept);
+    for (NodeId v : kept) table.mark(u, v);
   }
-};
+}
 
-/// Applies the keep rule to the directed keep decisions and marks the
-/// gateways of the surviving links.
+/// Applies the keep rule to the marked pairs, in canonical order, and marks
+/// the gateways of the surviving links.
 LmstResult realize(const Clustering& c, const VirtualLinkMap& links,
-                   LmstKeepRule keep,
-                   std::vector<std::pair<NodeId, NodeId>>& kept_directed) {
-  std::sort(kept_directed.begin(), kept_directed.end());
-  kept_directed.erase(std::unique(kept_directed.begin(), kept_directed.end()),
-                      kept_directed.end());
-
-  // Realize links per the keep rule (union by default, intersection as the
-  // stricter LMST G0 ∩ G1 variant).
+                   LmstKeepRule keep, const PairTable& table) {
   LmstResult r;
-  std::vector<std::pair<NodeId, NodeId>> undirected;
-  undirected.reserve(kept_directed.size());
-  for (const auto& [from, to] : kept_directed) {
-    undirected.push_back(ordered(from, to));
-  }
-  std::sort(undirected.begin(), undirected.end());
-  undirected.erase(std::unique(undirected.begin(), undirected.end()),
-                   undirected.end());
-  const auto kept_by = [&](NodeId from, NodeId to) {
-    return std::binary_search(kept_directed.begin(), kept_directed.end(),
-                              std::pair(from, to));
-  };
-  for (const auto& p : undirected) {
-    const bool fwd = kept_by(p.first, p.second);
-    const bool rev = kept_by(p.second, p.first);
+  const std::vector<std::pair<NodeId, NodeId>>& pairs = table.pairs();
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const bool fwd = table.rows().kept_by_smaller[i] != 0;
+    const bool rev = table.rows().kept_by_larger[i] != 0;
+    if (!fwd && !rev) continue;
     if (fwd != rev) ++r.asymmetric_links;
     if (keep == LmstKeepRule::kBothEndpoints && !(fwd && rev)) continue;
-    r.kept_links.push_back(p);
-  }
-
-  for (const auto& [u, v] : r.kept_links) {
-    const VirtualLink& link = links.link(u, v);
-    for (std::size_t i = 1; i + 1 < link.path.size(); ++i) {
-      const NodeId w = link.path[i];
+    const auto& [u, v] = pairs[i];
+    r.kept_links.push_back(pairs[i]);
+    for (const NodeId w : links.interior(pair_link(links, i, u, v))) {
       if (!c.is_head(w)) r.gateways.push_back(w);
     }
   }
@@ -222,12 +226,9 @@ LmstResult lmst_gateways(const Clustering& c, const NeighborSelection& sel,
                          Workspace& ws) {
   KHOP_REQUIRE(sel.selected.size() == c.heads.size(),
                "selection does not match clustering");
-  const PairTable pair_hops(c, sel, links, ws.lmst_pairs);
-  // Directed keep decisions: (head u, neighbor v) kept by u's local MST.
-  HeadRangeKeeper keeper;
-  std::vector<std::pair<NodeId, NodeId>> kept_directed;
-  keeper.run(c, sel, pair_hops, 0, c.heads.size(), kept_directed);
-  return realize(c, links, keep, kept_directed);
+  PairTable table(c, sel, links, ws.lmst_pairs);
+  keep_range(c, sel, table, 0, c.heads.size());
+  return realize(c, links, keep, table);
 }
 
 LmstResult lmst_gateways(const Clustering& c, const NeighborSelection& sel,
@@ -235,20 +236,15 @@ LmstResult lmst_gateways(const Clustering& c, const NeighborSelection& sel,
                          ThreadPool& pool) {
   KHOP_REQUIRE(sel.selected.size() == c.heads.size(),
                "selection does not match clustering");
-  // The table lives in the calling thread's workspace; the blocks only
-  // read it.
-  const PairTable pair_hops(c, sel, links, tls_workspace().lmst_pairs);
-  // Contiguous head blocks, each with its own kernel, concatenated in head
-  // order: the serial loop's keep sequence. A throwing head ends its block,
+  // The table lives in the calling thread's workspace; the blocks read its
+  // distances and set disjoint keep flags. A throwing head ends its block,
   // and the lowest block's exception is the one the serial loop raises.
-  using Keep = std::pair<NodeId, NodeId>;
-  std::vector<Keep> kept_directed = parallel_concat<Keep>(
-      pool, c.heads.size(),
-      [&](std::size_t begin, std::size_t end, std::vector<Keep>& out) {
-        HeadRangeKeeper keeper;
-        keeper.run(c, sel, pair_hops, begin, end, out);
-      });
-  return realize(c, links, keep, kept_directed);
+  PairTable table(c, sel, links, tls_workspace().lmst_pairs);
+  parallel_blocks(pool, c.heads.size(),
+                  [&](std::size_t, std::size_t begin, std::size_t end) {
+                    keep_range(c, sel, table, begin, end);
+                  });
+  return realize(c, links, keep, table);
 }
 
 LmstResult lmst_gateways(const Clustering& c, const NeighborSelection& sel,

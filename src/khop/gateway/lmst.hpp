@@ -96,7 +96,8 @@ struct LmstResult {
 /// Runs LMSTGA on the given neighbor selection: LmstKernel for every head,
 /// then the keep rule and the gateway marking. The kernels read the pair
 /// distances from a flat table built once per call, one row per head
-/// holding (b, hops) ascending for each selected pair {a, b} with a < b.
+/// holding (b, hops) ascending for each selected pair {a, b} with a < b,
+/// and record their keep decisions in it.
 /// \pre every selected pair has a virtual link in \p links, and both of
 ///      its endpoints are heads (checked: throws InvalidArgument)
 LmstResult lmst_gateways(const Clustering& c, const NeighborSelection& sel,
@@ -114,10 +115,11 @@ LmstResult lmst_gateways(const Clustering& c, const NeighborSelection& sel,
                          Workspace& ws);
 
 /// Pool variant, bit-identical to the serial overloads: each block of
-/// contiguous head indices runs its own LmstKernel on \p pool, and the
-/// blocks' keep decisions are concatenated in head order before the keep
-/// rule and the gateway marking run on the calling thread. A throwing head
-/// raises the exception the serial loop would raise first.
+/// contiguous head indices runs its own LmstKernel on \p pool and records
+/// its heads' keep decisions in the pair table; the keep rule and the
+/// gateway marking then run on the calling thread, one pass over the pairs
+/// in canonical order. A throwing head raises the exception the serial loop
+/// would raise first.
 LmstResult lmst_gateways(const Clustering& c, const NeighborSelection& sel,
                          const VirtualLinkMap& links, LmstKeepRule keep,
                          ThreadPool& pool);

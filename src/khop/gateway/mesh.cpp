@@ -6,27 +6,16 @@
 
 namespace khop {
 
-namespace {
-
-/// Appends the interior nodes of \p link's path, skipping clusterheads
-/// (a shortest path may route through a third head; heads are already
-/// backbone nodes and must not be double-counted as gateways).
-void collect_interior(const VirtualLink& link, const Clustering& c,
-                      std::vector<NodeId>& out) {
-  for (std::size_t i = 1; i + 1 < link.path.size(); ++i) {
-    const NodeId w = link.path[i];
-    if (!c.is_head(w)) out.push_back(w);
-  }
-}
-
-}  // namespace
-
 MeshResult mesh_gateways(const Clustering& c, const NeighborSelection& sel,
                          const VirtualLinkMap& links) {
   MeshResult r;
   r.kept_links = sel.head_pairs;
   for (const auto& [u, v] : sel.head_pairs) {
-    collect_interior(links.link(u, v), c, r.gateways);
+    // A shortest path may route through a third head; heads are already
+    // backbone nodes and are not counted as gateways.
+    for (const NodeId w : links.interior(links.link(u, v))) {
+      if (!c.is_head(w)) r.gateways.push_back(w);
+    }
   }
   std::sort(r.gateways.begin(), r.gateways.end());
   r.gateways.erase(std::unique(r.gateways.begin(), r.gateways.end()),

@@ -5,6 +5,7 @@
 
 #include "khop/common/assert.hpp"
 #include "khop/common/error.hpp"
+#include "khop/graph/bfs_scratch.hpp"
 #include "khop/runtime/thread_pool.hpp"
 #include "khop/runtime/workspace.hpp"
 
@@ -12,20 +13,27 @@ namespace khop {
 
 namespace {
 
-/// Normalizes to (min,max), sorts, uniques: the flat-vector replacement for
-/// the old std::map-of-vectors by-source grouping. The sorted vector is
-/// source-major with ascending targets, so equal-source runs ARE the groups.
-std::vector<std::pair<NodeId, NodeId>> normalized_pairs(
-    const std::vector<std::pair<NodeId, NodeId>>& pairs) {
-  std::vector<std::pair<NodeId, NodeId>> np;
-  np.reserve(pairs.size());
+/// The pairs as (min,max), sorted and unique: \p pairs itself when it is
+/// already canonical (every selection's head_pairs is), else a canonical copy
+/// in \p scratch. The sorted vector is source-major with ascending targets,
+/// so equal-source runs ARE the per-source groups.
+const std::vector<std::pair<NodeId, NodeId>>& normalized_pairs(
+    const std::vector<std::pair<NodeId, NodeId>>& pairs,
+    std::vector<std::pair<NodeId, NodeId>>& scratch) {
+  bool canonical = true;
+  for (std::size_t i = 0; i < pairs.size() && canonical; ++i) {
+    canonical = pairs[i].first < pairs[i].second &&
+                (i == 0 || pairs[i - 1] < pairs[i]);
+  }
+  if (canonical) return pairs;
+  scratch.reserve(pairs.size());
   for (const auto& [a, b] : pairs) {
     KHOP_REQUIRE(a != b, "virtual link endpoints must differ");
-    np.emplace_back(std::min(a, b), std::max(a, b));
+    scratch.emplace_back(std::min(a, b), std::max(a, b));
   }
-  std::sort(np.begin(), np.end());
-  np.erase(std::unique(np.begin(), np.end()), np.end());
-  return np;
+  std::sort(scratch.begin(), scratch.end());
+  scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
+  return scratch;
 }
 
 /// Extracts the links of one source group np[first..last) (all sharing
@@ -38,7 +46,7 @@ std::vector<std::pair<NodeId, NodeId>> normalized_pairs(
 std::size_t extract_group(const Graph& g,
                           const std::pair<NodeId, NodeId>* first,
                           const std::pair<NodeId, NodeId>* last, Hops horizon,
-                          Workspace& ws, std::vector<VirtualLink>& out) {
+                          Workspace& ws, VirtualLinkBlock& out) {
   const NodeId src = first->first;
   std::vector<NodeId>& targets = ws.node_buf;
   targets.clear();
@@ -56,50 +64,118 @@ std::size_t extract_group(const Graph& g,
     }
   }
   for (const auto* it = first; it != last; ++it) {
-    const NodeId dst = it->second;
-    if (ws.bfs.dist(dst) == kUnreachable) {
+    if (ws.bfs.dist(it->second) == kUnreachable) {
       throw NotConnected("virtual link endpoints are disconnected in G");
     }
-    VirtualLink link;
-    link.u = src;
-    link.v = dst;
-    link.hops = ws.bfs.dist(dst);
-    link.path = ws.bfs.extract_path(dst);
-    out.push_back(std::move(link));
+    out.append(it->second, ws.bfs);
   }
   return fallbacks;
 }
 
-/// Half-open [begin, end) runs of equal source in a normalized pair vector.
-std::vector<std::pair<std::size_t, std::size_t>> source_groups(
+/// Start of every run of equal source in a normalized pair vector, then
+/// np.size(): group i is [starts[i], starts[i + 1]).
+std::vector<std::size_t> source_starts(
     const std::vector<std::pair<NodeId, NodeId>>& np) {
-  std::vector<std::pair<std::size_t, std::size_t>> groups;
-  for (std::size_t i = 0; i < np.size();) {
-    std::size_t j = i + 1;
-    while (j < np.size() && np[j].first == np[i].first) ++j;
-    groups.emplace_back(i, j);
-    i = j;
+  std::vector<std::size_t> starts;
+  for (std::size_t i = 0; i < np.size(); ++i) {
+    if (i == 0 || np[i].first != np[i - 1].first) starts.push_back(i);
   }
-  return groups;
+  starts.push_back(np.size());
+  return starts;
+}
+
+/// Extracts source groups [gb, ge) of \p np into \p out, in order; returns
+/// the fallback count.
+std::size_t extract_groups(const Graph& g,
+                           const std::vector<std::pair<NodeId, NodeId>>& np,
+                           const std::vector<std::size_t>& starts,
+                           std::size_t gb, std::size_t ge, Hops horizon,
+                           Workspace& ws, VirtualLinkBlock& out) {
+  out.links.reserve(starts[ge] - starts[gb]);
+  std::size_t fallbacks = 0;
+  for (std::size_t gi = gb; gi < ge; ++gi) {
+    fallbacks += extract_group(g, np.data() + starts[gi],
+                               np.data() + starts[gi + 1], horizon, ws, out);
+  }
+  return fallbacks;
 }
 
 }  // namespace
 
-std::uint64_t VirtualLinkMap::key(NodeId a, NodeId b) noexcept {
-  const NodeId lo = std::min(a, b);
-  const NodeId hi = std::max(a, b);
-  return (static_cast<std::uint64_t>(lo) << 32) | hi;
+void VirtualLinkBlock::append(NodeId v, const BfsScratch& bfs) {
+  VirtualLink l;
+  l.u = bfs.source();
+  l.v = v;
+  l.hops = bfs.dist(v);
+  l.length = l.hops + 1;
+  l.offset = arena.size();
+  bfs.append_path(v, arena);
+  links.push_back(l);
 }
 
-VirtualLinkMap VirtualLinkMap::from_links(std::vector<VirtualLink> links) {
+VirtualLinkMap VirtualLinkMap::from_links(
+    std::vector<VirtualLinkBlock> blocks) {
   VirtualLinkMap m;
-  m.links_ = std::move(links);
-  m.index_.reserve(m.links_.size());
+  for (const VirtualLinkBlock& b : blocks) {
+    for (const VirtualLink& l : b.links) {
+      KHOP_REQUIRE(l.u < l.v,
+                   "virtual link endpoints must be (smaller, larger)");
+      KHOP_REQUIRE(l.offset <= b.arena.size() &&
+                       l.length <= b.arena.size() - l.offset,
+                   "virtual link path lies outside its arena");
+    }
+  }
+  if (blocks.size() == 1) {
+    m.links_ = std::move(blocks.front().links);
+    m.arena_ = std::move(blocks.front().arena);
+  } else {
+    std::size_t num_links = 0;
+    std::size_t num_nodes = 0;
+    for (const VirtualLinkBlock& b : blocks) {
+      num_links += b.links.size();
+      num_nodes += b.arena.size();
+    }
+    m.links_.reserve(num_links);
+    m.arena_.reserve(num_nodes);
+    for (const VirtualLinkBlock& b : blocks) {
+      const std::size_t base = m.arena_.size();
+      for (VirtualLink l : b.links) {
+        l.offset += base;
+        m.links_.push_back(l);
+      }
+      m.arena_.insert(m.arena_.end(), b.arena.begin(), b.arena.end());
+    }
+  }
+
+  KHOP_REQUIRE(m.links_.size() < kInvalidNode, "too many virtual links");
+  // Rows by a counting pass over the sources; row_[u] doubles as row u's
+  // fill cursor and ends at the start of row u + 1, so shift back after.
+  NodeId max_source = 0;
+  for (const VirtualLink& l : m.links_) max_source = std::max(max_source, l.u);
+  m.row_.assign(m.links_.empty() ? 0 : std::size_t{max_source} + 2, 0);
+  for (const VirtualLink& l : m.links_) ++m.row_[l.u + 1];
+  for (std::size_t u = 1; u < m.row_.size(); ++u) m.row_[u] += m.row_[u - 1];
+  m.index_.resize(m.links_.size());
   for (std::size_t i = 0; i < m.links_.size(); ++i) {
     const VirtualLink& l = m.links_[i];
-    KHOP_REQUIRE(l.u < l.v, "virtual link endpoints must be (smaller, larger)");
-    const bool inserted = m.index_.emplace(key(l.u, l.v), i).second;
-    KHOP_REQUIRE(inserted, "duplicate virtual link pair");
+    m.index_[m.row_[l.u]++] = {l.v, static_cast<std::uint32_t>(i)};
+  }
+  for (std::size_t u = m.row_.size(); u-- > 1;) m.row_[u] = m.row_[u - 1];
+  if (!m.row_.empty()) m.row_[0] = 0;
+  // Rows of a build are already ascending; a decoded snapshot's are not.
+  const auto by_v = [](const IndexEntry& a, const IndexEntry& b) {
+    return a.v < b.v;
+  };
+  for (std::size_t u = 0; u + 1 < m.row_.size(); ++u) {
+    const auto first = m.index_.begin() + m.row_[u];
+    const auto last = m.index_.begin() + m.row_[u + 1];
+    if (!std::is_sorted(first, last, by_v)) std::sort(first, last, by_v);
+    KHOP_REQUIRE(std::adjacent_find(first, last,
+                                    [](const IndexEntry& a,
+                                       const IndexEntry& b) {
+                                      return a.v == b.v;
+                                    }) == last,
+                 "duplicate virtual link pair");
   }
   return m;
 }
@@ -107,16 +183,13 @@ VirtualLinkMap VirtualLinkMap::from_links(std::vector<VirtualLink> links) {
 VirtualLinkMap VirtualLinkMap::build_bounded(
     const Graph& g, const std::vector<std::pair<NodeId, NodeId>>& pairs,
     Hops horizon, Workspace& ws) {
-  const auto np = normalized_pairs(pairs);
-  std::vector<VirtualLink> links;
-  links.reserve(np.size());
-  std::size_t fallbacks = 0;
-  for (const auto& [begin, end] : source_groups(np)) {
-    fallbacks +=
-        extract_group(g, np.data() + begin, np.data() + end, horizon, ws,
-                      links);
-  }
-  VirtualLinkMap m = from_links(std::move(links));
+  std::vector<std::pair<NodeId, NodeId>> scratch;
+  const auto& np = normalized_pairs(pairs, scratch);
+  const std::vector<std::size_t> starts = source_starts(np);
+  std::vector<VirtualLinkBlock> blocks(1);
+  const std::size_t fallbacks = extract_groups(
+      g, np, starts, 0, starts.size() - 1, horizon, ws, blocks.front());
+  VirtualLinkMap m = from_links(std::move(blocks));
   m.bounded_fallbacks_ = fallbacks;
   return m;
 }
@@ -130,27 +203,22 @@ VirtualLinkMap VirtualLinkMap::build_bounded(
 VirtualLinkMap VirtualLinkMap::build_bounded(
     const Graph& g, const std::vector<std::pair<NodeId, NodeId>>& pairs,
     Hops horizon, ThreadPool& pool) {
-  const auto np = normalized_pairs(pairs);
-  const auto groups = source_groups(np);
-  std::vector<std::vector<VirtualLink>> slots(groups.size());
-  std::vector<std::size_t> slot_fallbacks(groups.size(), 0);
-  parallel_for_throwing(pool, groups.size(), [&](std::size_t gi) {
-    slot_fallbacks[gi] =
-        extract_group(g, np.data() + groups[gi].first,
-                      np.data() + groups[gi].second, horizon, tls_workspace(),
-                      slots[gi]);
-  });
-
-  // Deterministic merge in ascending source order (== group order).
-  std::vector<VirtualLink> links;
-  links.reserve(np.size());
-  std::size_t fallbacks = 0;
-  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-    for (VirtualLink& l : slots[gi]) links.push_back(std::move(l));
-    fallbacks += slot_fallbacks[gi];
-  }
-  VirtualLinkMap m = from_links(std::move(links));
-  m.bounded_fallbacks_ = fallbacks;
+  std::vector<std::pair<NodeId, NodeId>> scratch;
+  const auto& np = normalized_pairs(pairs, scratch);
+  const std::vector<std::size_t> starts = source_starts(np);
+  const std::size_t num_groups = starts.size() - 1;
+  // Blocks of consecutive sources: a throwing group ends its block, and the
+  // lowest block's exception is the one the serial loop raises first.
+  std::vector<VirtualLinkBlock> blocks(block_count(pool, num_groups));
+  std::vector<std::size_t> block_fallbacks(blocks.size(), 0);
+  parallel_blocks(pool, num_groups,
+                  [&](std::size_t b, std::size_t gb, std::size_t ge) {
+                    block_fallbacks[b] =
+                        extract_groups(g, np, starts, gb, ge, horizon,
+                                       tls_workspace(), blocks[b]);
+                  });
+  VirtualLinkMap m = from_links(std::move(blocks));
+  for (const std::size_t f : block_fallbacks) m.bounded_fallbacks_ += f;
   return m;
 }
 
@@ -165,6 +233,23 @@ VirtualLinkMap VirtualLinkMap::build(
   return build_bounded(g, pairs, kUnreachable, tls_workspace());
 }
 
+std::size_t VirtualLinkMap::slot(NodeId u, NodeId v) const {
+  const auto first = index_.begin() + row_[u];
+  const auto last = index_.begin() + row_[u + 1];
+  return static_cast<std::size_t>(
+      std::lower_bound(first, last, v,
+                       [](const IndexEntry& e, NodeId id) { return e.v < id; }) -
+      index_.begin());
+}
+
+std::size_t VirtualLinkMap::entry(NodeId a, NodeId b) const {
+  const NodeId u = std::min(a, b);
+  const NodeId v = std::max(a, b);
+  if (std::size_t{u} + 1 >= row_.size()) return kNoEntry;
+  const std::size_t e = slot(u, v);
+  return e < row_[u + 1] && index_[e].v == v ? e : kNoEntry;
+}
+
 const VirtualLink& VirtualLinkMap::link(NodeId a, NodeId b) const {
   const VirtualLink* l = find(a, b);
   KHOP_REQUIRE(l != nullptr, "virtual link not built for this pair");
@@ -176,31 +261,75 @@ bool VirtualLinkMap::contains(NodeId a, NodeId b) const {
 }
 
 const VirtualLink* VirtualLinkMap::find(NodeId a, NodeId b) const {
-  const auto it = index_.find(key(a, b));
-  return it == index_.end() ? nullptr : &links_[it->second];
+  const std::size_t e = entry(a, b);
+  return e == kNoEntry ? nullptr : &links_[index_[e].pos];
 }
 
-void VirtualLinkMap::insert(VirtualLink l) {
-  KHOP_REQUIRE(l.u < l.v, "virtual link endpoints must be (smaller, larger)");
-  const auto [it, inserted] = index_.emplace(key(l.u, l.v), links_.size());
-  if (inserted) {
-    links_.push_back(std::move(l));
-  } else {
-    links_[it->second] = std::move(l);
+void VirtualLinkMap::insert(NodeId u, NodeId v, Hops hops,
+                            std::span<const NodeId> p) {
+  KHOP_REQUIRE(u < v, "virtual link endpoints must be (smaller, larger)");
+  if (std::size_t{u} + 1 >= row_.size()) {
+    row_.resize(std::size_t{u} + 2, static_cast<std::uint32_t>(index_.size()));
   }
+  const std::size_t e = slot(u, v);
+  VirtualLink* l = nullptr;
+  if (e < row_[u + 1] && index_[e].v == v) {
+    l = &links_[index_[e].pos];
+    if (p.size() <= l->length) {
+      dead_ += l->length - p.size();
+    } else {
+      dead_ += l->length;
+      l->offset = arena_.size();
+      arena_.resize(arena_.size() + p.size());
+    }
+  } else {
+    KHOP_REQUIRE(links_.size() + 1 < kInvalidNode, "too many virtual links");
+    index_.insert(index_.begin() + static_cast<std::ptrdiff_t>(e),
+                  {v, static_cast<std::uint32_t>(links_.size())});
+    for (std::size_t w = std::size_t{u} + 1; w < row_.size(); ++w) ++row_[w];
+    l = &links_.emplace_back();
+    l->u = u;
+    l->v = v;
+    l->offset = arena_.size();
+    arena_.resize(arena_.size() + p.size());
+  }
+  l->hops = hops;
+  l->length = static_cast<std::uint32_t>(p.size());
+  std::copy(p.begin(), p.end(),
+            arena_.begin() + static_cast<std::ptrdiff_t>(l->offset));
+  maybe_compact();
 }
 
 bool VirtualLinkMap::erase(NodeId a, NodeId b) {
-  const auto it = index_.find(key(a, b));
-  if (it == index_.end()) return false;
-  const std::size_t pos = it->second;
-  index_.erase(it);
+  const std::size_t e = entry(a, b);
+  if (e == kNoEntry) return false;
+  const std::size_t pos = index_[e].pos;
+  index_.erase(index_.begin() + static_cast<std::ptrdiff_t>(e));
+  for (std::size_t w = std::size_t{std::min(a, b)} + 1; w < row_.size(); ++w) {
+    --row_[w];
+  }
+  dead_ += links_[pos].length;
   if (pos + 1 != links_.size()) {
-    links_[pos] = std::move(links_.back());
-    index_[key(links_[pos].u, links_[pos].v)] = pos;
+    links_[pos] = links_.back();
+    index_[entry(links_[pos].u, links_[pos].v)].pos =
+        static_cast<std::uint32_t>(pos);
   }
   links_.pop_back();
+  maybe_compact();
   return true;
+}
+
+void VirtualLinkMap::maybe_compact() {
+  if (dead_ <= arena_.size() - dead_) return;
+  std::vector<NodeId> live;
+  live.reserve(arena_.size() - dead_);
+  for (VirtualLink& l : links_) {
+    const std::span<const NodeId> p = path(l);
+    l.offset = live.size();
+    live.insert(live.end(), p.begin(), p.end());
+  }
+  arena_ = std::move(live);
+  dead_ = 0;
 }
 
 }  // namespace khop

@@ -262,16 +262,24 @@ void BfsScratch::run_multi(const Graph& g, std::span<const NodeId> seeds) {
 }
 
 std::vector<NodeId> BfsScratch::extract_path(NodeId target) const {
-  KHOP_REQUIRE(target < stamp_.size(), "path target out of range");
-  KHOP_REQUIRE(dist(target) != kUnreachable,
-               "target unreachable from BFS source");
   std::vector<NodeId> path;
-  for (NodeId v = target; v != kInvalidNode; v = parent(v)) {
-    path.push_back(v);
-  }
-  std::reverse(path.begin(), path.end());
-  KHOP_ASSERT(path.front() == source_, "path does not start at source");
+  append_path(target, path);
   return path;
+}
+
+void BfsScratch::append_path(NodeId target, std::vector<NodeId>& out) const {
+  KHOP_REQUIRE(target < stamp_.size(), "path target out of range");
+  const Hops d = dist(target);
+  KHOP_REQUIRE(d != kUnreachable, "target unreachable from BFS source");
+  const std::size_t first = out.size();
+  out.resize(first + d + 1);
+  NodeId v = target;
+  for (std::size_t i = first + d + 1; i-- > first;) {
+    out[i] = v;
+    v = parent(v);
+  }
+  KHOP_ASSERT(out[first] == source_ && v == kInvalidNode,
+              "path does not start at source");
 }
 
 }  // namespace khop

@@ -120,6 +120,11 @@ class BfsScratch {
   /// run, both endpoints included. \pre dist(target) != kUnreachable
   std::vector<NodeId> extract_path(NodeId target) const;
 
+  /// extract_path appended to \p out (dist(target) + 1 nodes, written back
+  /// to front along the parent chain), so callers that keep many paths in
+  /// one buffer make no allocation per path.
+  void append_path(NodeId target, std::vector<NodeId>& out) const;
+
  private:
   /// Grows the per-node arrays to \p n and opens a fresh epoch.
   void begin(std::size_t n);

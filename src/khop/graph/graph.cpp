@@ -78,36 +78,62 @@ Graph Graph::adopt_csr(std::vector<std::size_t> offsets,
   return g;
 }
 
-void Graph::check_csr_row(NodeId u) const {
+std::size_t Graph::check_csr_row(NodeId u) const {
   const std::size_t n = num_nodes();
   const auto row = neighbors(u);
+  std::size_t upper = 0;
   for (std::size_t j = 0; j < row.size(); ++j) {
     const NodeId v = row[j];
     KHOP_REQUIRE(v < n, "CSR neighbor out of range");
     KHOP_REQUIRE(v != u, "self-loops are not allowed");
     KHOP_REQUIRE(j == 0 || row[j - 1] < v,
                  "CSR rows must be strictly ascending");
-    KHOP_REQUIRE(has_edge(v, u), "CSR adjacency must be symmetric");
+    if (v > u) {
+      const auto mirror = neighbors(v);
+      KHOP_REQUIRE(std::binary_search(mirror.begin(), mirror.end(), u),
+                   "CSR adjacency must be symmetric");
+      ++upper;
+    }
   }
+  return upper;
+}
+
+void Graph::check_csr_upper_count(std::size_t upper) const {
+  // Each upper entry (u, v), v > u, has its mirror (v, u) among the lower
+  // entries, and distinct upper entries have distinct mirrors. With as many
+  // upper as lower entries (half the adjacency) that map is onto: every
+  // lower entry is a mirror too, so the adjacency is symmetric.
+  KHOP_REQUIRE(2 * upper == adjacency_.size(),
+               "CSR adjacency must be symmetric");
 }
 
 Graph Graph::from_csr(std::vector<std::size_t> offsets,
                       std::vector<NodeId> adjacency) {
   Graph g = adopt_csr(std::move(offsets), std::move(adjacency));
+  std::size_t upper = 0;
   for (NodeId u = 0; u < static_cast<NodeId>(g.num_nodes()); ++u) {
-    g.check_csr_row(u);
+    upper += g.check_csr_row(u);
   }
+  g.check_csr_upper_count(upper);
   return g;
 }
 
 Graph Graph::from_csr(std::vector<std::size_t> offsets,
                       std::vector<NodeId> adjacency, ThreadPool& pool) {
   Graph g = adopt_csr(std::move(offsets), std::move(adjacency));
-  // Rows are checked independently; the lowest failing row's exception is
-  // the one the ascending serial loop raises first.
-  parallel_for_throwing(pool, g.num_nodes(), [&g](std::size_t u) {
-    g.check_csr_row(static_cast<NodeId>(u));
-  });
+  // Blocks of rows are checked independently; a failing row ends its block,
+  // and the lowest block's exception is the one the ascending serial loop
+  // raises first. Only when every row passes is the count compared.
+  std::vector<std::size_t> upper(block_count(pool, g.num_nodes()), 0);
+  parallel_blocks(pool, g.num_nodes(),
+                  [&](std::size_t b, std::size_t begin, std::size_t end) {
+                    for (std::size_t u = begin; u < end; ++u) {
+                      upper[b] += g.check_csr_row(static_cast<NodeId>(u));
+                    }
+                  });
+  std::size_t total = 0;
+  for (const std::size_t count : upper) total += count;
+  g.check_csr_upper_count(total);
   return g;
 }
 

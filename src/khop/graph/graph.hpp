@@ -34,6 +34,11 @@ class Graph {
   /// with offsets[0] == 0 and offsets[n] == adjacency.size(), every row
   /// strictly ascending (catches duplicates), no self-loops, and symmetric
   /// (v in row(u) iff u in row(v)). Throws InvalidArgument otherwise.
+  /// Symmetry costs one search per undirected edge: each upper entry v > u
+  /// of row u is looked up in row v, and the upper entries must be exactly
+  /// half the adjacency, which makes their mirrors all the lower entries.
+  /// A missing mirror of a lower entry is therefore reported only after
+  /// every row passed its own checks.
   static Graph from_csr(std::vector<std::size_t> offsets,
                         std::vector<NodeId> adjacency);
 
@@ -78,7 +83,12 @@ class Graph {
   static Graph adopt_csr(std::vector<std::size_t> offsets,
                          std::vector<NodeId> adjacency);
   /// from_csr's checks of row \p u; throws InvalidArgument on a violation.
-  void check_csr_row(NodeId u) const;
+  /// Only the upper entries (v > u) are searched for their mirror; returns
+  /// their number for check_csr_upper_count.
+  std::size_t check_csr_row(NodeId u) const;
+  /// from_csr's symmetry check of the lower entries: throws unless the
+  /// rows' upper entries, \p upper in all, are half the adjacency.
+  void check_csr_upper_count(std::size_t upper) const;
 };
 
 }  // namespace khop

@@ -12,35 +12,89 @@ namespace {
 
 using ClusterPair = std::pair<std::uint32_t, std::uint32_t>;
 
-/// Appends the cluster-index pair (min, max) of every cross-cluster edge
-/// {u, v}, u < v, with u in [begin, end); then sorts and dedupes \p out.
-void cross_cluster_pairs(const Graph& g, const Clustering& c,
-                         std::size_t begin, std::size_t end,
-                         std::vector<ClusterPair>& out) {
-  for (auto u = static_cast<NodeId>(begin); u < end; ++u) {
-    const std::uint32_t cu = c.cluster_of[u];
-    for (NodeId v : g.neighbors(u)) {
-      if (u >= v) continue;
-      const std::uint32_t cv = c.cluster_of[v];
-      if (cu != cv) out.emplace_back(std::min(cu, cv), std::max(cu, cv));
+/// The nodes grouped by cluster (a counting sort on cluster_of): cluster
+/// ci's members are members[offsets[ci], offsets[ci + 1]), ascending.
+struct ClusterMembers {
+  std::vector<std::size_t> offsets;
+  std::vector<NodeId> members;
+
+  ClusterMembers(const Graph& g, const Clustering& c) {
+    KHOP_REQUIRE(c.cluster_of.size() == g.num_nodes(),
+                 "clustering has no cluster_of for this graph");
+    const std::size_t h = c.heads.size();
+    offsets.assign(h + 1, 0);
+    for (const std::uint32_t ci : c.cluster_of) {
+      KHOP_REQUIRE(ci < h, "cluster_of names no cluster");
+      ++offsets[ci + 1];
+    }
+    for (std::size_t ci = 0; ci < h; ++ci) offsets[ci + 1] += offsets[ci];
+    // offsets[ci] doubles as cluster ci's fill cursor and ends at the start
+    // of cluster ci + 1; shift back afterwards.
+    members.resize(g.num_nodes());
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      members[offsets[c.cluster_of[u]]++] = u;
+    }
+    for (std::size_t ci = h; ci > 0; --ci) offsets[ci] = offsets[ci - 1];
+    offsets[0] = 0;
+  }
+};
+
+/// Writes to \p out, ascending, the clusters adjacent to cluster \p ci per
+/// Definition 2: the clusters other than ci of its members' neighbors.
+void adjacent_clusters(const Graph& g, const Clustering& c,
+                       const ClusterMembers& cm, std::uint32_t ci,
+                       std::vector<std::uint32_t>& out) {
+  out.clear();
+  for (std::size_t i = cm.offsets[ci]; i < cm.offsets[ci + 1]; ++i) {
+    for (const NodeId y : g.neighbors(cm.members[i])) {
+      const std::uint32_t cj = c.cluster_of[y];
+      if (cj != ci) out.push_back(cj);
     }
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
+/// A-NCR for clusters [begin, end): fills sel.selected[ci] with one
+/// exact-size allocation and appends to \p pairs the head pairs (heads[ci],
+/// heads[cj]), cj > ci. Heads ascend with their index, so the lists come out
+/// sorted and the pairs in (u, v) order.
+void select_ancr_range(const Graph& g, const Clustering& c,
+                       const ClusterMembers& cm, std::size_t begin,
+                       std::size_t end, std::vector<std::uint32_t>& scratch,
+                       NeighborSelection& sel,
+                       std::vector<std::pair<NodeId, NodeId>>& pairs) {
+  for (auto ci = static_cast<std::uint32_t>(begin); ci < end; ++ci) {
+    adjacent_clusters(g, c, cm, ci, scratch);
+    std::vector<NodeId>& list = sel.selected[ci];
+    list.reserve(scratch.size());
+    for (const std::uint32_t cj : scratch) {
+      list.push_back(c.heads[cj]);
+      if (cj > ci) pairs.emplace_back(c.heads[ci], c.heads[cj]);
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<std::pair<std::uint32_t, std::uint32_t>> adjacent_cluster_pairs(
     const Graph& g, const Clustering& c) {
-  // Flat vector + sort/unique instead of a std::set: this sits on the AC
-  // pipeline and ANCR protocol hot path, and the cross-edge stream is cheap
-  // to buffer (<= m entries) but expensive to feed through a red-black tree.
+  const ClusterMembers cm(g, c);
   std::vector<ClusterPair> pairs;
-  cross_cluster_pairs(g, c, 0, g.num_nodes(), pairs);
+  std::vector<std::uint32_t> adjacent;
+  for (std::uint32_t ci = 0; ci < c.heads.size(); ++ci) {
+    adjacent_clusters(g, c, cm, ci, adjacent);
+    for (const std::uint32_t cj : adjacent) {
+      if (cj > ci) pairs.emplace_back(ci, cj);
+    }
+  }
   return pairs;
 }
 
+namespace {
+
+/// Canonicalizes a raw selection: sorts + uniques every selected list and
+/// the head-pair closure (the NC and Wu-Lou rules collect them unordered).
 NeighborSelection finalize_selection(NeighborSelection sel) {
   for (auto& list : sel.selected) {
     std::sort(list.begin(), list.end());
@@ -52,8 +106,6 @@ NeighborSelection finalize_selection(NeighborSelection sel) {
       sel.head_pairs.end());
   return sel;
 }
-
-namespace {
 
 NeighborSelection select_nc(const Graph& g, const Clustering& c,
                             Workspace& ws) {
@@ -76,19 +128,29 @@ NeighborSelection select_nc(const Graph& g, const Clustering& c,
   return finalize_selection(std::move(sel));
 }
 
-NeighborSelection select_ancr(const Clustering& c,
-                              const std::vector<ClusterPair>& adjacent) {
+/// A-NCR over every cluster: in one block on the calling thread when \p
+/// pool is null (scratch from \p ws), else in blocks of clusters on \p pool.
+/// Blocks write disjoint selected lists; their pair lists, concatenated in
+/// block order, are the one-block list.
+NeighborSelection select_ancr(const Graph& g, const Clustering& c,
+                              Workspace* ws, ThreadPool* pool) {
   NeighborSelection sel;
   sel.rule = NeighborRule::kAdjacent;
   sel.selected.resize(c.heads.size());
-  for (const auto& [ci, cj] : adjacent) {
-    const NodeId hi = c.heads[ci];
-    const NodeId hj = c.heads[cj];
-    sel.selected[ci].push_back(hj);
-    sel.selected[cj].push_back(hi);
-    sel.head_pairs.emplace_back(std::min(hi, hj), std::max(hi, hj));
+  const ClusterMembers cm(g, c);
+  if (pool == nullptr) {
+    select_ancr_range(g, c, cm, 0, c.heads.size(), ws->node_buf, sel,
+                      sel.head_pairs);
+    return sel;
   }
-  return finalize_selection(std::move(sel));
+  sel.head_pairs = parallel_concat<std::pair<NodeId, NodeId>>(
+      *pool, c.heads.size(),
+      [&](std::size_t begin, std::size_t end,
+          std::vector<std::pair<NodeId, NodeId>>& out) {
+        std::vector<std::uint32_t> scratch;
+        select_ancr_range(g, c, cm, begin, end, scratch, sel, out);
+      });
+  return sel;
 }
 
 NeighborSelection select_wulou(const Graph& g, const Clustering& c,
@@ -128,7 +190,7 @@ NeighborSelection select_neighbors(const Graph& g, const Clustering& c,
     case NeighborRule::kAllWithin2k1:
       return select_nc(g, c, ws);
     case NeighborRule::kAdjacent:
-      return select_ancr(c, adjacent_cluster_pairs(g, c));
+      return select_ancr(g, c, &ws, nullptr);
     case NeighborRule::kWuLou25:
       return select_wulou(g, c, ws);
   }
@@ -147,18 +209,7 @@ NeighborSelection select_neighbors(const Graph& g, const Clustering& c,
     return select_neighbors(g, c, rule, tls_workspace());
   }
   KHOP_REQUIRE(!c.heads.empty(), "clustering has no heads");
-  KHOP_REQUIRE(c.cluster_of.size() == g.num_nodes(),
-               "clustering has no cluster_of for this graph");
-  // Each block collects, sorts and dedupes the pairs of its node range; the
-  // merge sorts and dedupes again, which yields the serial pair list.
-  std::vector<ClusterPair> pairs = parallel_concat<ClusterPair>(
-      pool, g.num_nodes(),
-      [&](std::size_t begin, std::size_t end, std::vector<ClusterPair>& out) {
-        cross_cluster_pairs(g, c, begin, end, out);
-      });
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-  return select_ancr(c, pairs);
+  return select_ancr(g, c, nullptr, &pool);
 }
 
 }  // namespace khop

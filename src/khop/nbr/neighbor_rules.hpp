@@ -51,22 +51,22 @@ NeighborSelection select_neighbors(const Graph& g, const Clustering& c,
 
 class ThreadPool;
 
-/// Pool variant, bit-identical to the overloads above. For kAdjacent the
-/// cross-cluster edge scan runs over node blocks on \p pool, each block
-/// sorting and deduping its pairs before a final merge; the other rules
+/// Pool variant, bit-identical to the overloads above. A-NCR (kAdjacent)
+/// runs by cluster: a counting pass groups the nodes by cluster_of, then
+/// blocks of cluster indices scan their members' edges on \p pool. Each
+/// cluster's selected list is written once, at its exact size, and each
+/// block emits its head pairs in (u, v) order, so the blocks' lists
+/// concatenate into the sorted head_pairs with no global sort. The
+/// Workspace overload runs the same kernel as one block. The other rules
 /// run the workspace path on the calling thread's tls_workspace().
 NeighborSelection select_neighbors(const Graph& g, const Clustering& c,
                                    NeighborRule rule, ThreadPool& pool);
 
 /// Cluster-index pairs (ci < cj) whose clusters are adjacent per Definition 2
-/// (some edge of G joins a node of one to a node of the other).
+/// (some edge of G joins a node of one to a node of the other), ascending;
+/// the A-NCR kernel's adjacency, one cluster at a time. Throws
+/// InvalidArgument unless c.cluster_of covers \p g with valid indices.
 std::vector<std::pair<std::uint32_t, std::uint32_t>> adjacent_cluster_pairs(
     const Graph& g, const Clustering& c);
-
-/// Canonicalizes a raw selection: sorts + uniques every selected list and the
-/// head-pair closure. All selection producers (the rules above and the fused
-/// NC sweep in gateway/head_sweep.hpp) funnel through this, so their outputs
-/// are comparable bit-for-bit.
-NeighborSelection finalize_selection(NeighborSelection sel);
 
 }  // namespace khop

@@ -77,20 +77,39 @@ void parallel_for(ThreadPool& pool, std::size_t count,
 void parallel_for_throwing(ThreadPool& pool, std::size_t count,
                            const std::function<void(std::size_t)>& fn);
 
-/// Runs fill(lo, hi, out) over contiguous blocks of [0, count), four per
-/// worker, each block appending to its own vector, and returns the blocks'
-/// vectors concatenated in block order — for an order-preserving fill, the
+/// The number of blocks parallel_blocks splits [0, count) into on \p pool:
+/// four per worker, at least one, at most count.
+inline std::size_t block_count(const ThreadPool& pool, std::size_t count) {
+  return std::max<std::size_t>(1, std::min(count, pool.num_threads() * 4));
+}
+
+/// Runs body(b, lo, hi) on \p pool for every block b of [0, count), block
+/// b of B = block_count(pool, count) being [count*b/B, count*(b+1)/B).
+/// Per-block outputs indexed by b and combined in block order give what one
+/// ascending pass over [0, count) gives, at any thread count. Exceptions as
+/// in parallel_for_throwing: a throw ends its block, and the lowest block's
+/// exception is rethrown.
+template <typename Body>
+void parallel_blocks(ThreadPool& pool, std::size_t count, Body&& body) {
+  const std::size_t blocks = block_count(pool, count);
+  parallel_for_throwing(pool, blocks, [&](std::size_t b) {
+    body(b, count * b / blocks, count * (b + 1) / blocks);
+  });
+}
+
+/// Runs fill(lo, hi, out) over the blocks of parallel_blocks, each block
+/// appending to its own vector, and returns the blocks' vectors
+/// concatenated in block order — for an order-preserving fill, the
 /// sequence one fill(0, count, out) call appends, at any thread count.
-/// Exceptions as in parallel_for_throwing: the lowest block's is rethrown.
+/// Exceptions as in parallel_blocks.
 template <typename T, typename Fill>
 std::vector<T> parallel_concat(ThreadPool& pool, std::size_t count,
                                Fill&& fill) {
-  const std::size_t blocks = std::max<std::size_t>(
-      1, std::min(count, pool.num_threads() * 4));
-  std::vector<std::vector<T>> parts(blocks);
-  parallel_for_throwing(pool, blocks, [&](std::size_t b) {
-    fill(count * b / blocks, count * (b + 1) / blocks, parts[b]);
-  });
+  std::vector<std::vector<T>> parts(block_count(pool, count));
+  parallel_blocks(pool, count,
+                  [&](std::size_t b, std::size_t lo, std::size_t hi) {
+                    fill(lo, hi, parts[b]);
+                  });
   std::size_t total = 0;
   for (const auto& part : parts) total += part.size();
   std::vector<T> out;

@@ -88,10 +88,15 @@ class EpochFlags {
 
 /// LMSTGA's selected-pair distance table (gateway/lmst.cpp): row r holds
 /// (b, hops), b ascending, for every selected pair (a, b) whose smaller
-/// endpoint a is heads[r], i.e. the cluster index cluster_of[a].
+/// endpoint a is heads[r], i.e. the cluster index cluster_of[a]. Entry i
+/// is canonical pair i; its keep flags record whether a, and whether b,
+/// keeps the link (two arrays, so the blocks that set them never share a
+/// byte).
 struct PairHopRows {
   std::vector<std::size_t> offsets;
   std::vector<std::pair<NodeId, Hops>> entries;
+  std::vector<std::uint8_t> kept_by_smaller;
+  std::vector<std::uint8_t> kept_by_larger;
   /// Sorted, deduplicated copy of a non-canonical head_pairs input.
   std::vector<std::pair<NodeId, NodeId>> canonical;
 };

@@ -27,7 +27,8 @@ VirtualLinkMap build_virtual_links(
     by_source[std::min(a, b)].push_back(std::max(a, b));
   }
 
-  std::vector<VirtualLink> links;
+  std::vector<VirtualLinkBlock> blocks(1);
+  VirtualLinkBlock& block = blocks.front();
   for (auto& [src, targets] : by_source) {
     ws.bfs.run(g, src, kUnreachable);
     std::sort(targets.begin(), targets.end());
@@ -40,11 +41,14 @@ VirtualLinkMap build_virtual_links(
       link.u = src;
       link.v = dst;
       link.hops = ws.bfs.dist(dst);
-      link.path = ws.bfs.extract_path(dst);
-      links.push_back(std::move(link));
+      const std::vector<NodeId> path = ws.bfs.extract_path(dst);
+      link.length = static_cast<std::uint32_t>(path.size());
+      link.offset = block.arena.size();
+      block.arena.insert(block.arena.end(), path.begin(), path.end());
+      block.links.push_back(link);
     }
   }
-  return VirtualLinkMap::from_links(std::move(links));
+  return VirtualLinkMap::from_links(std::move(blocks));
 }
 
 GmstResult gmst_gateways(const Graph& g, const Clustering& c) {
@@ -81,9 +85,9 @@ GmstResult gmst_gateways(const Graph& g, const Clustering& c) {
   std::sort(pairs.begin(), pairs.end());
   r.kept_links = pairs;
   for (const auto& [u, v] : pairs) {
-    const VirtualLink& link = links.link(u, v);
-    for (std::size_t i = 1; i + 1 < link.path.size(); ++i) {
-      const NodeId w = link.path[i];
+    const auto path = links.path(links.link(u, v));
+    for (std::size_t i = 1; i + 1 < path.size(); ++i) {
+      const NodeId w = path[i];
       if (!c.is_head(w)) r.gateways.push_back(w);
     }
   }

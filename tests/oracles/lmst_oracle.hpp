@@ -101,9 +101,9 @@ inline LmstResult legacy_lmst_gateways(const Clustering& c,
   }
 
   for (const auto& [u, v] : r.kept_links) {
-    const VirtualLink& link = links.link(u, v);
-    for (std::size_t i = 1; i + 1 < link.path.size(); ++i) {
-      const NodeId w = link.path[i];
+    const auto path = links.path(links.link(u, v));
+    for (std::size_t i = 1; i + 1 < path.size(); ++i) {
+      const NodeId w = path[i];
       if (!c.is_head(w)) r.gateways.push_back(w);
     }
   }

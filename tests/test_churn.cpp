@@ -94,14 +94,16 @@ TEST(DynamicGraph, RejectsInvalidMutations) {
 // VirtualLinkMap incremental mutators
 
 TEST(VirtualLinkMap, InsertAndErase) {
-  VirtualLinkMap m = VirtualLinkMap::from_links({});
-  m.insert({1, 5, 2, {1, 3, 5}});
-  m.insert({2, 5, 1, {2, 5}});
+  VirtualLinkMap m;
+  m.insert(1, 5, 2, std::vector<NodeId>{1, 3, 5});
+  m.insert(2, 5, 1, std::vector<NodeId>{2, 5});
   EXPECT_TRUE(m.contains(5, 1));
   EXPECT_EQ(m.link(1, 5).hops, 2u);
 
-  m.insert({1, 5, 3, {1, 0, 4, 5}});  // upsert replaces the path
+  m.insert(1, 5, 3, std::vector<NodeId>{1, 0, 4, 5});  // upsert replaces
   EXPECT_EQ(m.link(1, 5).hops, 3u);
+  EXPECT_TRUE(std::ranges::equal(m.path(m.link(1, 5)),
+                                 std::vector<NodeId>{1, 0, 4, 5}));
   EXPECT_EQ(m.all().size(), 2u);
 
   EXPECT_TRUE(m.erase(1, 5));

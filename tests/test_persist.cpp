@@ -347,6 +347,35 @@ TEST(PersistSnapshot, BitFlipSweepAlwaysCleanError) {
   }
 }
 
+TEST(PersistSnapshot, CapacityBeyondGraphSectionRejectedBeforeSizing) {
+  // A capacity that passes the checksums (the meta section is re-sealed)
+  // but that the graph section cannot hold at 5 bytes per node. Without the
+  // check the decoder sizes its per-node arrays by it (~100 MB at 2^22)
+  // before the graph section runs out; larger capacities are not tried.
+  const Graph g = make_network(4205, 40, 6.0);
+  const ChurnEngine engine(g, 1, Pipeline::kNcMesh);
+  std::string bytes = persist::encode_snapshot(engine, 0);
+  // Meta section: tag u32, length u64, payload (cursor u64, capacity u64,
+  // ...), crc u32.
+  const std::size_t payload = persist::kSnapshotMagic.size() + 4 + 8;
+  ByteReader header(std::string_view(bytes).substr(payload - 8, 8));
+  const auto meta_len = static_cast<std::size_t>(header.get_u64());
+  ByteWriter cap;
+  cap.put_u64(std::uint64_t{1} << 22);
+  bytes.replace(payload + 8, 8, cap.bytes());
+  ByteWriter crc;
+  crc.put_u32(crc32c(std::string_view(bytes).substr(payload, meta_len)));
+  bytes.replace(payload + meta_len, 4, crc.bytes());
+  try {
+    persist::decode_snapshot(bytes);
+    ADD_FAILURE() << "capacity 2^22 decoded";
+  } catch (const CorruptState& e) {
+    EXPECT_NE(std::string(e.what()).find("implausible capacity 4194304"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // DurableChurnEngine
 
@@ -557,6 +586,9 @@ TEST(PersistFixtures, CommittedSnapshotLoads) {
   ChurnEngine restored = ChurnEngine::restore(std::move(snap.state));
   EXPECT_EQ(restored.k(), 2u);
   EXPECT_EQ(restored.pipeline(), Pipeline::kAcMesh);
+  // Re-encoding the restored engine reproduces the committed bytes: the
+  // link store keeps the decoded link order and paths exactly.
+  EXPECT_EQ(persist::encode_snapshot(restored, 120), read_file(path));
   EXPECT_EQ(restored.audit(), "");
 }
 

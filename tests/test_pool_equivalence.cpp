@@ -37,6 +37,7 @@
 #include "khop/runtime/workspace.hpp"
 #include "oracles/cluster_reference.hpp"
 #include "oracles/lmst_oracle.hpp"
+#include "oracles/nbr_reference.hpp"
 #include "oracles/unit_disk_reference.hpp"
 
 namespace khop {
@@ -220,6 +221,53 @@ TEST(PoolEquivalence, FromCsrMixedFaultsThrowTheLowestRowsException) {
                 want)
           << first.name << " + " << second.name << " threads " << threads;
     }
+  }
+}
+
+TEST(PoolEquivalence, FromCsrUnmirroredLowerEntriesCaughtByCount) {
+  // Drop one undirected edge and add two lower entries (u, x), x < u, that
+  // row x does not mirror: every row passes its own checks, every upper
+  // entry is mirrored, and only the upper/lower count can tell.
+  const Graph g = random_topology(600, 8.0, 3500);
+  const std::size_t n = g.num_nodes();
+  std::vector<std::pair<NodeId, NodeId>> entries;  // directed (row, entry)
+  const auto edges = g.edge_list();
+  for (std::size_t i = 1; i < edges.size(); ++i) {  // edges[0] dropped
+    entries.emplace_back(edges[i].first, edges[i].second);
+    entries.emplace_back(edges[i].second, edges[i].first);
+  }
+  std::size_t added = 0;
+  for (NodeId u = static_cast<NodeId>(n / 3); added < 2; u += n / 3) {
+    NodeId x = 0;
+    while (g.has_edge(u, x) || x == u) ++x;
+    ASSERT_LT(x, u);
+    entries.emplace_back(u, x);
+    ++added;
+  }
+  std::sort(entries.begin(), entries.end());
+  Csr bad;
+  bad.offsets.assign(n + 1, 0);
+  for (const auto& [u, v] : entries) {
+    ++bad.offsets[u + 1];
+    bad.adjacency.push_back(v);
+  }
+  std::partial_sum(bad.offsets.begin(), bad.offsets.end(),
+                   bad.offsets.begin());
+
+  const auto want =
+      thrown_by([&] { Graph::from_csr(bad.offsets, bad.adjacency); });
+  ASSERT_TRUE(want.has_value());
+  EXPECT_EQ(want->first, typeid(InvalidArgument).name());
+  EXPECT_NE(want->second.find("CSR adjacency must be symmetric"),
+            std::string::npos)
+      << want->second;
+  for (std::size_t threads : kPoolSizes) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(thrown_by([&] {
+                Graph::from_csr(bad.offsets, bad.adjacency, pool);
+              }),
+              want)
+        << "threads " << threads;
   }
 }
 
@@ -628,6 +676,33 @@ TEST(ElectionEquivalence, DisconnectedJitteredGridThrowsNotConnected) {
                    NotConnected);
       EXPECT_THROW(khop_clustering(g, k, prios, rule, ws), NotConnected);
     }
+  }
+}
+
+TEST(PoolEquivalence, AncrByClusterMatchesReferenceOnJitteredGrid) {
+  // The static_scale topology in miniature: A-NCR scans each cluster's
+  // members, in blocks of clusters on the pool; the selection and its pair
+  // list must be the reference's, serially and at every pool size.
+  const Graph g = connected_jittered_grid(20000, 2207);
+  const std::size_t hardware =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  Workspace ws;
+  for (Hops k = 1; k <= 3; ++k) {
+    const Clustering c = khop_clustering(g, k);
+    ASSERT_GT(c.heads.size(), 64u) << "k " << k;
+    const NeighborSelection want =
+        reference::select_neighbors(g, c, NeighborRule::kAdjacent);
+    expect_selection_eq(select_neighbors(g, c, NeighborRule::kAdjacent, ws),
+                        want);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                      hardware}) {
+      ThreadPool pool(threads);
+      expect_selection_eq(
+          select_neighbors(g, c, NeighborRule::kAdjacent, pool), want);
+    }
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> want_pairs =
+        reference::adjacent_cluster_pairs(g, c);
+    EXPECT_EQ(adjacent_cluster_pairs(g, c), want_pairs) << "k " << k;
   }
 }
 

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <map>
+#include <random>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -42,6 +45,11 @@ std::size_t full_sweep_fallbacks(
   return fallbacks;
 }
 
+std::vector<NodeId> path_of(const VirtualLinkMap& m, const VirtualLink& l) {
+  const auto p = m.path(l);
+  return {p.begin(), p.end()};
+}
+
 void expect_links_eq(const VirtualLinkMap& got, const VirtualLinkMap& want) {
   ASSERT_EQ(got.all().size(), want.all().size());
   for (std::size_t i = 0; i < got.all().size(); ++i) {
@@ -50,7 +58,7 @@ void expect_links_eq(const VirtualLinkMap& got, const VirtualLinkMap& want) {
     EXPECT_EQ(a.u, b.u) << "link " << i;
     EXPECT_EQ(a.v, b.v) << "link " << i;
     EXPECT_EQ(a.hops, b.hops) << "link " << i;
-    EXPECT_EQ(a.path, b.path) << "link " << i;
+    EXPECT_EQ(path_of(got, a), path_of(want, b)) << "link " << i;
   }
 }
 
@@ -62,7 +70,9 @@ TEST(VirtualLink, PathAndHopsOnChain) {
   EXPECT_EQ(l.u, 0u);
   EXPECT_EQ(l.v, 4u);
   EXPECT_EQ(l.hops, 4u);
-  EXPECT_EQ(l.path, (std::vector<NodeId>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(l.length, 5u);
+  EXPECT_EQ(path_of(links, l), (std::vector<NodeId>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(path_of(links, l).size(), links.arena_size());
 }
 
 TEST(VirtualLink, UnorderedLookup) {
@@ -71,7 +81,7 @@ TEST(VirtualLink, UnorderedLookup) {
   EXPECT_TRUE(links.contains(0, 2));
   EXPECT_TRUE(links.contains(2, 0));
   EXPECT_EQ(links.link(2, 0).hops, 2u);
-  EXPECT_EQ(links.link(0, 2).path.front(), 0u);  // rooted at smaller id
+  EXPECT_EQ(links.path(links.link(0, 2)).front(), 0u);  // rooted at smaller id
 }
 
 TEST(VirtualLink, CanonicalTieBreakPicksSmallInterior) {
@@ -80,7 +90,7 @@ TEST(VirtualLink, CanonicalTieBreakPicksSmallInterior) {
   const Graph g =
       Graph::from_edges(4, EdgeList{{0, 1}, {0, 2}, {1, 3}, {2, 3}});
   const auto links = VirtualLinkMap::build(g, {{0, 3}});
-  EXPECT_EQ(links.link(0, 3).path, (std::vector<NodeId>{0, 1, 3}));
+  EXPECT_EQ(path_of(links, links.link(0, 3)), (std::vector<NodeId>{0, 1, 3}));
 }
 
 TEST(VirtualLink, MissingPairThrows) {
@@ -114,12 +124,13 @@ TEST(VirtualLink, HopsMatchBfsOnRandomNetworks) {
   for (const auto& [u, v] : pairs) {
     const auto tree = bfs(net.graph, u);
     const VirtualLink& l = links.link(u, v);
+    const auto path = links.path(l);
     EXPECT_EQ(l.hops, tree.dist[v]);
-    EXPECT_EQ(l.path.size(), l.hops + 1u);
-    EXPECT_EQ(l.path.front(), u);
-    EXPECT_EQ(l.path.back(), v);
-    for (std::size_t i = 0; i + 1 < l.path.size(); ++i) {
-      EXPECT_TRUE(net.graph.has_edge(l.path[i], l.path[i + 1]));
+    EXPECT_EQ(path.size(), l.hops + 1u);
+    EXPECT_EQ(path.front(), u);
+    EXPECT_EQ(path.back(), v);
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+      EXPECT_TRUE(net.graph.has_edge(path[i], path[i + 1]));
     }
   }
 }
@@ -163,7 +174,7 @@ TEST(VirtualLink, BoundedExactlyAtHorizonNeedsNoFallback) {
   const auto links = VirtualLinkMap::build_bounded(g, {{0, 5}}, 5);
   EXPECT_EQ(links.bounded_fallbacks(), 0u);
   EXPECT_EQ(links.link(0, 5).hops, 5u);
-  EXPECT_EQ(links.link(0, 5).path, (std::vector<NodeId>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(path_of(links, links.link(0, 5)), (std::vector<NodeId>{0, 1, 2, 3, 4, 5}));
 }
 
 TEST(VirtualLink, BoundedBeyondHorizonFallsBackUnboundedExactly) {
@@ -252,8 +263,8 @@ TEST(VirtualLink, EarlyStopMidLevelKeepsMinIdPath) {
   const std::vector<std::pair<NodeId, NodeId>> pairs = {{0, 5}, {6, 0}};
   const auto links = VirtualLinkMap::build_bounded(g, pairs, 5);
   EXPECT_EQ(links.bounded_fallbacks(), 0u);
-  EXPECT_EQ(links.link(0, 6).path, (std::vector<NodeId>{0, 1, 6}));
-  EXPECT_EQ(links.link(0, 5).path, (std::vector<NodeId>{0, 1, 5}));
+  EXPECT_EQ(path_of(links, links.link(0, 6)), (std::vector<NodeId>{0, 1, 6}));
+  EXPECT_EQ(path_of(links, links.link(0, 5)), (std::vector<NodeId>{0, 1, 5}));
   expect_links_eq(links, reference::build_virtual_links(g, pairs));
 
   BfsScratch bfs;
@@ -322,22 +333,126 @@ TEST(VirtualLink, EarlyStopTargetBeyondHorizonFallsBackExactly) {
 }
 
 TEST(VirtualLink, FromLinksRejectsBadInput) {
-  VirtualLink swapped;
-  swapped.u = 3;
-  swapped.v = 1;
-  swapped.hops = 1;
-  std::vector<VirtualLink> bad;
-  bad.push_back(swapped);
-  EXPECT_THROW(VirtualLinkMap::from_links(std::move(bad)), InvalidArgument);
+  const auto one_block = [](std::vector<VirtualLink> links,
+                            std::vector<NodeId> arena) {
+    std::vector<VirtualLinkBlock> blocks(1);
+    blocks[0].links = std::move(links);
+    blocks[0].arena = std::move(arena);
+    return blocks;
+  };
+  const VirtualLink swapped{3, 1, 1, 2, 0};
+  EXPECT_THROW(VirtualLinkMap::from_links(one_block({swapped}, {3, 1})),
+               InvalidArgument);
 
-  VirtualLink l;
-  l.u = 1;
-  l.v = 3;
-  l.hops = 1;
-  std::vector<VirtualLink> dup;
-  dup.push_back(l);
-  dup.push_back(l);
-  EXPECT_THROW(VirtualLinkMap::from_links(std::move(dup)), InvalidArgument);
+  const VirtualLink l{1, 3, 1, 2, 0};
+  EXPECT_THROW(VirtualLinkMap::from_links(one_block({l, l}, {1, 3})),
+               InvalidArgument);
+  // The same key in two blocks is a duplicate too.
+  std::vector<VirtualLinkBlock> two = one_block({l}, {1, 3});
+  two.push_back(two[0]);
+  EXPECT_THROW(VirtualLinkMap::from_links(std::move(two)), InvalidArgument);
+
+  // A path must lie inside its block's arena.
+  EXPECT_THROW(VirtualLinkMap::from_links(one_block({l}, {1})),
+               InvalidArgument);
+  const VirtualLink far{1, 3, 1, 2, 5};
+  EXPECT_THROW(VirtualLinkMap::from_links(one_block({far}, {1, 3})),
+               InvalidArgument);
+}
+
+/// The map's state against a std::map model plus the all() order that
+/// swap-pop erasure implies. Also checks the arena bound (dead entries never
+/// outnumber live ones after a mutation).
+struct ArenaModel {
+  using Key = std::pair<NodeId, NodeId>;
+  std::map<Key, std::pair<Hops, std::vector<NodeId>>> links;
+  std::vector<Key> order;
+
+  void insert(const Key& k, Hops hops, std::vector<NodeId> path) {
+    if (!links.contains(k)) order.push_back(k);
+    links[k] = {hops, std::move(path)};
+  }
+  bool erase(const Key& k) {
+    if (links.erase(k) == 0) return false;
+    const auto it = std::find(order.begin(), order.end(), k);
+    *it = order.back();
+    order.pop_back();
+    return true;
+  }
+  void expect_matches(const VirtualLinkMap& m, NodeId max_id,
+                      const std::string& label) const {
+    ASSERT_EQ(m.all().size(), order.size()) << label;
+    std::size_t live = 0;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const VirtualLink& l = m.all()[i];
+      ASSERT_EQ(Key(l.u, l.v), order[i]) << label << " position " << i;
+      const auto& [hops, path] = links.at(order[i]);
+      EXPECT_EQ(l.hops, hops) << label;
+      EXPECT_EQ(path_of(m, l), path) << label;
+      live += path.size();
+    }
+    EXPECT_LE(m.arena_size(), 2 * live) << label;
+    for (NodeId a = 0; a <= max_id; ++a) {
+      for (NodeId b = 0; b <= max_id; ++b) {
+        const VirtualLink* l = m.find(a, b);
+        const auto it = links.find({std::min(a, b), std::max(a, b)});
+        ASSERT_EQ(l != nullptr, a != b && it != links.end()) << label;
+        if (l != nullptr) {
+          EXPECT_EQ(path_of(m, *l), it->second.second);
+        }
+      }
+    }
+  }
+};
+
+TEST(VirtualLinkArena, MutationsMatchMapModel) {
+  constexpr NodeId kMaxId = 24;
+  std::mt19937_64 rng(2301);
+  const auto uniform = [&](std::uint64_t lo, std::uint64_t hi) {
+    return static_cast<NodeId>(lo + rng() % (hi - lo + 1));
+  };
+  // Start from a bulk map of two blocks, the second out of key order, so
+  // the sorted index of the decoded-snapshot path is exercised too.
+  std::vector<VirtualLinkBlock> blocks(2);
+  ArenaModel model;
+  for (const auto& [b, u, v] : {std::tuple<int, NodeId, NodeId>{0, 1, 4},
+                                {0, 2, 9},
+                                {1, 7, 8},
+                                {1, 0, 3}}) {
+    std::vector<NodeId> path{u, kMaxId, v};
+    blocks[b].links.push_back({u, v, 2, 3, blocks[b].arena.size()});
+    blocks[b].arena.insert(blocks[b].arena.end(), path.begin(), path.end());
+    model.insert({u, v}, 2, path);
+  }
+  VirtualLinkMap m = VirtualLinkMap::from_links(std::move(blocks));
+  model.expect_matches(m, kMaxId, "bulk");
+
+  std::size_t compactions = 0;
+  for (int step = 0; step < 3000; ++step) {
+    const NodeId a = uniform(0, kMaxId);
+    const NodeId b = uniform(0, kMaxId);
+    if (a == b) continue;
+    const ArenaModel::Key k(std::min(a, b), std::max(a, b));
+    const std::size_t arena_before = m.arena_size();
+    if (rng() % 3 == 0) {
+      EXPECT_EQ(m.erase(a, b), model.erase(k)) << "step " << step;
+    } else {
+      // Paths of 2..9 nodes, so overwrites both shrink in place and grow by
+      // appending.
+      std::vector<NodeId> path{k.first};
+      const NodeId len = uniform(2, 9);
+      for (NodeId i = 2; i < len; ++i) path.push_back(uniform(0, kMaxId));
+      path.push_back(k.second);
+      m.insert(k.first, k.second, len - 1, path);
+      model.insert(k, len - 1, path);
+    }
+    compactions += m.arena_size() < arena_before;
+    model.expect_matches(m, kMaxId, "step " + std::to_string(step));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GE(compactions, 3u);
+  EXPECT_THROW(m.insert(5, 5, 0, std::vector<NodeId>{5}), InvalidArgument);
+  EXPECT_THROW(m.insert(6, 5, 1, std::vector<NodeId>{6, 5}), InvalidArgument);
 }
 
 }  // namespace
