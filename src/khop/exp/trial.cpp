@@ -20,10 +20,20 @@ TrialSummary run_trials(ThreadPool& pool, const TrialPolicy& policy,
   TrialSummary summary;
   summary.metrics.assign(metric_count, RunningStats{});
 
+  // The stopping rule is first checked at the first batch end at or past
+  // min_trials; every trial before it runs in one parallel_for (one pool
+  // barrier, not one per batch). The batches after it are the policy's own.
   std::size_t next_trial = 0;
+  const std::size_t first_batches = std::max<std::size_t>(
+      1, policy.min_trials / policy.batch +
+             (policy.min_trials % policy.batch != 0 ? 1 : 0));
+  const std::size_t first_check =
+      std::min(policy.max_trials, first_batches * policy.batch);
   while (next_trial < policy.max_trials) {
     const std::size_t batch_end =
-        std::min(policy.max_trials, next_trial + policy.batch);
+        next_trial == 0
+            ? first_check
+            : std::min(policy.max_trials, next_trial + policy.batch);
     const std::size_t batch_size = batch_end - next_trial;
 
     obs::Span batch_span("exp/batch");
@@ -31,7 +41,8 @@ TrialSummary run_trials(ThreadPool& pool, const TrialPolicy& policy,
     batch_span.arg("size", static_cast<std::int64_t>(batch_size));
 
     // Results land in per-trial slots; aggregation below is in index order,
-    // so the summary is bit-identical for any thread count.
+    // so the summary is bit-identical for any thread count. A throwing
+    // trial surfaces here, the lowest throwing index's exception.
     std::vector<std::vector<double>> results(batch_size);
     parallel_for(pool, batch_size, [&](std::size_t i) {
       const std::size_t trial = next_trial + i;

@@ -3,8 +3,21 @@
 ///
 /// Trials are independent and deterministic: trial i draws from the master
 /// rng's spawned stream i, so the aggregate is identical for any thread
-/// count or scheduling. Trials run in batches; after each batch the stopping
-/// rule is evaluated on every metric.
+/// count or scheduling.
+///
+/// Contract of run_trials:
+///  * The stopping rule is evaluated on every metric at batch ends: the
+///    first batch end at or past min_trials (min(max_trials, a multiple of
+///    batch)), then every batch trials after it, capped at max_trials.
+///    Every trial before the first check runs in one parallel_for, so a
+///    policy with min_trials == max_trials pays one pool barrier in all.
+///    trials_run and converged are those of checking after every batch of
+///    batch trials from trial 0: no check before min_trials can stop.
+///  * Metrics are added in trial-index order after each parallel_for, so
+///    summaries are bit-identical at any thread count.
+///  * A trial that throws does not terminate the process: run_trials
+///    rethrows, on the calling thread, the exception of the lowest throwing
+///    trial index (parallel_for's rule), and the pool stays usable.
 #pragma once
 
 #include <cstddef>

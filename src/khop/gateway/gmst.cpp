@@ -5,6 +5,7 @@
 
 #include "khop/common/assert.hpp"
 #include "khop/common/error.hpp"
+#include "khop/gateway/gateway_set.hpp"
 #include "khop/runtime/thread_pool.hpp"
 #include "khop/runtime/workspace.hpp"
 
@@ -32,7 +33,7 @@ std::vector<WeightedEdge> head_edges(const Graph& g, const Clustering& c,
   const std::size_t h = c.heads.size();
   std::vector<std::vector<WeightedEdge>> slots(h);
   if (pool != nullptr) {
-    parallel_for_throwing(*pool, h, [&](std::size_t i) {
+    parallel_for(*pool, h, [&](std::size_t i) {
       head_edges_one(g, c, static_cast<std::uint32_t>(i), horizon,
                      tls_workspace(), slots[i]);
     });
@@ -74,25 +75,25 @@ GmstResult gmst_impl(const Graph& g, const Clustering& c, Workspace* ws,
     r.tree.push_back({c.heads[e.u], c.heads[e.v], e.weight});
   }
 
+  // Tree edges are distinct pairs; sorted, pair i is the map's link i.
   std::vector<std::pair<NodeId, NodeId>> pairs;
   pairs.reserve(r.tree.size());
   for (const auto& e : r.tree) {
     pairs.emplace_back(std::min(e.u, e.v), std::max(e.u, e.v));
   }
+  std::sort(pairs.begin(), pairs.end());
   const VirtualLinkMap links =
       pool != nullptr ? VirtualLinkMap::build_bounded(g, pairs, horizon, *pool)
                       : VirtualLinkMap::build_bounded(g, pairs, horizon, *ws);
 
-  std::sort(pairs.begin(), pairs.end());
-  r.kept_links = pairs;
-  for (const auto& [u, v] : pairs) {
-    for (const NodeId w : links.interior(links.link(u, v))) {
-      if (!c.is_head(w)) r.gateways.push_back(w);
-    }
+  Workspace& marks_ws = ws != nullptr ? *ws : tls_workspace();
+  GatewaySet gateways(c, marks_ws.gateway_marks);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const auto& [u, v] = pairs[i];
+    gateways.add(links.interior(links.link_at(i, u, v)));
   }
-  std::sort(r.gateways.begin(), r.gateways.end());
-  r.gateways.erase(std::unique(r.gateways.begin(), r.gateways.end()),
-                   r.gateways.end());
+  r.kept_links = std::move(pairs);
+  r.gateways = gateways.take();
   return r;
 }
 

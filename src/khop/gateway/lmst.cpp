@@ -7,6 +7,7 @@
 
 #include "khop/common/assert.hpp"
 #include "khop/common/error.hpp"
+#include "khop/gateway/gateway_set.hpp"
 #include "khop/runtime/thread_pool.hpp"
 #include "khop/runtime/workspace.hpp"
 
@@ -64,15 +65,6 @@ namespace {
 constexpr std::uint32_t kNoRow = static_cast<std::uint32_t>(-1);
 constexpr std::size_t kNoEntry = static_cast<std::size_t>(-1);
 
-/// The link of canonical pair \p i, (a, b): position i of a map built from
-/// exactly the canonical pairs, else found by search.
-const VirtualLink& pair_link(const VirtualLinkMap& links, std::size_t i,
-                             NodeId a, NodeId b) {
-  const std::vector<VirtualLink>& all = links.all();
-  return i < all.size() && all[i].u == a && all[i].v == b ? all[i]
-                                                          : links.link(a, b);
-}
-
 /// The selected pairs as a flat table in \p rows (see PairHopRows), built
 /// once per call: entry i is canonical pair i, with its virtual distance,
 /// read by position when \p links was built from exactly these pairs. A
@@ -110,7 +102,7 @@ class PairTable {
     rows.entries.resize(pairs_->size());
     for (std::size_t i = 0; i < pairs_->size(); ++i) {
       const auto& [a, b] = (*pairs_)[i];
-      rows.entries[i] = {b, pair_link(links, i, a, b).hops};
+      rows.entries[i] = {b, links.link_at(i, a, b).hops};
     }
     rows.kept_by_smaller.assign(pairs_->size(), 0);
     rows.kept_by_larger.assign(pairs_->size(), 0);
@@ -196,10 +188,12 @@ void keep_range(const Clustering& c, const NeighborSelection& sel,
 }
 
 /// Applies the keep rule to the marked pairs, in canonical order, and marks
-/// the gateways of the surviving links.
+/// the gateways of the surviving links in \p marks.
 LmstResult realize(const Clustering& c, const VirtualLinkMap& links,
-                   LmstKeepRule keep, const PairTable& table) {
+                   LmstKeepRule keep, const PairTable& table,
+                   std::vector<std::uint8_t>& marks) {
   LmstResult r;
+  GatewaySet gateways(c, marks);
   const std::vector<std::pair<NodeId, NodeId>>& pairs = table.pairs();
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     const bool fwd = table.rows().kept_by_smaller[i] != 0;
@@ -209,13 +203,9 @@ LmstResult realize(const Clustering& c, const VirtualLinkMap& links,
     if (keep == LmstKeepRule::kBothEndpoints && !(fwd && rev)) continue;
     const auto& [u, v] = pairs[i];
     r.kept_links.push_back(pairs[i]);
-    for (const NodeId w : links.interior(pair_link(links, i, u, v))) {
-      if (!c.is_head(w)) r.gateways.push_back(w);
-    }
+    gateways.add(links.interior(links.link_at(i, u, v)));
   }
-  std::sort(r.gateways.begin(), r.gateways.end());
-  r.gateways.erase(std::unique(r.gateways.begin(), r.gateways.end()),
-                   r.gateways.end());
+  r.gateways = gateways.take();
   return r;
 }
 
@@ -228,7 +218,7 @@ LmstResult lmst_gateways(const Clustering& c, const NeighborSelection& sel,
                "selection does not match clustering");
   PairTable table(c, sel, links, ws.lmst_pairs);
   keep_range(c, sel, table, 0, c.heads.size());
-  return realize(c, links, keep, table);
+  return realize(c, links, keep, table, ws.gateway_marks);
 }
 
 LmstResult lmst_gateways(const Clustering& c, const NeighborSelection& sel,
@@ -239,12 +229,13 @@ LmstResult lmst_gateways(const Clustering& c, const NeighborSelection& sel,
   // The table lives in the calling thread's workspace; the blocks read its
   // distances and set disjoint keep flags. A throwing head ends its block,
   // and the lowest block's exception is the one the serial loop raises.
-  PairTable table(c, sel, links, tls_workspace().lmst_pairs);
+  Workspace& ws = tls_workspace();
+  PairTable table(c, sel, links, ws.lmst_pairs);
   parallel_blocks(pool, c.heads.size(),
                   [&](std::size_t, std::size_t begin, std::size_t end) {
                     keep_range(c, sel, table, begin, end);
                   });
-  return realize(c, links, keep, table);
+  return realize(c, links, keep, table, ws.gateway_marks);
 }
 
 LmstResult lmst_gateways(const Clustering& c, const NeighborSelection& sel,

@@ -1,8 +1,7 @@
 #include "khop/gateway/mesh.hpp"
 
-#include <algorithm>
-
-#include "khop/common/assert.hpp"
+#include "khop/gateway/gateway_set.hpp"
+#include "khop/runtime/workspace.hpp"
 
 namespace khop {
 
@@ -10,16 +9,12 @@ MeshResult mesh_gateways(const Clustering& c, const NeighborSelection& sel,
                          const VirtualLinkMap& links) {
   MeshResult r;
   r.kept_links = sel.head_pairs;
-  for (const auto& [u, v] : sel.head_pairs) {
-    // A shortest path may route through a third head; heads are already
-    // backbone nodes and are not counted as gateways.
-    for (const NodeId w : links.interior(links.link(u, v))) {
-      if (!c.is_head(w)) r.gateways.push_back(w);
-    }
+  GatewaySet gateways(c, tls_workspace().gateway_marks);
+  for (std::size_t i = 0; i < sel.head_pairs.size(); ++i) {
+    const auto& [u, v] = sel.head_pairs[i];
+    gateways.add(links.interior(links.link_at(i, u, v)));
   }
-  std::sort(r.gateways.begin(), r.gateways.end());
-  r.gateways.erase(std::unique(r.gateways.begin(), r.gateways.end()),
-                   r.gateways.end());
+  r.gateways = gateways.take();
   return r;
 }
 

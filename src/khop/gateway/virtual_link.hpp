@@ -118,6 +118,15 @@ class VirtualLinkMap {
   /// Link for the unordered pair {a, b}. Throws InvalidArgument if absent.
   const VirtualLink& link(NodeId a, NodeId b) const;
 
+  /// Link of the pair (a, b), a < b, that is pair \p i of the canonical
+  /// (sorted, distinct) pairs this map was built from: read by position,
+  /// else (the map holds other links too) found as link() finds it.
+  const VirtualLink& link_at(std::size_t i, NodeId a, NodeId b) const {
+    return i < links_.size() && links_[i].u == a && links_[i].v == b
+               ? links_[i]
+               : link(a, b);
+  }
+
   bool contains(NodeId a, NodeId b) const;
 
   /// Link for the unordered pair {a, b}, or nullptr if absent.

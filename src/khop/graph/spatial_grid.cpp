@@ -85,24 +85,40 @@ template <typename Visitor>
 void SpatialGrid::for_each_within_radius(NodeId u, Visitor&& visit) const {
   KHOP_REQUIRE(pts_ != nullptr, "SpatialGrid queried before rebuild()");
   KHOP_REQUIRE(u < pts_->size(), "node id out of range");
-  const std::vector<Point2>& pts = *pts_;
-  const Point2& p = pts[u];
+  const Point2* const pts = pts_->data();
+  const Point2 p = pts[u];
   const double r2 = radius_ * radius_;
 
-  const auto cx = static_cast<std::ptrdiff_t>((p.x - min_x_) / cell_);
-  const auto cy = static_cast<std::ptrdiff_t>((p.y - min_y_) / cell_);
-  for (std::ptrdiff_t dy = -1; dy <= 1; ++dy) {
-    for (std::ptrdiff_t dx = -1; dx <= 1; ++dx) {
-      const std::ptrdiff_t nx = cx + dx;
-      const std::ptrdiff_t ny = cy + dy;
-      if (nx < 0 || ny < 0 || nx >= static_cast<std::ptrdiff_t>(cols_) ||
-          ny >= static_cast<std::ptrdiff_t>(rows_)) {
-        continue;
+  // The 3x3 window clipped to the grid. u's own cell is inside it (the
+  // clamp only matters for a coordinate on the far edge).
+  const std::size_t cx =
+      std::min(static_cast<std::size_t>((p.x - min_x_) / cell_), cols_ - 1);
+  const std::size_t cy =
+      std::min(static_cast<std::size_t>((p.y - min_y_) / cell_), rows_ - 1);
+  const std::size_t x_lo = cx == 0 ? 0 : cx - 1;
+  const std::size_t x_hi = std::min(cx + 1, cols_ - 1);
+  const std::size_t y_lo = cy == 0 ? 0 : cy - 1;
+  const std::size_t y_hi = std::min(cy + 1, rows_ - 1);
+
+  NodeId kept[kWalkBuffer];
+  const NodeId* const ids = cell_ids_.data();
+  for (std::size_t y = y_lo; y <= y_hi; ++y) {
+    // Cells are row-major, so the window's cells in row y are one range.
+    const NodeId* it = ids + cell_offsets_[y * cols_ + x_lo];
+    const NodeId* const end = ids + cell_offsets_[y * cols_ + x_hi + 1];
+    while (it != end) {
+      const NodeId* const stop =
+          it + std::min<std::ptrdiff_t>(end - it, kWalkBuffer);
+      std::size_t count = 0;
+      for (; it != stop; ++it) {
+        // Always write, advance only past a neighbor: no branch to
+        // mispredict on a fresh placement.
+        const NodeId v = *it;
+        kept[count] = v;
+        count += static_cast<std::size_t>((v != u) &
+                                          (distance_sq(p, pts[v]) <= r2));
       }
-      for (NodeId v : cell_members(static_cast<std::size_t>(ny) * cols_ +
-                                   static_cast<std::size_t>(nx))) {
-        if (v != u && distance_sq(p, pts[v]) <= r2) visit(v);
-      }
+      if (count != 0) visit(std::span<const NodeId>(kept, count));
     }
   }
 }
@@ -115,13 +131,16 @@ std::vector<NodeId> SpatialGrid::within_radius(NodeId u) const {
 
 void SpatialGrid::within_radius_into(NodeId u, std::vector<NodeId>& out) const {
   out.clear();
-  for_each_within_radius(u, [&out](NodeId v) { out.push_back(v); });
+  for_each_within_radius(u, [&out](std::span<const NodeId> near) {
+    out.insert(out.end(), near.begin(), near.end());
+  });
   std::sort(out.begin(), out.end());
 }
 
 std::size_t SpatialGrid::count_within_radius(NodeId u) const {
   std::size_t count = 0;
-  for_each_within_radius(u, [&count](NodeId) { ++count; });
+  for_each_within_radius(
+      u, [&count](std::span<const NodeId> near) { count += near.size(); });
   return count;
 }
 
@@ -137,22 +156,36 @@ bool SpatialGrid::connected_upper_rows(UnionFind& uf,
   for (NodeId u = 0; u < n; ++u) {
     const std::size_t begin = rows.ids.size();
     bool isolated = true;
-    for_each_within_radius(u, [&](NodeId v) {
+    for_each_within_radius(u, [&](std::span<const NodeId> near) {
       isolated = false;
-      if (v > u) rows.ids.push_back(v);
+      // Keep the v > u part, branch-free like the walk's own filter.
+      std::size_t end = rows.ids.size();
+      rows.ids.resize(end + near.size());
+      for (const NodeId v : near) {
+        rows.ids[end] = v;
+        end += static_cast<std::size_t>(v > u);
+      }
+      rows.ids.resize(end);
     });
     // An isolated node settles the verdict; no later pair can undo it.
     if (isolated && n > 1) return false;
-    const auto batch = rows.ids.begin() + static_cast<std::ptrdiff_t>(begin);
-    std::sort(batch, rows.ids.end());
+    // Union-find needs no order: batches stay in walk order until the
+    // placement is accepted.
     if (sets > 1) {
-      for (auto it = batch; it != rows.ids.end(); ++it) {
-        if (uf.unite(u, *it)) --sets;
+      for (std::size_t i = begin; i < rows.ids.size(); ++i) {
+        if (uf.unite(u, rows.ids[i])) --sets;
       }
     }
     rows.offsets[u + 1] = rows.ids.size();
   }
-  return sets == 1;
+  if (sets != 1) return false;
+  // Accepted: graph_from_upper_rows needs each batch ascending.
+  for (std::size_t u = 0; u < n; ++u) {
+    std::sort(rows.ids.begin() + static_cast<std::ptrdiff_t>(rows.offsets[u]),
+              rows.ids.begin() +
+                  static_cast<std::ptrdiff_t>(rows.offsets[u + 1]));
+  }
+  return true;
 }
 
 Graph graph_from_upper_rows(const UpperRows& rows) {
@@ -225,7 +258,7 @@ Graph build_unit_disk_graph_streamed(const std::vector<Point2>& pts,
       range(0, n);
       return;
     }
-    parallel_for_throwing(*pool, num_tiles, [&](std::size_t t) {
+    parallel_for(*pool, num_tiles, [&](std::size_t t) {
       range(t * tile, std::min(n, (t + 1) * tile));
     });
   };

@@ -50,7 +50,8 @@ class SpatialGrid {
   void rebuild(const std::vector<Point2>& pts, double radius);
 
   /// Ids of all points within \p radius of pts[u], excluding u itself,
-  /// in ascending id order.
+  /// in ascending id order. A pair at distance exactly radius is a
+  /// neighbor; the predicate is symmetric in u and v.
   std::vector<NodeId> within_radius(NodeId u) const;
 
   /// within_radius into a caller-owned buffer (cleared first): the streamed
@@ -64,11 +65,13 @@ class SpatialGrid {
 
   /// Connectivity first, for rejection sampling: one ascending-id pass of
   /// the 3x3 walk unites each u with its neighbors v > u in \p uf (reset to
-  /// n here; unions stop once one set is left) and records u's sorted v > u
-  /// batch into \p rows. Returns false as soon as a node has no neighbor at
-  /// all (n >= 2), else whether one set is left at the end; \p rows is
-  /// complete only when it returns true. Allocation-free once the scratch
-  /// has grown, so a rejected placement costs at most one walk.
+  /// n here; unions stop once one set is left) and records u's v > u batch
+  /// into \p rows, in walk order. Returns false as soon as a node has no
+  /// neighbor at all (n >= 2), else whether one set is left at the end.
+  /// Only an accepted placement (true) has its batches sorted ascending,
+  /// as graph_from_upper_rows needs; \p rows is complete only then.
+  /// Allocation-free once the scratch has grown, so a rejected placement
+  /// costs at most one walk and no sort.
   bool connected_upper_rows(UnionFind& uf, UpperRows& rows) const;
 
   /// Every point id once, grouped by cell in row-major cell order and
@@ -100,8 +103,17 @@ class SpatialGrid {
             cell_offsets_[cell + 1] - cell_offsets_[cell]};
   }
 
-  /// Shared 3x3 cell walk behind both queries: calls \p visit(v) for every
-  /// v != u with dist(u, v) <= radius.
+  /// Ids the walk filters per batch before handing them to its visitor.
+  static constexpr std::ptrdiff_t kWalkBuffer = 64;
+
+  /// Shared 3x3 walk behind every query. Cells are row-major, so the three
+  /// cells of one window row are one contiguous range of cell_ids_, and the
+  /// walk is three ranges. Each range is filtered branch-free in batches of
+  /// up to kWalkBuffer ids into a stack buffer (write the id, advance by
+  /// (v != u) & (d^2 <= r^2)), and \p visit(std::span<const NodeId>)
+  /// receives each batch's kept ids: every v != u with dist(u, v) <= radius
+  /// once, in window-row order, cells left to right, ascending within a
+  /// cell - not ascending overall.
   template <typename Visitor>
   void for_each_within_radius(NodeId u, Visitor&& visit) const;
 };

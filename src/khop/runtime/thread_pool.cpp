@@ -1,6 +1,7 @@
 #include "khop/runtime/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 
 #include "khop/common/assert.hpp"
@@ -38,20 +39,16 @@ void ThreadPool::submit(std::function<void()> task) {
   cv_work_.notify_one();
 }
 
-void ThreadPool::run_blocks(
-    std::size_t count,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  KHOP_REQUIRE(static_cast<bool>(body), "empty block body");
-  if (count == 0) return;
-  const std::size_t chunks = std::min(count, num_threads() * 4);
+void ThreadPool::run_tasks(std::size_t tasks,
+                           const std::function<void()>& body) {
+  KHOP_REQUIRE(static_cast<bool>(body), "empty task body");
+  if (tasks == 0) return;
   {
     std::scoped_lock lock(mu_);
     KHOP_REQUIRE(!stopping_, "submit after shutdown");
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t lo = count * c / chunks;
-      const std::size_t hi = count * (c + 1) / chunks;
-      // &body stays valid: every block completes before wait_idle returns.
-      queue_.push_back([lo, hi, &body] { body(lo, hi); });
+    for (std::size_t t = 0; t < tasks; ++t) {
+      // &body stays valid: every task completes before wait_idle returns.
+      queue_.push_back([&body] { body(); });
       ++in_flight_;
     }
   }
@@ -90,27 +87,27 @@ void ThreadPool::worker_loop() {
 
 void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t)>& fn) {
-  pool.run_blocks(count, [&fn](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) fn(i);
-  });
-}
-
-void parallel_for_throwing(ThreadPool& pool, std::size_t count,
-                           const std::function<void(std::size_t)>& fn) {
+  std::atomic<std::size_t> next{0};
   std::mutex mu;
   std::size_t first_index = count;
   std::exception_ptr first;
-  pool.run_blocks(count, [&](std::size_t lo, std::size_t hi) {
-    // One handler per block: a throw ends the block at its index (serial
-    // ascending-loop semantics) instead of paying a try frame per element.
-    std::size_t i = lo;
-    try {
-      for (; i < hi; ++i) fn(i);
-    } catch (...) {
-      std::scoped_lock lock(mu);
-      if (i < first_index) {
-        first_index = i;
-        first = std::current_exception();
+  pool.run_tasks(std::min(count, pool.num_threads()), [&] {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) return;
+      try {
+        fn(i);
+      } catch (...) {
+        // Every lower index was claimed before i and still runs, so the
+        // lowest thrower is found whatever the scheduling; nothing above
+        // is claimed from here on.
+        next.store(count, std::memory_order_relaxed);
+        std::scoped_lock lock(mu);
+        if (i < first_index) {
+          first_index = i;
+          first = std::current_exception();
+        }
+        return;
       }
     }
   });

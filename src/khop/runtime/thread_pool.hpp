@@ -35,14 +35,12 @@ class ThreadPool {
   /// Enqueues a task. Tasks must not throw; wrap user code appropriately.
   void submit(std::function<void()> task);
 
-  /// Runs body(lo, hi) over the static contiguous blocks of [0, count)
-  /// (block c of C is [count*c/C, count*(c+1)/C)), blocking until done.
-  /// Unlike per-task submit, the whole head of blocks is enqueued under one
-  /// lock acquisition and published with a single notify_all - at small
-  /// per-block cost (the n ~ 8000 engine break-even) the submit path was
-  /// dominated by lock/notify traffic, one round trip per block.
-  void run_blocks(std::size_t count,
-                  const std::function<void(std::size_t, std::size_t)>& body);
+  /// Runs body() as \p tasks pool tasks, blocking until all have finished.
+  /// The tasks are enqueued under one lock acquisition and published with a
+  /// single notify_all: per-task submit pays one lock/notify round trip per
+  /// task, which dominated small parallel phases (the n ~ 8000 engine
+  /// break-even).
+  void run_tasks(std::size_t tasks, const std::function<void()>& body);
 
   /// Blocks until every submitted task has finished.
   void wait_idle();
@@ -59,23 +57,23 @@ class ThreadPool {
   void worker_loop();
 };
 
-/// Runs fn(i) for i in [0, count) across \p pool, blocking until done.
-/// Static block partitioning (via run_blocks): deterministic work assignment
-/// (results must not depend on scheduling anyway - callers write to disjoint
-/// slots).
+/// Runs fn(i) for every i in [0, count) across \p pool, blocking until
+/// done. min(count, num_threads) claimer tasks each take the next index
+/// from one shared atomic counter until none is left, so a slow index
+/// holds up only its own claimer and no worker idles while work remains.
+///
+/// Contract:
+///  * Index assignment is not deterministic: which worker runs an index,
+///    and in what order, depends on scheduling. Results must not depend on
+///    it; callers write to disjoint per-index slots.
+///  * Exceptions: every index below a throwing one has been claimed before
+///    it and runs to completion; once an index throws, no further index is
+///    claimed. After every claimer has finished, the exception of the
+///    LOWEST throwing index is rethrown on the calling thread - the one a
+///    serial ascending loop would raise, whatever the scheduling. Which
+///    indices above it ran is not specified. The pool stays usable.
 void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t)>& fn);
-
-/// parallel_for for fallible bodies: an exception thrown by fn ends its
-/// block (the remaining indices of that block are skipped, as in a serial
-/// loop) and is captured with its index; the one with the LOWEST index is
-/// rethrown on the calling thread after every task has finished — the same
-/// exception a serial ascending loop would surface, independent of
-/// scheduling, since the globally first throwing index is necessarily the
-/// first thrower within its own ascending block. (Plain parallel_for lets
-/// an exception escape a worker and terminate.)
-void parallel_for_throwing(ThreadPool& pool, std::size_t count,
-                           const std::function<void(std::size_t)>& fn);
 
 /// The number of blocks parallel_blocks splits [0, count) into on \p pool:
 /// four per worker, at least one, at most count.
@@ -87,12 +85,12 @@ inline std::size_t block_count(const ThreadPool& pool, std::size_t count) {
 /// b of B = block_count(pool, count) being [count*b/B, count*(b+1)/B).
 /// Per-block outputs indexed by b and combined in block order give what one
 /// ascending pass over [0, count) gives, at any thread count. Exceptions as
-/// in parallel_for_throwing: a throw ends its block, and the lowest block's
+/// in parallel_for: a throw ends its block, and the lowest block's
 /// exception is rethrown.
 template <typename Body>
 void parallel_blocks(ThreadPool& pool, std::size_t count, Body&& body) {
   const std::size_t blocks = block_count(pool, count);
-  parallel_for_throwing(pool, blocks, [&](std::size_t b) {
+  parallel_for(pool, blocks, [&](std::size_t b) {
     body(b, count * b / blocks, count * (b + 1) / blocks);
   });
 }

@@ -137,6 +137,9 @@ struct Workspace {
   PairHopRows lmst_pairs;
   /// The election's per-round lists (khop_clustering).
   ElectionLists election;
+  /// One byte per node id, zero between calls: the gateway marks of the
+  /// backbone combiners (gateway/gateway_set.hpp).
+  std::vector<std::uint8_t> gateway_marks;
 };
 
 /// Lazily-created workspace owned by the calling thread. Reused across calls

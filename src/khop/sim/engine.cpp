@@ -15,8 +15,8 @@ namespace khop {
 namespace {
 
 /// Destination-chunk granularity for the parallel executor. parallel_for
-/// partitions task indices in static contiguous blocks, so chunk count
-/// mainly bounds outbox count; a small multiple of the worker count keeps
+/// hands the chunks to the workers one at a time, so chunk count mainly
+/// bounds outbox count; a small multiple of the worker count keeps
 /// per-chunk merge state cheap while letting uneven inbox mass spread.
 constexpr std::size_t kChunksPerThread = 4;
 
@@ -26,7 +26,7 @@ std::size_t chunk_count(std::size_t items, ThreadPool& pool) {
 }
 
 /// Half-open subrange [lo, hi) of chunk \p c out of \p chunks over
-/// [0, items): same arithmetic as parallel_for's static blocks.
+/// [0, items): same arithmetic as parallel_blocks.
 std::pair<std::size_t, std::size_t> chunk_range(std::size_t items,
                                                 std::size_t chunks,
                                                 std::size_t c) {
@@ -376,7 +376,7 @@ bool SyncEngine::run_impl(std::size_t max_rounds, ThreadPool* pool) {
   const auto chunked_phase = [&](std::size_t items, auto&& body) {
     const std::size_t chunks = chunk_count(items, *pool);
     if (outboxes_.size() < chunks) outboxes_.resize(chunks);
-    parallel_for_throwing(*pool, chunks, [&](std::size_t c) {
+    parallel_for(*pool, chunks, [&](std::size_t c) {
       const auto [lo, hi] = chunk_range(items, chunks, c);
       for (std::size_t i = lo; i < hi; ++i) body(i, outboxes_[c]);
     });

@@ -103,5 +103,22 @@ TEST(Experiment, CurveCoversAllNodeCounts) {
   EXPECT_LT(curve[0].clusterheads.mean(), curve[2].clusterheads.mean());
 }
 
+TEST(Experiment, SweepPointWithZeroKThrowsInvalidArgument) {
+  // k = 0 is rejected inside every trial on the pool's workers; the
+  // exception must reach the caller instead of terminating the process,
+  // and the pool must run the next sweep point.
+  ThreadPool pool(4);
+  ExperimentConfig cfg;
+  cfg.num_nodes = 40;
+  cfg.k = 0;
+  EXPECT_THROW(run_sweep_point(pool, cfg, TrialPolicy{}, 1), InvalidArgument);
+  cfg.k = 1;
+  TrialPolicy policy;
+  policy.min_trials = 8;
+  policy.max_trials = 8;
+  const SweepPoint p = run_sweep_point(pool, cfg, policy, 1);
+  EXPECT_EQ(p.trials, 8u);
+}
+
 }  // namespace
 }  // namespace khop

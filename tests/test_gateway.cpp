@@ -1,10 +1,13 @@
 // Unit tests for the three gateway algorithms: Mesh, LMSTGA, G-MST.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <utility>
 #include <vector>
 
+#include "khop/gateway/gateway_set.hpp"
 #include "khop/gateway/gmst.hpp"
 #include "khop/gateway/lmst.hpp"
 #include "khop/gateway/mesh.hpp"
@@ -47,6 +50,33 @@ TEST(Mesh, SharedGatewaysCountedOnce) {
   const MeshResult r = mesh_gateways(c, sel, links);
   // All odd nodes relay; heads on paths (e.g. 2 on 0..4) are not gateways.
   EXPECT_EQ(r.gateways, (std::vector<NodeId>{1, 3, 5}));
+}
+
+TEST(GatewaySet, EmitsDistinctNonHeadsAscendingAndClearsMarks) {
+  // Heads 0 and 5; every other node belongs to one of them.
+  Clustering c;
+  c.head_of = {0, 0, 0, 0, 0, 5, 5, 5, 5, 5, 5, 5};
+  std::vector<std::uint8_t> marks;
+  {
+    GatewaySet set(c, marks);
+    EXPECT_EQ(marks.size(), c.head_of.size());
+    set.add(std::vector<NodeId>{9, 3, 5, 3, 7});
+    set.add(std::vector<NodeId>{0, 4, 9});
+    EXPECT_EQ(set.take(), (std::vector<NodeId>{3, 4, 7, 9}));
+    EXPECT_TRUE(set.take().empty());
+  }
+  EXPECT_EQ(std::count(marks.begin(), marks.end(), 0), 12);
+  {
+    // Dropped without take (as when a link lookup throws): the marks
+    // still end up clear for the next set.
+    GatewaySet set(c, marks);
+    set.add(std::vector<NodeId>{11, 2, 6});
+  }
+  EXPECT_EQ(std::count(marks.begin(), marks.end(), 0), 12);
+  GatewaySet set(c, marks);
+  set.add(std::vector<NodeId>{11});
+  set.add(std::vector<NodeId>{1});
+  EXPECT_EQ(set.take(), (std::vector<NodeId>{1, 11}));
 }
 
 TEST(Lmst, KeepsTreePerHeadNeighborhood) {
