@@ -25,11 +25,11 @@ Cds extract_cds(const Clustering& c, const Backbone& b) {
 }
 
 std::string validate_k_cds(const Graph& g, const Clustering& c,
-                           const Backbone& b) {
+                           const Backbone& b, Workspace& ws) {
   if (std::string err = validate_backbone(g, b); !err.empty()) return err;
 
   // k-hop domination by heads: one k-bounded coverage sweep decides it.
-  if (tls_workspace().bfs.run_cover(g, b.heads, c.k) == g.num_nodes()) {
+  if (ws.bfs.run_cover(g, b.heads, c.k) == g.num_nodes()) {
     return {};
   }
   // Some node is undominated; the full search names the first one and its

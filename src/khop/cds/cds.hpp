@@ -11,6 +11,7 @@
 #include "khop/cluster/clustering.hpp"
 #include "khop/gateway/backbone.hpp"
 #include "khop/graph/graph.hpp"
+#include "khop/runtime/exec.hpp"
 
 namespace khop {
 
@@ -31,11 +32,11 @@ Cds extract_cds(const Clustering& c, const Backbone& b);
 /// clusterhead. Empty string on success, else the first violation.
 ///
 /// Domination is decided by one k-bounded coverage sweep from the heads on
-/// the calling thread's scratch (BfsScratch::run_cover): no owners, no level
-/// sort, no n-sized output. Only when some node is left undominated does a
+/// \p ws's scratch (BfsScratch::run_cover): no owners, no level sort, no
+/// n-sized output. Only when some node is left undominated does a
 /// full multi_source_bfs run, to name the lowest such node and its nearest
 /// head's distance in the error.
 std::string validate_k_cds(const Graph& g, const Clustering& c,
-                           const Backbone& b);
+                           const Backbone& b, Workspace& ws = tls_workspace());
 
 }  // namespace khop

@@ -347,12 +347,6 @@ Clustering khop_clustering(const Graph& g, Hops k,
   return result;
 }
 
-Clustering khop_clustering(const Graph& g, Hops k,
-                           const std::vector<PriorityKey>& priorities,
-                           AffiliationRule rule) {
-  return khop_clustering(g, k, priorities, rule, tls_workspace());
-}
-
 Clustering khop_clustering(const Graph& g, Hops k, AffiliationRule rule) {
   return khop_clustering(g, k, make_priorities(g, PriorityRule::kLowestId),
                          rule);

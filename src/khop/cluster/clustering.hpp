@@ -15,6 +15,7 @@
 #include "khop/cluster/priority.hpp"
 #include "khop/common/types.hpp"
 #include "khop/graph/graph.hpp"
+#include "khop/runtime/exec.hpp"
 
 namespace khop {
 
@@ -44,8 +45,6 @@ struct Clustering {
   std::vector<NodeId> cluster_members(std::uint32_t c) const;
 };
 
-struct Workspace;
-
 /// Runs the iterative k-hop clustering over connected graph \p g.
 /// \p priorities must be one key per node, lower = better. Equal keys are
 /// allowed and neither node beats the other, so two tied nodes within k hops
@@ -61,15 +60,11 @@ struct Workspace;
 /// that of a check made first: a disconnected input throws NotConnected, also
 /// when the election on it would trip an error of its own (a NaN key, tied
 /// keys within k hops); only then is a full is_connected search run.
-Clustering khop_clustering(const Graph& g, Hops k,
-                           const std::vector<PriorityKey>& priorities,
-                           AffiliationRule rule = AffiliationRule::kIdBased);
-
-/// Workspace variant: the election's priority-order and min-label sweep
-/// buffer, its round lists (Workspace::election), and the declaring heads'
-/// k-bounded BFS runs reuse \p ws (one workspace per thread; see
-/// khop/runtime/workspace.hpp). Output is bit-identical to the overload
-/// above, which forwards here with the calling thread's tls_workspace().
+///
+/// The election's priority-order and min-label sweep buffer, its round
+/// lists (Workspace::election), and the declaring heads' k-bounded BFS runs
+/// reuse \p ws (one workspace per thread; see khop/runtime/workspace.hpp);
+/// the output does not depend on what \p ws held before.
 ///
 /// Each round's declaration test runs k - 1 min-label passes over the whole
 /// graph while many nodes are undecided. Once fewer than n/4 are, it keeps
@@ -87,7 +82,8 @@ Clustering khop_clustering(const Graph& g, Hops k,
 /// filled through a head -> index array in \p ws.
 Clustering khop_clustering(const Graph& g, Hops k,
                            const std::vector<PriorityKey>& priorities,
-                           AffiliationRule rule, Workspace& ws);
+                           AffiliationRule rule = AffiliationRule::kIdBased,
+                           Workspace& ws = tls_workspace());
 
 /// Convenience overload: lowest-ID priorities (the paper's configuration).
 Clustering khop_clustering(const Graph& g, Hops k,

@@ -89,11 +89,6 @@ Clustering khop_core(const Graph& g, Hops k,
   return result;
 }
 
-Clustering khop_core(const Graph& g, Hops k,
-                     const std::vector<PriorityKey>& priorities) {
-  return khop_core(g, k, priorities, tls_workspace());
-}
-
 Clustering khop_core(const Graph& g, Hops k) {
   return khop_core(g, k, make_priorities(g, PriorityRule::kLowestId));
 }

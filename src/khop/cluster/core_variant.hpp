@@ -16,14 +16,11 @@ namespace khop {
 /// khop_clustering's result but heads need NOT be k-hop independent;
 /// election_rounds is always 1.
 /// \pre k >= 1; g connected; no priority key is NaN (checked)
-Clustering khop_core(const Graph& g, Hops k,
-                     const std::vector<PriorityKey>& priorities);
-
-/// Workspace variant: the priority-order buffer of the k min-label sweeps
-/// reuses \p ws. Bit-identical output; the overload above forwards here.
+///
+/// The priority-order buffer of the k min-label sweeps reuses \p ws.
 Clustering khop_core(const Graph& g, Hops k,
                      const std::vector<PriorityKey>& priorities,
-                     Workspace& ws);
+                     Workspace& ws = tls_workspace());
 
 /// Lowest-ID convenience overload.
 Clustering khop_core(const Graph& g, Hops k);

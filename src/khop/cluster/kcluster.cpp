@@ -6,12 +6,12 @@
 #include "khop/common/assert.hpp"
 #include "khop/common/error.hpp"
 #include "khop/graph/bfs.hpp"
+#include "khop/graph/bfs_scratch.hpp"
 #include "khop/graph/components.hpp"
-#include "khop/runtime/workspace.hpp"
 
 namespace khop {
 
-KClusterCover krishna_kclusters(const Graph& g, Hops k, Workspace& ws) {
+KClusterCover krishna_kclusters(const Graph& g, Hops k) {
   KHOP_REQUIRE(k >= 1, "k must be >= 1");
   if (!is_connected(g)) {
     throw NotConnected("krishna_kclusters: input graph must be connected");
@@ -23,18 +23,19 @@ KClusterCover krishna_kclusters(const Graph& g, Hops k, Workspace& ws) {
   cover.clusters_of.resize(n);
 
   std::vector<bool> covered(n, false);
-  // Bounded-ball cache: full distance rows indexed directly by NodeId
-  // (epoch-stamped, rows reused across calls) - O(1) lookup and no BfsTree
-  // parent arrays, unlike the old std::map<NodeId, BfsTree> cache.
-  ws.ball_cache.begin(n);
+  // Ball cache for this call: row v, once filled (n entries), is v's full
+  // k-bounded distance row - O(1) lookup and no BfsTree parent arrays. It
+  // is O(n^2) words, so it is never kept past the call.
+  BfsScratch bfs;
+  std::vector<std::vector<Hops>> balls(n);
   const auto ball = [&](NodeId v) -> const std::vector<Hops>& {
-    if (!ws.ball_cache.contains(v)) {
-      ws.bfs.run(g, v, k);
-      std::vector<Hops>& row = ws.ball_cache.row(v);
+    std::vector<Hops>& row = balls[v];
+    if (row.empty()) {
+      bfs.run(g, v, k);
       row.assign(n, kUnreachable);
-      for (NodeId r : ws.bfs.reached()) row[r] = ws.bfs.dist(r);
+      for (NodeId r : bfs.reached()) row[r] = bfs.dist(r);
     }
-    return ws.ball_cache.row(v);
+    return row;
   };
 
   for (NodeId seed = 0; seed < n; ++seed) {
@@ -63,15 +64,6 @@ KClusterCover krishna_kclusters(const Graph& g, Hops k, Workspace& ws) {
     cover.clusters.push_back(std::move(members));
   }
   return cover;
-}
-
-KClusterCover krishna_kclusters(const Graph& g, Hops k) {
-  // Call-scoped workspace, not tls_workspace(): the ball cache is O(n^2)
-  // words and pinning that in a thread-local for the life of the thread
-  // would silently retain hundreds of MB after one large-graph call.
-  // Callers that want cross-call cache reuse pass their own Workspace.
-  Workspace ws;
-  return krishna_kclusters(g, k, ws);
 }
 
 std::string validate_kcluster_cover(const Graph& g, const KClusterCover& c) {

@@ -27,18 +27,11 @@ struct KClusterCover {
 /// Greedy cover: seeds are processed in ascending id; each seed's cluster
 /// greedily absorbs candidates (ascending id) from its k-ball whose distance
 /// to every current member stays <= k. Already-covered nodes may join later
-/// clusters (overlap) but never seed new ones.
+/// clusters (overlap) but never seed new ones. Each node's k-ball is
+/// searched once and cached for the call: the cache is O(n^2) words, freed
+/// on return.
 /// \pre k >= 1; g connected
 KClusterCover krishna_kclusters(const Graph& g, Hops k);
-
-struct Workspace;
-
-/// Workspace variant: the bounded balls run on \p ws.bfs and the ball cache
-/// lives in \p ws.ball_cache (rows reused across calls; note the cache is
-/// O(n^2) words, so keep \p ws scoped to the work that needs it).
-/// Bit-identical output; the overload above forwards here with a
-/// call-scoped workspace.
-KClusterCover krishna_kclusters(const Graph& g, Hops k, Workspace& ws);
 
 /// Validates the mutual-distance and coverage properties; empty on success.
 std::string validate_kcluster_cover(const Graph& g, const KClusterCover& c);

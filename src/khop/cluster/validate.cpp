@@ -151,11 +151,6 @@ bool holds_bounded(const Graph& g, const Clustering& c,
 }  // namespace
 
 std::string validate_clustering(const Graph& g, const Clustering& c,
-                                const ClusteringChecks& checks) {
-  return validate_clustering(g, c, checks, tls_workspace());
-}
-
-std::string validate_clustering(const Graph& g, const Clustering& c,
                                 const ClusteringChecks& checks,
                                 Workspace& ws) {
   std::string err = index_violation(g, c, checks);

@@ -9,8 +9,6 @@
 
 namespace khop {
 
-struct Workspace;
-
 /// What to verify.
 struct ClusteringChecks {
   bool require_khop_independent_heads = true;  ///< cluster algorithm only
@@ -27,16 +25,12 @@ struct ClusteringChecks {
 /// recorded dist_to_head). Within that horizon every check is decided
 /// exactly: a node is consistent iff its own head's search reaches it at its
 /// recorded distance (each node is matched exactly once), and two heads are
-/// within k iff one lies in the other's k-ball. Only when that pass finds a violation (or a recorded
-/// distance is kUnreachable) does the unbounded per-head BFS run, to word
-/// the first violation. Uses the calling thread's tls_workspace().
+/// within k iff one lies in the other's k-ball. Only when that pass finds
+/// a violation (or a recorded distance is kUnreachable) does the unbounded
+/// per-head BFS run, to word the first violation. The bounded searches
+/// reuse \p ws.bfs and ws.flags.
 std::string validate_clustering(const Graph& g, const Clustering& c,
-                                const ClusteringChecks& checks = {});
-
-/// Workspace variant: the bounded searches reuse \p ws.bfs and ws.flags.
-/// Same result as the overload above.
-std::string validate_clustering(const Graph& g, const Clustering& c,
-                                const ClusteringChecks& checks,
-                                Workspace& ws);
+                                const ClusteringChecks& checks = {},
+                                Workspace& ws = tls_workspace());
 
 }  // namespace khop

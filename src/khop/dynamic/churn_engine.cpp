@@ -76,7 +76,7 @@ ChurnEngine::ChurnEngine(const Graph& g0, Hops k, Pipeline pipeline,
   for (std::uint32_t i = 0; i < heads_.size(); ++i) {
     sel_[heads_[i]] = sel0.selected[i];
   }
-  links_ = VirtualLinkMap::build_bounded(g0, sel0.head_pairs, horizon_, ws_);
+  links_ = VirtualLinkMap::build(g0, sel0.head_pairs, horizon_, ws_);
   // Same contract as a restored engine: cluster_of and election_rounds
   // describe the initial election only and would go stale under churn.
   c_.cluster_of.clear();

@@ -31,7 +31,8 @@ TrialResultMetrics run_single_trial(const ExperimentConfig& cfg, Rng& rng,
       build_backbone(net.graph, clustering, cfg.pipeline, ws);
 
   if (cfg.validate) {
-    const std::string err = validate_k_cds(net.graph, clustering, backbone);
+    const std::string err =
+        validate_k_cds(net.graph, clustering, backbone, ws);
     KHOP_ASSERT(err.empty(), "trial produced invalid k-hop CDS: " + err);
   }
 
@@ -40,10 +41,6 @@ TrialResultMetrics run_single_trial(const ExperimentConfig& cfg, Rng& rng,
   m.gateways = static_cast<double>(backbone.gateways.size());
   m.cds_size = static_cast<double>(backbone.cds_size());
   return m;
-}
-
-TrialResultMetrics run_single_trial(const ExperimentConfig& cfg, Rng& rng) {
-  return run_single_trial(cfg, rng, tls_workspace());
 }
 
 SweepPoint run_sweep_point(ThreadPool& pool, ExperimentConfig cfg,

@@ -39,13 +39,10 @@ struct TrialResultMetrics {
   double cds_size = 0.0;
 };
 
-/// Runs one trial. Throws InvariantViolation if validation fails.
-TrialResultMetrics run_single_trial(const ExperimentConfig& cfg, Rng& rng);
-
-/// Workspace variant: clustering + backbone hot paths reuse \p ws.
-/// Bit-identical metrics; the overload above forwards here.
+/// Runs one trial; its generation, clustering, backbone and validation
+/// reuse \p ws. Throws InvariantViolation if validation fails.
 TrialResultMetrics run_single_trial(const ExperimentConfig& cfg, Rng& rng,
-                                    Workspace& ws);
+                                    Workspace& ws = tls_workspace());
 
 /// Aggregated sweep point (one curve sample in a paper figure).
 struct SweepPoint {

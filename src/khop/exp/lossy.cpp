@@ -116,10 +116,6 @@ LossyTrialMetrics run_lossy_trial(const LossyExperimentConfig& cfg, Rng& rng,
   return m;
 }
 
-LossyTrialMetrics run_lossy_trial(const LossyExperimentConfig& cfg, Rng& rng) {
-  return run_lossy_trial(cfg, rng, tls_workspace());
-}
-
 LossySweepPoint run_lossy_sweep_point(ThreadPool& pool,
                                       LossyExperimentConfig cfg,
                                       const TrialPolicy& policy,

@@ -63,13 +63,10 @@ struct LossyTrialMetrics {
                                   ///< dominating in a sampled realized graph
 };
 
-/// Runs one lossy trial. \pre cfg.radius resolved.
-LossyTrialMetrics run_lossy_trial(const LossyExperimentConfig& cfg, Rng& rng);
-
-/// Workspace variant: clustering + backbone hot paths reuse \p ws.
-/// Bit-identical metrics; the overload above forwards here.
+/// Runs one lossy trial; its clustering and backbone reuse \p ws.
+/// \pre cfg.radius resolved.
 LossyTrialMetrics run_lossy_trial(const LossyExperimentConfig& cfg, Rng& rng,
-                                  Workspace& ws);
+                                  Workspace& ws = tls_workspace());
 
 /// Aggregated lossy sweep point under the trial stopping policy.
 struct LossySweepPoint {

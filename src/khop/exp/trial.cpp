@@ -9,7 +9,7 @@ namespace khop {
 
 TrialSummary run_trials(ThreadPool& pool, const TrialPolicy& policy,
                         const Rng& master, std::size_t metric_count,
-                        const TrialFnWs& fn) {
+                        const TrialFn& fn) {
   KHOP_REQUIRE(metric_count > 0, "need at least one metric");
   KHOP_REQUIRE(policy.max_trials >= policy.min_trials,
                "max_trials < min_trials");
@@ -79,15 +79,6 @@ TrialSummary run_trials(ThreadPool& pool, const TrialPolicy& policy,
   exp_span.arg("trials", static_cast<std::int64_t>(summary.trials_run));
   exp_span.arg("converged", summary.converged ? 1 : 0);
   return summary;
-}
-
-TrialSummary run_trials(ThreadPool& pool, const TrialPolicy& policy,
-                        const Rng& master, std::size_t metric_count,
-                        const TrialFn& fn) {
-  return run_trials(pool, policy, master, metric_count,
-                    TrialFnWs([&fn](Rng& rng, std::size_t trial, Workspace&) {
-                      return fn(rng, trial);
-                    }));
 }
 
 }  // namespace khop

@@ -39,16 +39,16 @@ struct TrialPolicy {
   std::size_t batch = 25;
 };
 
-/// One trial: given its private rng, produce one value per metric.
-/// Must be thread-safe w.r.t. shared state (treat captures as read-only).
-using TrialFn = std::function<std::vector<double>(Rng&, std::size_t trial)>;
-
-/// Workspace-aware trial: additionally receives the executing worker's
-/// thread-local Workspace, reused across every trial that worker runs. The
-/// workspace affects performance only - trial results must be a pure
-/// function of (rng, trial), which keeps summaries bit-identical across
-/// thread counts and schedulings.
-using TrialFnWs =
+/// One trial: given its private rng, produce one value per metric. Must be
+/// thread-safe w.r.t. shared state (treat captures as read-only). It also
+/// receives the executing worker's tls_workspace(), reused across every
+/// trial that worker runs. The workspace affects performance only - trial
+/// results must be a pure function of (rng, trial), which keeps summaries
+/// bit-identical across thread counts and schedulings. The pool is busy
+/// running the trials: a trial that hands it to a stage gets
+/// InvalidArgument (ThreadPool::run_tasks), so stages inside a trial run on
+/// the workspace.
+using TrialFn =
     std::function<std::vector<double>(Rng&, std::size_t trial, Workspace&)>;
 
 struct TrialSummary {
@@ -58,15 +58,11 @@ struct TrialSummary {
 };
 
 /// Runs \p fn under \p policy using \p pool. \p metric_count is the arity of
-/// the metric vector fn returns (checked).
+/// the metric vector fn returns (checked). Each pool worker's trials share
+/// its tls_workspace(), so the per-trial pipeline hot paths run
+/// allocation-free.
 TrialSummary run_trials(ThreadPool& pool, const TrialPolicy& policy,
                         const Rng& master, std::size_t metric_count,
                         const TrialFn& fn);
-
-/// Workspace-aware overload: each pool worker's trials share its
-/// tls_workspace(), so the per-trial pipeline hot paths run allocation-free.
-TrialSummary run_trials(ThreadPool& pool, const TrialPolicy& policy,
-                        const Rng& master, std::size_t metric_count,
-                        const TrialFnWs& fn);
 
 }  // namespace khop

@@ -8,7 +8,6 @@
 #include "khop/gateway/lmst.hpp"
 #include "khop/gateway/mesh.hpp"
 #include "khop/obs/trace.hpp"
-#include "khop/runtime/thread_pool.hpp"
 #include "khop/runtime/workspace.hpp"
 
 namespace khop {
@@ -77,12 +76,8 @@ std::vector<NodeRole> Backbone::roles(std::size_t n) const {
   return r;
 }
 
-namespace {
-
-/// One of \p ws / \p pool is set; pool selects the parallel sweep variants.
-Backbone build_backbone_impl(const Graph& g, const Clustering& c,
-                             const BackboneSpec& spec, Workspace* ws,
-                             ThreadPool* pool) {
+Backbone build_backbone(const Graph& g, const Clustering& c,
+                        const BackboneSpec& spec, Exec exec) {
   obs::Span span("backbone/build");
   span.arg("heads", static_cast<std::int64_t>(c.heads.size()));
 
@@ -92,8 +87,7 @@ Backbone build_backbone_impl(const Graph& g, const Clustering& c,
 
   if (spec.gateway == GatewayAlgorithm::kGmst) {
     obs::Span gw_span("backbone/gmst");
-    GmstResult r =
-        pool != nullptr ? gmst_gateways(g, c, *pool) : gmst_gateways(g, c, *ws);
+    GmstResult r = gmst_gateways(g, c, exec);
     b.gateways = std::move(r.gateways);
     b.virtual_links = std::move(r.kept_links);
     span.arg("gateways", static_cast<std::int64_t>(b.gateways.size()));
@@ -106,8 +100,7 @@ Backbone build_backbone_impl(const Graph& g, const Clustering& c,
     // NC: one fused sweep per head discovers neighbor heads AND extracts
     // their virtual links (no separate per-source BFS pass at all).
     obs::Span sweep_span("backbone/head_sweep");
-    HeadSweep sweep =
-        pool != nullptr ? nc_sweep(g, c, *pool) : nc_sweep(g, c, *ws);
+    HeadSweep sweep = nc_sweep(g, c, exec);
     sel = std::move(sweep.sel);
     links = std::move(sweep.links);
     sweep_span.arg("head_pairs", static_cast<std::int64_t>(sel.head_pairs.size()));
@@ -116,16 +109,10 @@ Backbone build_backbone_impl(const Graph& g, const Clustering& c,
     // horizon-3 sweeps); their pairs all sit within 2k+1 hops, so link
     // extraction runs horizon-bounded.
     obs::Span sel_span("backbone/select_neighbors");
-    sel = pool != nullptr ? select_neighbors(g, c, spec.neighbor_rule, *pool)
-                          : select_neighbors(g, c, spec.neighbor_rule, *ws);
+    sel = select_neighbors(g, c, spec.neighbor_rule, exec);
     sel_span.arg("head_pairs", static_cast<std::int64_t>(sel.head_pairs.size()));
-    const Hops horizon = 2 * c.k + 1;
     obs::Span links_span("backbone/extract_links");
-    links = pool != nullptr
-                ? VirtualLinkMap::build_bounded(g, sel.head_pairs, horizon,
-                                                *pool)
-                : VirtualLinkMap::build_bounded(g, sel.head_pairs, horizon,
-                                                *ws);
+    links = VirtualLinkMap::build(g, sel.head_pairs, 2 * c.k + 1, exec);
   }
 
   {
@@ -133,14 +120,11 @@ Backbone build_backbone_impl(const Graph& g, const Clustering& c,
                           ? "backbone/mesh"
                           : "backbone/lmst");
     if (spec.gateway == GatewayAlgorithm::kMesh) {
-      MeshResult r = mesh_gateways(c, sel, links);
+      MeshResult r = mesh_gateways(c, sel, links, *exec.ws);
       b.gateways = std::move(r.gateways);
       b.virtual_links = std::move(r.kept_links);
     } else {
-      LmstResult r =
-          pool != nullptr
-              ? lmst_gateways(c, sel, links, spec.lmst_keep, *pool)
-              : lmst_gateways(c, sel, links, spec.lmst_keep, *ws);
+      LmstResult r = lmst_gateways(c, sel, links, spec.lmst_keep, exec);
       b.gateways = std::move(r.gateways);
       b.virtual_links = std::move(r.kept_links);
     }
@@ -149,39 +133,11 @@ Backbone build_backbone_impl(const Graph& g, const Clustering& c,
   return b;
 }
 
-}  // namespace
-
-Backbone build_backbone(const Graph& g, const Clustering& c,
-                        const BackboneSpec& spec, Workspace& ws) {
-  return build_backbone_impl(g, c, spec, &ws, nullptr);
-}
-
-Backbone build_backbone(const Graph& g, const Clustering& c,
-                        const BackboneSpec& spec, ThreadPool& pool) {
-  return build_backbone_impl(g, c, spec, nullptr, &pool);
-}
-
-Backbone build_backbone(const Graph& g, const Clustering& c,
-                        const BackboneSpec& spec) {
-  return build_backbone(g, c, spec, tls_workspace());
-}
-
 Backbone build_backbone(const Graph& g, const Clustering& c, Pipeline p,
-                        Workspace& ws) {
-  Backbone b = build_backbone(g, c, spec_for(p), ws);
+                        Exec exec) {
+  Backbone b = build_backbone(g, c, spec_for(p), exec);
   b.pipeline = p;
   return b;
-}
-
-Backbone build_backbone(const Graph& g, const Clustering& c, Pipeline p,
-                        ThreadPool& pool) {
-  Backbone b = build_backbone(g, c, spec_for(p), pool);
-  b.pipeline = p;
-  return b;
-}
-
-Backbone build_backbone(const Graph& g, const Clustering& c, Pipeline p) {
-  return build_backbone(g, c, p, tls_workspace());
 }
 
 }  // namespace khop

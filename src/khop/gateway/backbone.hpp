@@ -12,6 +12,7 @@
 #include "khop/gateway/virtual_link.hpp"
 #include "khop/net/energy.hpp"
 #include "khop/nbr/neighbor_rules.hpp"
+#include "khop/runtime/exec.hpp"
 
 namespace khop {
 
@@ -74,35 +75,20 @@ struct Backbone {
 
 /// Runs phase 2 for a given clustering: neighbor selection per the pipeline,
 /// then the pipeline's gateway algorithm.
-Backbone build_backbone(const Graph& g, const Clustering& c, Pipeline p);
+///
+/// All per-head BFS work is bounded to the paper's 2k+1 structural horizon,
+/// and the NC rule runs as ONE fused sweep per head (discovery + link
+/// extraction, see gateway/head_sweep.hpp). Every stage runs under \p exec:
+/// on a pool, the per-head sweeps (NC discovery + link extraction, AC/G-MST
+/// link extraction, G-MST head-graph build), the A-NCR selection and the
+/// LMST kernels fan out in blocks merged in head order, so the output is
+/// bit-identical to the one-block run for any thread count.
+Backbone build_backbone(const Graph& g, const Clustering& c, Pipeline p,
+                        Exec exec = {});
 
 /// Runs phase 2 with a custom spec (e.g. the Wu-Lou 2.5-hop rule at k = 1,
 /// or the intersection LMST keep rule).
 Backbone build_backbone(const Graph& g, const Clustering& c,
-                        const BackboneSpec& spec);
-
-struct Workspace;
-class ThreadPool;
-
-/// Workspace variants: neighbor selection and virtual-link BFS runs reuse
-/// \p ws. Bit-identical output; the overloads above forward here.
-///
-/// All per-head BFS work is bounded to the paper's 2k+1 structural horizon,
-/// and the NC rule runs as ONE fused sweep per head (discovery + link
-/// extraction, see gateway/head_sweep.hpp).
-Backbone build_backbone(const Graph& g, const Clustering& c, Pipeline p,
-                        Workspace& ws);
-Backbone build_backbone(const Graph& g, const Clustering& c,
-                        const BackboneSpec& spec, Workspace& ws);
-
-/// Parallel variants: the per-head sweeps (NC discovery + link extraction,
-/// AC/G-MST link extraction, G-MST head-graph build) fan out across \p pool;
-/// each worker uses its thread's tls_workspace() and results merge in
-/// head-index order, so the output is bit-identical to the serial overloads
-/// for any thread count.
-Backbone build_backbone(const Graph& g, const Clustering& c, Pipeline p,
-                        ThreadPool& pool);
-Backbone build_backbone(const Graph& g, const Clustering& c,
-                        const BackboneSpec& spec, ThreadPool& pool);
+                        const BackboneSpec& spec, Exec exec = {});
 
 }  // namespace khop

@@ -27,44 +27,38 @@ void head_edges_one(const Graph& g, const Clustering& c, std::uint32_t i,
   }
 }
 
+/// Every head's edges, in head order: blocks of heads under \p exec,
+/// concatenated in block order.
 std::vector<WeightedEdge> head_edges(const Graph& g, const Clustering& c,
-                                     Hops horizon, Workspace* ws,
-                                     ThreadPool* pool) {
-  const std::size_t h = c.heads.size();
-  std::vector<std::vector<WeightedEdge>> slots(h);
-  if (pool != nullptr) {
-    parallel_for(*pool, h, [&](std::size_t i) {
-      head_edges_one(g, c, static_cast<std::uint32_t>(i), horizon,
-                     tls_workspace(), slots[i]);
-    });
-  } else {
-    for (std::uint32_t i = 0; i < h; ++i) {
-      head_edges_one(g, c, i, horizon, *ws, slots[i]);
-    }
-  }
-  std::vector<WeightedEdge> edges;
-  for (auto& s : slots) {
-    edges.insert(edges.end(), s.begin(), s.end());
-  }
-  return edges;
+                                     Hops horizon, const Exec& exec) {
+  return exec_concat<WeightedEdge>(
+      exec, c.heads.size(),
+      [&](std::size_t begin, std::size_t end, Workspace& ws,
+          std::vector<WeightedEdge>& out) {
+        for (std::size_t i = begin; i < end; ++i) {
+          head_edges_one(g, c, static_cast<std::uint32_t>(i), horizon, ws,
+                         out);
+        }
+      });
 }
 
-GmstResult gmst_impl(const Graph& g, const Clustering& c, Workspace* ws,
-                     ThreadPool* pool) {
+}  // namespace
+
+GmstResult gmst_gateways(const Graph& g, const Clustering& c, Exec exec) {
   KHOP_REQUIRE(!c.heads.empty(), "clustering has no heads");
   const std::size_t h = c.heads.size();
   const Hops horizon = 2 * c.k + 1;
 
   std::vector<WeightedEdge> tree;
   try {
-    tree = kruskal_mst(h, head_edges(g, c, horizon, ws, pool));
+    tree = kruskal_mst(h, head_edges(g, c, horizon, exec));
   } catch (const NotConnected&) {
     // The bounded head graph spans whenever every node is within k hops of
     // its head (see file comment); an invariant-violating clustering gets
     // the complete virtual graph instead. Kruskal's order is a strict total
     // order on head pairs, and every omitted edge sorts after the spanning
     // bounded set, so on spanning inputs both graphs give the same MST.
-    tree = kruskal_mst(h, head_edges(g, c, kUnreachable, ws, pool));
+    tree = kruskal_mst(h, head_edges(g, c, kUnreachable, exec));
   }
 
   GmstResult r;
@@ -82,12 +76,9 @@ GmstResult gmst_impl(const Graph& g, const Clustering& c, Workspace* ws,
     pairs.emplace_back(std::min(e.u, e.v), std::max(e.u, e.v));
   }
   std::sort(pairs.begin(), pairs.end());
-  const VirtualLinkMap links =
-      pool != nullptr ? VirtualLinkMap::build_bounded(g, pairs, horizon, *pool)
-                      : VirtualLinkMap::build_bounded(g, pairs, horizon, *ws);
+  const VirtualLinkMap links = VirtualLinkMap::build(g, pairs, horizon, exec);
 
-  Workspace& marks_ws = ws != nullptr ? *ws : tls_workspace();
-  GatewaySet gateways(c, marks_ws.gateway_marks);
+  GatewaySet gateways(c, exec.ws->gateway_marks);
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     const auto& [u, v] = pairs[i];
     gateways.add(links.interior(links.link_at(i, u, v)));
@@ -95,21 +86,6 @@ GmstResult gmst_impl(const Graph& g, const Clustering& c, Workspace* ws,
   r.kept_links = std::move(pairs);
   r.gateways = gateways.take();
   return r;
-}
-
-}  // namespace
-
-GmstResult gmst_gateways(const Graph& g, const Clustering& c, Workspace& ws) {
-  return gmst_impl(g, c, &ws, nullptr);
-}
-
-GmstResult gmst_gateways(const Graph& g, const Clustering& c) {
-  return gmst_impl(g, c, &tls_workspace(), nullptr);
-}
-
-GmstResult gmst_gateways(const Graph& g, const Clustering& c,
-                         ThreadPool& pool) {
-  return gmst_impl(g, c, nullptr, &pool);
 }
 
 }  // namespace khop

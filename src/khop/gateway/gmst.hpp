@@ -20,11 +20,9 @@
 #include "khop/cluster/clustering.hpp"
 #include "khop/gateway/virtual_link.hpp"
 #include "khop/graph/mst.hpp"
+#include "khop/runtime/exec.hpp"
 
 namespace khop {
-
-struct Workspace;
-class ThreadPool;
 
 struct GmstResult {
   /// MST edges over head ids (weights are hop distances).
@@ -35,15 +33,9 @@ struct GmstResult {
   std::vector<NodeId> gateways;
 };
 
-/// Computes the G-MST backbone for \p c over \p g.
-GmstResult gmst_gateways(const Graph& g, const Clustering& c);
-
-/// Workspace variant: per-head sweeps and link extraction reuse \p ws.
-GmstResult gmst_gateways(const Graph& g, const Clustering& c, Workspace& ws);
-
-/// Parallel variant: per-head sweeps fan out across \p pool (per-worker
-/// tls workspaces), merged in head order. Bit-identical output.
-GmstResult gmst_gateways(const Graph& g, const Clustering& c,
-                         ThreadPool& pool);
+/// Computes the G-MST backbone for \p c over \p g. The per-head sweeps and
+/// the link extraction run in blocks of heads (of sources) under \p exec,
+/// merged in head order; the gateway marks live in *exec.ws.
+GmstResult gmst_gateways(const Graph& g, const Clustering& c, Exec exec = {});
 
 }  // namespace khop

@@ -76,21 +76,14 @@ NeighborSelection empty_nc_selection(const Clustering& c) {
 
 }  // namespace
 
-HeadSweep nc_sweep(const Graph& g, const Clustering& c, Workspace& ws) {
+HeadSweep nc_sweep(const Graph& g, const Clustering& c, Exec exec) {
   NeighborSelection sel = empty_nc_selection(c);
-  std::vector<VirtualLinkBlock> blocks(1);
-  sweep_range(g, c, 0, c.heads.size(), ws, sel, blocks.front());
-  return finish(std::move(blocks), std::move(sel));
-}
-
-HeadSweep nc_sweep(const Graph& g, const Clustering& c, ThreadPool& pool) {
-  NeighborSelection sel = empty_nc_selection(c);
-  std::vector<VirtualLinkBlock> blocks(block_count(pool, c.heads.size()));
-  parallel_blocks(pool, c.heads.size(),
-                  [&](std::size_t b, std::size_t begin, std::size_t end) {
-                    sweep_range(g, c, begin, end, tls_workspace(), sel,
-                                blocks[b]);
-                  });
+  std::vector<VirtualLinkBlock> blocks(block_count(exec, c.heads.size()));
+  exec_blocks(exec, c.heads.size(),
+              [&](std::size_t b, std::size_t begin, std::size_t end,
+                  Workspace& ws) {
+                sweep_range(g, c, begin, end, ws, sel, blocks[b]);
+              });
   return finish(std::move(blocks), std::move(sel));
 }
 

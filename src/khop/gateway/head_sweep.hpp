@@ -13,23 +13,21 @@
 /// bounds every sweep, and replaces the O(H^2) probes with an O(|reached|)
 /// scan against the clustering's O(1) head test.
 ///
-/// Determinism: sweeps are independent per head; the parallel overload runs
-/// blocks of consecutive heads on the pool (per-worker tls_workspace()),
-/// each appending its links to its own VirtualLinkBlock, and concatenates
-/// the blocks in head order, so the output is bit-identical to the serial
-/// overload for any thread count — and both match the reference two-pass
-/// pipeline (tests/oracles/nbr_reference.hpp + gateway_reference.hpp)
-/// exactly. NC selection is symmetric, so head_pairs is read off the links.
+/// Determinism: sweeps are independent per head; nc_sweep runs blocks of
+/// consecutive heads (exec_blocks: one block without a pool), each appending
+/// its links to its own VirtualLinkBlock, and concatenates the blocks in
+/// head order, so the output is bit-identical for any thread count — and
+/// matches the reference two-pass pipeline (tests/oracles/nbr_reference.hpp
+/// + gateway_reference.hpp) exactly. NC selection is symmetric, so
+/// head_pairs is read off the links.
 #pragma once
 
 #include "khop/cluster/clustering.hpp"
 #include "khop/gateway/virtual_link.hpp"
 #include "khop/nbr/neighbor_rules.hpp"
+#include "khop/runtime/exec.hpp"
 
 namespace khop {
-
-struct Workspace;
-class ThreadPool;
 
 /// Both phase-1 outputs of one fused pass over the clusterheads.
 struct HeadSweep {
@@ -37,10 +35,7 @@ struct HeadSweep {
   VirtualLinkMap links;   ///< canonical links for every pair in sel
 };
 
-/// Serial fused sweep; BFS runs reuse \p ws.
-HeadSweep nc_sweep(const Graph& g, const Clustering& c, Workspace& ws);
-
-/// Parallel fused sweep across \p pool. Bit-identical output.
-HeadSweep nc_sweep(const Graph& g, const Clustering& c, ThreadPool& pool);
+/// The fused sweep over every head, in blocks under \p exec.
+HeadSweep nc_sweep(const Graph& g, const Clustering& c, Exec exec = {});
 
 }  // namespace khop

@@ -213,34 +213,17 @@ LmstResult realize(const Clustering& c, const VirtualLinkMap& links,
 
 LmstResult lmst_gateways(const Clustering& c, const NeighborSelection& sel,
                          const VirtualLinkMap& links, LmstKeepRule keep,
-                         Workspace& ws) {
+                         Exec exec) {
   KHOP_REQUIRE(sel.selected.size() == c.heads.size(),
                "selection does not match clustering");
-  PairTable table(c, sel, links, ws.lmst_pairs);
-  keep_range(c, sel, table, 0, c.heads.size());
-  return realize(c, links, keep, table, ws.gateway_marks);
-}
-
-LmstResult lmst_gateways(const Clustering& c, const NeighborSelection& sel,
-                         const VirtualLinkMap& links, LmstKeepRule keep,
-                         ThreadPool& pool) {
-  KHOP_REQUIRE(sel.selected.size() == c.heads.size(),
-               "selection does not match clustering");
-  // The table lives in the calling thread's workspace; the blocks read its
-  // distances and set disjoint keep flags. A throwing head ends its block,
-  // and the lowest block's exception is the one the serial loop raises.
-  Workspace& ws = tls_workspace();
-  PairTable table(c, sel, links, ws.lmst_pairs);
-  parallel_blocks(pool, c.heads.size(),
-                  [&](std::size_t, std::size_t begin, std::size_t end) {
-                    keep_range(c, sel, table, begin, end);
-                  });
-  return realize(c, links, keep, table, ws.gateway_marks);
-}
-
-LmstResult lmst_gateways(const Clustering& c, const NeighborSelection& sel,
-                         const VirtualLinkMap& links, LmstKeepRule keep) {
-  return lmst_gateways(c, sel, links, keep, tls_workspace());
+  // The blocks read the table's distances and set disjoint keep flags. A
+  // throwing head ends its block, and the lowest block's exception is the
+  // one the one-block run raises.
+  PairTable table(c, sel, links, exec.ws->lmst_pairs);
+  exec_blocks(exec, c.heads.size(),
+              [&](std::size_t, std::size_t begin, std::size_t end,
+                  Workspace&) { keep_range(c, sel, table, begin, end); });
+  return realize(c, links, keep, table, exec.ws->gateway_marks);
 }
 
 }  // namespace khop

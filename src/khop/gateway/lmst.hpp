@@ -25,6 +25,7 @@
 #include "khop/cluster/clustering.hpp"
 #include "khop/gateway/virtual_link.hpp"
 #include "khop/nbr/neighbor_rules.hpp"
+#include "khop/runtime/exec.hpp"
 
 namespace khop {
 
@@ -95,33 +96,19 @@ struct LmstResult {
 
 /// Runs LMSTGA on the given neighbor selection: LmstKernel for every head,
 /// then the keep rule and the gateway marking. The kernels read the pair
-/// distances from a flat table built once per call, one row per head
-/// holding (b, hops) ascending for each selected pair {a, b} with a < b,
-/// and record their keep decisions in it.
+/// distances from a flat table built once per call in *exec.ws, one row
+/// per head holding (b, hops) ascending for each selected pair {a, b} with
+/// a < b, and record their keep decisions in it. The kernels run in blocks
+/// of contiguous head indices under \p exec, each block with its own
+/// LmstKernel setting its heads' keep flags; the keep rule and the gateway
+/// marking then run on the calling thread, one pass over the pairs in
+/// canonical order. Bit-identical for any block count: a throwing head
+/// raises the exception the one-block run raises first.
 /// \pre every selected pair has a virtual link in \p links, and both of
 ///      its endpoints are heads (checked: throws InvalidArgument)
 LmstResult lmst_gateways(const Clustering& c, const NeighborSelection& sel,
                          const VirtualLinkMap& links,
-                         LmstKeepRule keep = LmstKeepRule::kEitherEndpoint);
-
-struct Workspace;
-class ThreadPool;
-
-/// Workspace variant: the pair table lives in \p ws, so repeated calls do
-/// not allocate it. Bit-identical; the overload above forwards here with
-/// the calling thread's tls_workspace().
-LmstResult lmst_gateways(const Clustering& c, const NeighborSelection& sel,
-                         const VirtualLinkMap& links, LmstKeepRule keep,
-                         Workspace& ws);
-
-/// Pool variant, bit-identical to the serial overloads: each block of
-/// contiguous head indices runs its own LmstKernel on \p pool and records
-/// its heads' keep decisions in the pair table; the keep rule and the
-/// gateway marking then run on the calling thread, one pass over the pairs
-/// in canonical order. A throwing head raises the exception the serial loop
-/// would raise first.
-LmstResult lmst_gateways(const Clustering& c, const NeighborSelection& sel,
-                         const VirtualLinkMap& links, LmstKeepRule keep,
-                         ThreadPool& pool);
+                         LmstKeepRule keep = LmstKeepRule::kEitherEndpoint,
+                         Exec exec = {});
 
 }  // namespace khop

@@ -6,10 +6,10 @@
 namespace khop {
 
 MeshResult mesh_gateways(const Clustering& c, const NeighborSelection& sel,
-                         const VirtualLinkMap& links) {
+                         const VirtualLinkMap& links, Workspace& ws) {
   MeshResult r;
   r.kept_links = sel.head_pairs;
-  GatewaySet gateways(c, tls_workspace().gateway_marks);
+  GatewaySet gateways(c, ws.gateway_marks);
   for (std::size_t i = 0; i < sel.head_pairs.size(); ++i) {
     const auto& [u, v] = sel.head_pairs[i];
     gateways.add(links.interior(links.link_at(i, u, v)));

@@ -8,6 +8,7 @@
 #include "khop/cluster/clustering.hpp"
 #include "khop/gateway/virtual_link.hpp"
 #include "khop/nbr/neighbor_rules.hpp"
+#include "khop/runtime/exec.hpp"
 
 namespace khop {
 
@@ -18,8 +19,10 @@ struct MeshResult {
   std::vector<NodeId> gateways;
 };
 
-/// Marks gateways for every pair in \p sel using the canonical virtual links.
+/// Marks gateways for every pair in \p sel using the canonical virtual
+/// links; the gateway marks live in \p ws.
 MeshResult mesh_gateways(const Clustering& c, const NeighborSelection& sel,
-                         const VirtualLinkMap& links);
+                         const VirtualLinkMap& links,
+                         Workspace& ws = tls_workspace());
 
 }  // namespace khop

@@ -1,6 +1,7 @@
 #include "khop/gateway/virtual_link.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
 
 #include "khop/common/assert.hpp"
@@ -180,57 +181,27 @@ VirtualLinkMap VirtualLinkMap::from_links(
   return m;
 }
 
-VirtualLinkMap VirtualLinkMap::build_bounded(
+VirtualLinkMap VirtualLinkMap::build(
     const Graph& g, const std::vector<std::pair<NodeId, NodeId>>& pairs,
-    Hops horizon, Workspace& ws) {
-  std::vector<std::pair<NodeId, NodeId>> scratch;
-  const auto& np = normalized_pairs(pairs, scratch);
-  const std::vector<std::size_t> starts = source_starts(np);
-  std::vector<VirtualLinkBlock> blocks(1);
-  const std::size_t fallbacks = extract_groups(
-      g, np, starts, 0, starts.size() - 1, horizon, ws, blocks.front());
-  VirtualLinkMap m = from_links(std::move(blocks));
-  m.bounded_fallbacks_ = fallbacks;
-  return m;
-}
-
-VirtualLinkMap VirtualLinkMap::build_bounded(
-    const Graph& g, const std::vector<std::pair<NodeId, NodeId>>& pairs,
-    Hops horizon) {
-  return build_bounded(g, pairs, horizon, tls_workspace());
-}
-
-VirtualLinkMap VirtualLinkMap::build_bounded(
-    const Graph& g, const std::vector<std::pair<NodeId, NodeId>>& pairs,
-    Hops horizon, ThreadPool& pool) {
+    Hops horizon, Exec exec) {
   std::vector<std::pair<NodeId, NodeId>> scratch;
   const auto& np = normalized_pairs(pairs, scratch);
   const std::vector<std::size_t> starts = source_starts(np);
   const std::size_t num_groups = starts.size() - 1;
   // Blocks of consecutive sources: a throwing group ends its block, and the
-  // lowest block's exception is the one the serial loop raises first.
-  std::vector<VirtualLinkBlock> blocks(block_count(pool, num_groups));
-  std::vector<std::size_t> block_fallbacks(blocks.size(), 0);
-  parallel_blocks(pool, num_groups,
-                  [&](std::size_t b, std::size_t gb, std::size_t ge) {
-                    block_fallbacks[b] =
-                        extract_groups(g, np, starts, gb, ge, horizon,
-                                       tls_workspace(), blocks[b]);
-                  });
+  // lowest block's exception is the one a one-block run raises first.
+  std::vector<VirtualLinkBlock> blocks(block_count(exec, num_groups));
+  std::atomic<std::size_t> fallbacks{0};
+  exec_blocks(exec, num_groups,
+              [&](std::size_t b, std::size_t gb, std::size_t ge,
+                  Workspace& ws) {
+                fallbacks.fetch_add(extract_groups(g, np, starts, gb, ge,
+                                                   horizon, ws, blocks[b]),
+                                    std::memory_order_relaxed);
+              });
   VirtualLinkMap m = from_links(std::move(blocks));
-  for (const std::size_t f : block_fallbacks) m.bounded_fallbacks_ += f;
+  m.bounded_fallbacks_ = fallbacks.load(std::memory_order_relaxed);
   return m;
-}
-
-VirtualLinkMap VirtualLinkMap::build(
-    const Graph& g, const std::vector<std::pair<NodeId, NodeId>>& pairs,
-    Workspace& ws) {
-  return build_bounded(g, pairs, kUnreachable, ws);
-}
-
-VirtualLinkMap VirtualLinkMap::build(
-    const Graph& g, const std::vector<std::pair<NodeId, NodeId>>& pairs) {
-  return build_bounded(g, pairs, kUnreachable, tls_workspace());
 }
 
 std::size_t VirtualLinkMap::slot(NodeId u, NodeId v) const {

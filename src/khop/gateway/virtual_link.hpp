@@ -35,11 +35,10 @@
 
 #include "khop/common/types.hpp"
 #include "khop/graph/graph.hpp"
+#include "khop/runtime/exec.hpp"
 
 namespace khop {
 
-struct Workspace;
-class ThreadPool;
 class BfsScratch;
 
 /// One virtual link's header; its path lives in the owning arena.
@@ -65,45 +64,26 @@ struct VirtualLinkBlock {
 /// Canonical-shortest-path store for a set of head pairs.
 class VirtualLinkMap {
  public:
-  /// Builds links for all \p pairs (unordered (min,max) head-id pairs).
-  /// One unbounded BFS per distinct smaller endpoint, stopped once it has
-  /// stamped that endpoint's last target (see build_bounded).
+  /// Builds the canonical links of all \p pairs (unordered head-id pairs;
+  /// reversed and repeated pairs are folded): one sweep per distinct smaller
+  /// endpoint, bounded at \p horizon hops, that stops the moment its last
+  /// target is stamped — possibly in the middle of a level. That early stop
+  /// is exact: each level expands in ascending id order, so a node's first
+  /// stamp already fixes its min-id parent, and every target's canonical
+  /// path is complete by then. The paper's structure guarantees every
+  /// selected pair lies within 2k+1 hops, so backbone construction passes
+  /// that bound; a pair whose endpoints are farther apart (invariant-
+  /// violating input) transparently reruns its source unbounded, so the
+  /// output — including the NotConnected throw for truly disconnected
+  /// endpoints — is the unbounded build's on EVERY input. The default
+  /// horizon, kUnreachable, builds unbounded.
+  ///
+  /// Under \p exec the sources run in blocks of consecutive sources, each
+  /// into its own VirtualLinkBlock, concatenated in ascending source order:
+  /// bit-identical for one block on a workspace and for any pool size.
   static VirtualLinkMap build(
-      const Graph& g, const std::vector<std::pair<NodeId, NodeId>>& pairs);
-
-  /// Workspace variant: the per-source canonical BFS runs reuse \p ws.
-  /// Bit-identical output; the overload above forwards here.
-  static VirtualLinkMap build(
       const Graph& g, const std::vector<std::pair<NodeId, NodeId>>& pairs,
-      Workspace& ws);
-
-  /// Horizon-bounded build: each per-source sweep stops at \p horizon hops,
-  /// or earlier, the moment its last target is stamped — possibly in the
-  /// middle of a level. That early stop is exact: each level expands in
-  /// ascending id order, so a node's first stamp already fixes its min-id
-  /// parent, and every target's canonical path is complete by then.
-  /// The paper's structure guarantees every selected pair lies within
-  /// 2k+1 hops, so backbone construction passes that bound; a pair whose
-  /// endpoints are farther apart (invariant-violating input) transparently
-  /// reruns its source unbounded, so the output — including the
-  /// NotConnected throw for truly disconnected endpoints — is bit-identical
-  /// to the unbounded build on EVERY input. Pass kUnreachable for an
-  /// unbounded build (what build() does).
-  static VirtualLinkMap build_bounded(
-      const Graph& g, const std::vector<std::pair<NodeId, NodeId>>& pairs,
-      Hops horizon, Workspace& ws);
-
-  static VirtualLinkMap build_bounded(
-      const Graph& g, const std::vector<std::pair<NodeId, NodeId>>& pairs,
-      Hops horizon);
-
-  /// Parallel bounded build: blocks of consecutive sources run on \p pool's
-  /// workers (each using its thread's tls_workspace()), each into its own
-  /// VirtualLinkBlock, concatenated in ascending source order, so the output
-  /// is bit-identical to the serial overloads for any thread count.
-  static VirtualLinkMap build_bounded(
-      const Graph& g, const std::vector<std::pair<NodeId, NodeId>>& pairs,
-      Hops horizon, ThreadPool& pool);
+      Hops horizon = kUnreachable, Exec exec = {});
 
   /// Adopts already-extracted links: \p blocks' links concatenated in block
   /// order, their paths moved into one arena (a single block is adopted

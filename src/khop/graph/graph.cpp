@@ -1,6 +1,7 @@
 #include "khop/graph/graph.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "khop/common/assert.hpp"
 #include "khop/runtime/thread_pool.hpp"
@@ -108,32 +109,22 @@ void Graph::check_csr_upper_count(std::size_t upper) const {
 }
 
 Graph Graph::from_csr(std::vector<std::size_t> offsets,
-                      std::vector<NodeId> adjacency) {
-  Graph g = adopt_csr(std::move(offsets), std::move(adjacency));
-  std::size_t upper = 0;
-  for (NodeId u = 0; u < static_cast<NodeId>(g.num_nodes()); ++u) {
-    upper += g.check_csr_row(u);
-  }
-  g.check_csr_upper_count(upper);
-  return g;
-}
-
-Graph Graph::from_csr(std::vector<std::size_t> offsets,
-                      std::vector<NodeId> adjacency, ThreadPool& pool) {
+                      std::vector<NodeId> adjacency, Exec exec) {
   Graph g = adopt_csr(std::move(offsets), std::move(adjacency));
   // Blocks of rows are checked independently; a failing row ends its block,
-  // and the lowest block's exception is the one the ascending serial loop
-  // raises first. Only when every row passes is the count compared.
-  std::vector<std::size_t> upper(block_count(pool, g.num_nodes()), 0);
-  parallel_blocks(pool, g.num_nodes(),
-                  [&](std::size_t b, std::size_t begin, std::size_t end) {
-                    for (std::size_t u = begin; u < end; ++u) {
-                      upper[b] += g.check_csr_row(static_cast<NodeId>(u));
-                    }
-                  });
-  std::size_t total = 0;
-  for (const std::size_t count : upper) total += count;
-  g.check_csr_upper_count(total);
+  // and the lowest block's exception is the one the ascending one-block
+  // loop raises first. Only when every row passes is the count compared.
+  std::atomic<std::size_t> upper{0};
+  exec_blocks(exec, g.num_nodes(),
+              [&](std::size_t, std::size_t begin, std::size_t end,
+                  Workspace&) {
+                std::size_t block_upper = 0;
+                for (std::size_t u = begin; u < end; ++u) {
+                  block_upper += g.check_csr_row(static_cast<NodeId>(u));
+                }
+                upper.fetch_add(block_upper, std::memory_order_relaxed);
+              });
+  g.check_csr_upper_count(upper.load(std::memory_order_relaxed));
   return g;
 }
 

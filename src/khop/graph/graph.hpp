@@ -12,10 +12,9 @@
 #include <vector>
 
 #include "khop/common/types.hpp"
+#include "khop/runtime/exec.hpp"
 
 namespace khop {
-
-class ThreadPool;
 
 /// Immutable undirected simple graph (no self-loops, no multi-edges).
 class Graph {
@@ -38,16 +37,13 @@ class Graph {
   /// of row u is looked up in row v, and the upper entries must be exactly
   /// half the adjacency, which makes their mirrors all the lower entries.
   /// A missing mirror of a lower entry is therefore reported only after
-  /// every row passed its own checks.
+  /// every row passed its own checks. The O(n) offset checks run on the
+  /// calling thread, the per-row checks (range, self-loop, ascending,
+  /// symmetry) over row blocks on exec.pool when it is set: a malformed
+  /// input throws the same exception, message included, at any block
+  /// count, the lowest failing row's. Reads only exec.pool.
   static Graph from_csr(std::vector<std::size_t> offsets,
-                        std::vector<NodeId> adjacency);
-
-  /// Pool variant of from_csr: the O(n) offset checks run serially, the
-  /// per-row checks (range, self-loop, ascending, symmetry) over row blocks
-  /// on \p pool. A malformed input throws the same exception, message
-  /// included, as the serial overload: the lowest failing row's.
-  static Graph from_csr(std::vector<std::size_t> offsets,
-                        std::vector<NodeId> adjacency, ThreadPool& pool);
+                        std::vector<NodeId> adjacency, Exec exec = {});
 
   /// Number of vertices.
   std::size_t num_nodes() const noexcept { return offsets_.size() - 1; }

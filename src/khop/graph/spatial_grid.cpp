@@ -278,10 +278,8 @@ Graph build_unit_disk_graph_streamed(const std::vector<Point2>& pts,
     }
   };
   run_tiles(fill_range);
-  if (pool != nullptr) {
-    return Graph::from_csr(std::move(offsets), std::move(adjacency), *pool);
-  }
-  return Graph::from_csr(std::move(offsets), std::move(adjacency));
+  return Graph::from_csr(std::move(offsets), std::move(adjacency),
+                         pool != nullptr ? Exec(*pool) : Exec());
 }
 
 }  // namespace khop

@@ -128,27 +128,20 @@ NeighborSelection select_nc(const Graph& g, const Clustering& c,
   return finalize_selection(std::move(sel));
 }
 
-/// A-NCR over every cluster: in one block on the calling thread when \p
-/// pool is null (scratch from \p ws), else in blocks of clusters on \p pool.
-/// Blocks write disjoint selected lists; their pair lists, concatenated in
-/// block order, are the one-block list.
+/// A-NCR over every cluster, in blocks of clusters under \p exec. Blocks
+/// write disjoint selected lists; their pair lists, concatenated in block
+/// order, are the one-block list.
 NeighborSelection select_ancr(const Graph& g, const Clustering& c,
-                              Workspace* ws, ThreadPool* pool) {
+                              const Exec& exec) {
   NeighborSelection sel;
   sel.rule = NeighborRule::kAdjacent;
   sel.selected.resize(c.heads.size());
   const ClusterMembers cm(g, c);
-  if (pool == nullptr) {
-    select_ancr_range(g, c, cm, 0, c.heads.size(), ws->node_buf, sel,
-                      sel.head_pairs);
-    return sel;
-  }
-  sel.head_pairs = parallel_concat<std::pair<NodeId, NodeId>>(
-      *pool, c.heads.size(),
-      [&](std::size_t begin, std::size_t end,
+  sel.head_pairs = exec_concat<std::pair<NodeId, NodeId>>(
+      exec, c.heads.size(),
+      [&](std::size_t begin, std::size_t end, Workspace& ws,
           std::vector<std::pair<NodeId, NodeId>>& out) {
-        std::vector<std::uint32_t> scratch;
-        select_ancr_range(g, c, cm, begin, end, scratch, sel, out);
+        select_ancr_range(g, c, cm, begin, end, ws.node_buf, sel, out);
       });
   return sel;
 }
@@ -182,34 +175,20 @@ NeighborSelection select_wulou(const Graph& g, const Clustering& c,
 }  // namespace
 
 NeighborSelection select_neighbors(const Graph& g, const Clustering& c,
-                                   NeighborRule rule, Workspace& ws) {
+                                   NeighborRule rule, Exec exec) {
   KHOP_REQUIRE(!c.heads.empty(), "clustering has no heads");
   KHOP_REQUIRE(c.cluster_of.size() == g.num_nodes(),
                "clustering has no cluster_of for this graph");
   switch (rule) {
     case NeighborRule::kAllWithin2k1:
-      return select_nc(g, c, ws);
+      return select_nc(g, c, *exec.ws);
     case NeighborRule::kAdjacent:
-      return select_ancr(g, c, &ws, nullptr);
+      return select_ancr(g, c, exec);
     case NeighborRule::kWuLou25:
-      return select_wulou(g, c, ws);
+      return select_wulou(g, c, *exec.ws);
   }
   KHOP_ASSERT(false, "unknown neighbor rule");
   return {};
-}
-
-NeighborSelection select_neighbors(const Graph& g, const Clustering& c,
-                                   NeighborRule rule) {
-  return select_neighbors(g, c, rule, tls_workspace());
-}
-
-NeighborSelection select_neighbors(const Graph& g, const Clustering& c,
-                                   NeighborRule rule, ThreadPool& pool) {
-  if (rule != NeighborRule::kAdjacent) {
-    return select_neighbors(g, c, rule, tls_workspace());
-  }
-  KHOP_REQUIRE(!c.heads.empty(), "clustering has no heads");
-  return select_ancr(g, c, nullptr, &pool);
 }
 
 }  // namespace khop

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "khop/cluster/clustering.hpp"
+#include "khop/runtime/exec.hpp"
 
 namespace khop {
 
@@ -36,31 +37,19 @@ struct NeighborSelection {
   std::vector<std::pair<NodeId, NodeId>> head_pairs;
 };
 
-/// Runs the requested rule. Every overload throws InvalidArgument unless
-/// c.cluster_of covers \p g (a ChurnEngine's clustering has none).
+/// Runs the requested rule. Throws InvalidArgument unless c.cluster_of
+/// covers \p g (a ChurnEngine's clustering has none).
 /// \pre for kWuLou25: c.k == 1.
+///
+/// A-NCR (kAdjacent) runs by cluster: a counting pass groups the nodes by
+/// cluster_of, then blocks of cluster indices scan their members' edges
+/// under \p exec. Each cluster's selected list is written once, at its
+/// exact size, and each block emits its head pairs in (u, v) order, so the
+/// blocks' lists concatenate into the sorted head_pairs with no global sort,
+/// for one block or any pool size alike. The NC and Wu-Lou rules run on
+/// the calling thread; their per-head bounded BFS runs reuse *exec.ws.
 NeighborSelection select_neighbors(const Graph& g, const Clustering& c,
-                                   NeighborRule rule);
-
-struct Workspace;
-
-/// Workspace variant: the per-head bounded BFS runs reuse \p ws.
-/// Bit-identical output; the overload above forwards here.
-NeighborSelection select_neighbors(const Graph& g, const Clustering& c,
-                                   NeighborRule rule, Workspace& ws);
-
-class ThreadPool;
-
-/// Pool variant, bit-identical to the overloads above. A-NCR (kAdjacent)
-/// runs by cluster: a counting pass groups the nodes by cluster_of, then
-/// blocks of cluster indices scan their members' edges on \p pool. Each
-/// cluster's selected list is written once, at its exact size, and each
-/// block emits its head pairs in (u, v) order, so the blocks' lists
-/// concatenate into the sorted head_pairs with no global sort. The
-/// Workspace overload runs the same kernel as one block. The other rules
-/// run the workspace path on the calling thread's tls_workspace().
-NeighborSelection select_neighbors(const Graph& g, const Clustering& c,
-                                   NeighborRule rule, ThreadPool& pool);
+                                   NeighborRule rule, Exec exec = {});
 
 /// Cluster-index pairs (ci < cj) whose clusters are adjacent per Definition 2
 /// (some edge of G joins a node of one to a node of the other), ascending;

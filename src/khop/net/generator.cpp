@@ -10,10 +10,6 @@
 
 namespace khop {
 
-AdHocNetwork generate_network(const GeneratorConfig& cfg, Rng& rng) {
-  return generate_network(cfg, rng, tls_workspace());
-}
-
 AdHocNetwork generate_network(const GeneratorConfig& cfg, Rng& rng,
                               Workspace& ws) {
   KHOP_REQUIRE(cfg.num_nodes >= 2, "need at least two nodes");

@@ -9,6 +9,7 @@
 
 #include "khop/common/rng.hpp"
 #include "khop/net/network.hpp"
+#include "khop/runtime/exec.hpp"
 
 namespace khop {
 
@@ -34,8 +35,6 @@ struct GeneratorConfig {
   bool allow_lcc_fallback = true;
 };
 
-struct Workspace;
-
 /// Generates a network per \p cfg. Deterministic in (cfg, rng seed).
 ///
 /// Each attempt is connectivity first: the placement is drawn in place
@@ -46,15 +45,12 @@ struct Workspace;
 /// component is left. A rejected placement therefore never becomes a Graph;
 /// the accepted one is built once, from the rows that walk recorded
 /// (graph_from_upper_rows), bit-identical to build_unit_disk_graph_streamed
-/// and validated by Graph::from_csr. Uses the calling thread's
-/// tls_workspace().
-AdHocNetwork generate_network(const GeneratorConfig& cfg, Rng& rng);
-
-/// Workspace-backed variant: the grid, the union-find and the recorded rows
-/// live in \p ws, so Monte-Carlo trials of one configuration reuse them
-/// instead of re-allocating per placement. Bit-identical to the plain
-/// overload for the same (cfg, rng state).
+/// and validated by Graph::from_csr.
+///
+/// The grid, the union-find and the recorded rows live in \p ws, so
+/// Monte-Carlo trials of one configuration reuse them instead of
+/// re-allocating per placement; the output depends only on (cfg, rng state).
 AdHocNetwork generate_network(const GeneratorConfig& cfg, Rng& rng,
-                              Workspace& ws);
+                              Workspace& ws = tls_workspace());
 
 }  // namespace khop

@@ -9,6 +9,13 @@
 
 namespace khop {
 
+namespace {
+
+/// The pool whose worker_loop runs on this thread, if any.
+thread_local const ThreadPool* tls_owner = nullptr;
+
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) {
     num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -42,6 +49,8 @@ void ThreadPool::submit(std::function<void()> task) {
 void ThreadPool::run_tasks(std::size_t tasks,
                            const std::function<void()>& body) {
   KHOP_REQUIRE(static_cast<bool>(body), "empty task body");
+  KHOP_REQUIRE(tls_owner != this,
+               "run_tasks called from a worker of the same pool");
   if (tasks == 0) return;
   {
     std::scoped_lock lock(mu_);
@@ -57,11 +66,14 @@ void ThreadPool::run_tasks(std::size_t tasks,
 }
 
 void ThreadPool::wait_idle() {
+  KHOP_REQUIRE(tls_owner != this,
+               "wait_idle called from a worker of the same pool");
   std::unique_lock lock(mu_);
   cv_idle_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::worker_loop() {
+  tls_owner = this;
   for (;;) {
     std::function<void()> task;
     {

@@ -15,7 +15,10 @@
 #include <functional>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
+
+#include "khop/runtime/exec.hpp"
 
 namespace khop {
 
@@ -39,10 +42,13 @@ class ThreadPool {
   /// The tasks are enqueued under one lock acquisition and published with a
   /// single notify_all: per-task submit pays one lock/notify round trip per
   /// task, which dominated small parallel phases (the n ~ 8000 engine
-  /// break-even).
+  /// break-even). Throws InvalidArgument, before enqueuing anything, when
+  /// called from one of this pool's own workers: the wait would count the
+  /// calling task and never end.
   void run_tasks(std::size_t tasks, const std::function<void()>& body);
 
-  /// Blocks until every submitted task has finished.
+  /// Blocks until every submitted task has finished. Throws InvalidArgument
+  /// when called from one of this pool's own workers.
   void wait_idle();
 
  private:
@@ -95,19 +101,48 @@ void parallel_blocks(ThreadPool& pool, std::size_t count, Body&& body) {
   });
 }
 
-/// Runs fill(lo, hi, out) over the blocks of parallel_blocks, each block
+/// The number of blocks exec_blocks splits [0, count) into under \p exec:
+/// one without a pool, else block_count(*exec.pool, count).
+inline std::size_t block_count(const Exec& exec, std::size_t count) {
+  return exec.pool == nullptr ? 1 : block_count(*exec.pool, count);
+}
+
+/// Runs body(b, lo, hi, ws) for every block b of [0, count) under \p exec:
+/// without a pool as the one block body(0, 0, count, *exec.ws) on the
+/// calling thread, else as parallel_blocks on exec.pool, each worker
+/// passing its own tls_workspace(). A stage written against it has no
+/// separate serial loop: its serial run is its pooled run with one block,
+/// and per-block outputs combined in block order give the same result
+/// either way. Exceptions as in parallel_blocks.
+template <typename Body>
+void exec_blocks(const Exec& exec, std::size_t count, Body&& body) {
+  if (exec.pool == nullptr) {
+    body(std::size_t{0}, std::size_t{0}, count, *exec.ws);
+    return;
+  }
+  parallel_blocks(*exec.pool, count,
+                  [&](std::size_t b, std::size_t lo, std::size_t hi) {
+                    body(b, lo, hi, tls_workspace());
+                  });
+}
+
+/// Runs fill(lo, hi, ws, out) over the blocks of exec_blocks, each block
 /// appending to its own vector, and returns the blocks' vectors
 /// concatenated in block order — for an order-preserving fill, the
-/// sequence one fill(0, count, out) call appends, at any thread count.
-/// Exceptions as in parallel_blocks.
+/// sequence one fill(0, count, ws, out) call appends, at any thread count.
+/// Without a pool the one block fills the returned vector itself.
+/// Exceptions as in exec_blocks.
 template <typename T, typename Fill>
-std::vector<T> parallel_concat(ThreadPool& pool, std::size_t count,
-                               Fill&& fill) {
-  std::vector<std::vector<T>> parts(block_count(pool, count));
-  parallel_blocks(pool, count,
-                  [&](std::size_t b, std::size_t lo, std::size_t hi) {
-                    fill(lo, hi, parts[b]);
-                  });
+std::vector<T> exec_concat(const Exec& exec, std::size_t count, Fill&& fill) {
+  if (exec.pool == nullptr) {
+    std::vector<T> out;
+    fill(std::size_t{0}, count, *exec.ws, out);
+    return out;
+  }
+  std::vector<std::vector<T>> parts(block_count(exec, count));
+  exec_blocks(exec, count,
+              [&](std::size_t b, std::size_t lo, std::size_t hi,
+                  Workspace& ws) { fill(lo, hi, ws, parts[b]); });
   std::size_t total = 0;
   for (const auto& part : parts) total += part.size();
   std::vector<T> out;

@@ -6,13 +6,15 @@
 /// kernels need, so one object threaded through a call tree eliminates all
 /// transient heap allocation. The API contract:
 ///
-///  * Epoch invalidation - scratch results (BfsScratch queries, DistCache
-///    rows) are valid only until the next kernel call that reuses the same
-///    workspace. Kernels never hold workspace-backed views across calls;
-///    their outputs are plain owned containers.
+///  * Epoch invalidation - scratch results (BfsScratch queries, EpochFlags
+///    generations) are valid only until the next kernel call that reuses
+///    the same workspace. Kernels never hold workspace-backed views across
+///    calls; their outputs are plain owned containers.
 ///  * Thread affinity - a Workspace is NOT thread-safe. Use one per thread;
-///    tls_workspace() hands out a lazily-created thread-local instance (this
-///    is what the allocating convenience wrappers and run_trials use).
+///    tls_workspace() (runtime/exec.hpp) hands out a lazily-created
+///    thread-local instance. It is the default of every stage's trailing
+///    Exec or Workspace& parameter, and what each pool worker and
+///    run_trials hand their blocks and trials.
 ///  * Growth only - buffers grow to the largest graph seen and are retained,
 ///    so steady-state reuse is allocation-free.
 #pragma once
@@ -25,43 +27,9 @@
 #include "khop/graph/bfs_scratch.hpp"
 #include "khop/graph/spatial_grid.hpp"
 #include "khop/graph/union_find.hpp"
+#include "khop/runtime/exec.hpp"
 
 namespace khop {
-
-/// Epoch-stamped per-node cache of bounded-distance rows, reused across
-/// calls (rows keep their capacity; begin() invalidates contents in O(1)
-/// amortized). Backs the krishna_kclusters ball cache.
-class DistCache {
- public:
-  /// Opens a fresh cache generation for an n-node graph.
-  void begin(std::size_t n) {
-    if (stamp_.size() < n) {
-      stamp_.resize(n, 0);
-      rows_.resize(n);
-    }
-    if (epoch_ == std::numeric_limits<std::uint32_t>::max()) {
-      std::fill(stamp_.begin(), stamp_.end(), 0);
-      epoch_ = 0;
-    }
-    ++epoch_;
-  }
-
-  bool contains(NodeId v) const noexcept { return stamp_[v] == epoch_; }
-
-  /// Row for \p v, marked present in the current generation. Contents are
-  /// whatever the caller last stored this generation (stale capacity reused).
-  std::vector<Hops>& row(NodeId v) {
-    stamp_[v] = epoch_;
-    return rows_[v];
-  }
-
-  const std::vector<Hops>& row(NodeId v) const { return rows_[v]; }
-
- private:
-  std::uint32_t epoch_ = 0;
-  std::vector<std::uint32_t> stamp_;
-  std::vector<std::vector<Hops>> rows_;
-};
 
 /// Epoch-stamped boolean set over dense indices: set/test are O(1) and
 /// begin() clears in O(1) amortized (no per-generation fill). Backs the
@@ -118,8 +86,6 @@ struct Workspace {
   BfsScratch bfs;
   /// Secondary scratch for kernels that interleave two BFS result sets.
   BfsScratch bfs2;
-  /// Bounded-distance ball cache (krishna_kclusters).
-  DistCache ball_cache;
   /// Epoch-stamped flag set (neighbor-rule coverage marks).
   EpochFlags flags;
   /// General-purpose node id buffer.
@@ -141,10 +107,5 @@ struct Workspace {
   /// backbone combiners (gateway/gateway_set.hpp).
   std::vector<std::uint8_t> gateway_marks;
 };
-
-/// Lazily-created workspace owned by the calling thread. Reused across calls
-/// for the life of the thread; safe under ThreadPool workers because each
-/// worker sees its own instance.
-Workspace& tls_workspace();
 
 }  // namespace khop

@@ -337,15 +337,8 @@ void SyncEngine::reset_for_run() {
   adopted_.reset();
 }
 
-bool SyncEngine::run(std::size_t max_rounds) {
-  return run_impl(max_rounds, nullptr);
-}
-
-bool SyncEngine::run(std::size_t max_rounds, ThreadPool& pool) {
-  return run_impl(max_rounds, &pool);
-}
-
-bool SyncEngine::run_impl(std::size_t max_rounds, ThreadPool* pool) {
+bool SyncEngine::run(std::size_t max_rounds, Exec exec) {
+  ThreadPool* const pool = exec.pool;
   reset_for_run();
 
   // Observational only: the span, the cached histogram pointer, and every

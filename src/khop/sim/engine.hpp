@@ -31,7 +31,7 @@
 /// whose in-flight messages all drop still counts: the engine quiesces
 /// only when nothing was sent.
 ///
-/// Parallel execution: run(max_rounds, ThreadPool&) chunks each phase's
+/// Parallel execution: run(max_rounds, pool) chunks each phase's
 /// destinations (not the id space: callers hand the engine graphs in
 /// arbitrary id order, docs/scaling.md) across workers. Handlers record
 /// into per-chunk outboxes merged on the calling thread in ascending node
@@ -60,12 +60,12 @@
 
 #include "khop/graph/graph.hpp"
 #include "khop/obs/metrics.hpp"
+#include "khop/runtime/exec.hpp"
 #include "khop/sim/message.hpp"
 
 namespace khop {
 
 class SyncEngine;
-class ThreadPool;
 
 /// Decides the fate of one per-link transmission attempt. attempt() must be
 /// a pure function of its arguments: the engine calls it from pool workers
@@ -264,12 +264,11 @@ class SyncEngine {
              const DeliveryOptions& delivery = {});
 
   /// Runs until quiescence (all agents finished, nothing in flight) or
-  /// \p max_rounds. Returns true iff it reached quiescence.
-  bool run(std::size_t max_rounds);
-
-  /// Parallel round executor: identical semantics and bit-identical traces
-  /// and stats for any thread count.
-  bool run(std::size_t max_rounds, ThreadPool& pool);
+  /// \p max_rounds. Returns true iff it reached quiescence. With exec.pool
+  /// set, each round's phases run chunked across the pool: identical
+  /// semantics and bit-identical traces and stats for any thread count.
+  /// Reads only exec.pool.
+  bool run(std::size_t max_rounds, Exec exec = {});
 
   const SimStats& stats() const noexcept { return stats_; }
   std::size_t round() const noexcept { return round_; }
@@ -364,8 +363,6 @@ class SyncEngine {
   /// already live in the chunk arenas, so nothing is re-interned.
   void flush_outboxes(std::size_t used);
 
-  /// Shared round loop; pool == nullptr is the serial engine.
-  bool run_impl(std::size_t max_rounds, ThreadPool* pool);
 };
 
 }  // namespace khop

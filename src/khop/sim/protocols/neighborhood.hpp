@@ -9,7 +9,7 @@
 /// communication cost of a k-hop view.
 ///
 /// The per-origin record is a KnownTable: a flat, epoch-stamped,
-/// open-addressed slot vector in the DistCache / EpochFlags mold
+/// open-addressed slot vector in the EpochFlags mold
 /// (runtime/workspace.hpp) - O(1) stamped validity instead of per-node-wide
 /// rows, because all n agents coexist and an n-wide row per agent would be
 /// O(n^2) memory. It replaces the historical std::map<NodeId, Known>, whose
@@ -38,7 +38,7 @@ struct KnownRecord {
 /// Flat open-addressed map NodeId -> KnownRecord with epoch-stamped slots:
 /// clear() is O(1) (stamp bump), lookups are linear probes over one
 /// contiguous slot vector, and capacity is retained across generations -
-/// the DistCache/EpochFlags reuse discipline applied to a sparse id set.
+/// the EpochFlags reuse discipline applied to a sparse id set.
 class KnownTable {
  public:
   /// Record for \p origin, inserting a default one if absent. \p inserted

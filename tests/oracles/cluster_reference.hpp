@@ -1,7 +1,7 @@
 /// \file cluster_reference.hpp
 /// Pre-workspace clustering implementations, preserved verbatim as
 /// independent oracles. The production paths in clustering.hpp / kcluster.hpp
-/// now thread a Workspace& through (BfsScratch election, DistCache ball
+/// reuse scratch (a Workspace's BfsScratch election, a flat per-call ball
 /// cache); these reference versions keep the original per-call allocating
 /// structure (fresh BfsTree per ball, std::map ball cache) and share no code
 /// with them. They exist for the bit-exact equivalence suite and as the

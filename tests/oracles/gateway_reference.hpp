@@ -21,7 +21,7 @@
 namespace khop::reference {
 
 /// Original map-grouped unbounded-BFS build; output bit-identical to
-/// khop::VirtualLinkMap::build (and to build_bounded at any valid horizon).
+/// khop::VirtualLinkMap::build at any valid horizon.
 VirtualLinkMap build_virtual_links(
     const Graph& g, const std::vector<std::pair<NodeId, NodeId>>& pairs);
 

@@ -78,9 +78,9 @@ void expect_same_network(const AdHocNetwork& got, const AdHocNetwork& want,
   }
 }
 
-/// Runs the oracle and both generate_network overloads from one seed and
-/// compares networks and the draws each left in its generator. Returns the
-/// oracle's placement attempts.
+/// Runs the oracle and generate_network, on \p ws and on the thread's
+/// default workspace, from one seed and compares networks and the draws
+/// each left in its generator. Returns the oracle's placement attempts.
 std::size_t expect_all_equal(const GeneratorConfig& cfg, std::uint64_t seed,
                              Workspace& ws) {
   Rng r_want(seed), r_ws(seed), r_tls(seed);

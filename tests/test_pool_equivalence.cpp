@@ -1,7 +1,7 @@
-// Pool/serial parity of the formation path's pool overloads: Graph::from_csr,
-// select_neighbors and lmst_gateways on a ThreadPool must return exactly what
-// their serial overloads return, and throw the same exception (type and
-// message) on malformed input, at every pool size. The graphs are large
+// Pool/serial parity of the formation path's pooled runs: Graph::from_csr,
+// select_neighbors and lmst_gateways given a ThreadPool must return exactly
+// what their one-block runs on a workspace return, and throw the same
+// exception (type and message) on malformed input, at every pool size. The graphs are large
 // enough that every pool block owns rows (nodes or heads). The election's
 // on-the-fly affiliation is checked against the reference election on the
 // cases it decides differently from a sorted declaration list: distance
@@ -310,7 +310,7 @@ void expect_lmst_eq(const LmstResult& got, const LmstResult& want,
   EXPECT_EQ(got.asymmetric_links, want.asymmetric_links) << what;
 }
 
-/// Serial, workspace and pool overloads against the set-based oracle.
+/// Default, workspace and pool runs against the set-based oracle.
 void expect_lmst_matches_oracle(const Clustering& c,
                                 const NeighborSelection& sel,
                                 const VirtualLinkMap& links,

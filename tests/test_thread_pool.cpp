@@ -3,6 +3,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -189,6 +192,51 @@ TEST(ParallelFor, SingleIndexAndSingleThread) {
   parallel_for(four, 1,
                [&](std::size_t i) { calls += static_cast<int>(i) + 1; });
   EXPECT_EQ(calls, 1);
+}
+
+TEST(ThreadPool, NestedRunTasksThrows) {
+  // A worker that waited on its own pool would count its own task among
+  // the busy ones and wait forever. The nested call must throw instead,
+  // promptly, and leave the pool usable. A hang is reported and ends the
+  // process: a pool whose worker is stuck cannot be destroyed.
+  ThreadPool pool(2);
+  auto nested = std::async(std::launch::async, [&] {
+    parallel_for(pool, 1, [&](std::size_t) {
+      parallel_for(pool, 2, [](std::size_t) {});
+    });
+  });
+  if (nested.wait_for(std::chrono::seconds(10)) !=
+      std::future_status::ready) {
+    std::fprintf(stderr, "nested parallel_for on the same pool hung\n");
+    std::_Exit(1);
+  }
+  EXPECT_THROW(nested.get(), InvalidArgument);
+
+  // run_tasks and wait_idle called from a task of the pool throw too.
+  std::atomic<int> threw{0};
+  pool.run_tasks(2, [&] {
+    try {
+      pool.run_tasks(1, [] {});
+    } catch (const InvalidArgument&) {
+      threw.fetch_add(1);
+    }
+    try {
+      pool.wait_idle();
+    } catch (const InvalidArgument&) {
+      threw.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(threw.load(), 4);
+
+  // A different pool nests fine, and this one still runs work.
+  ThreadPool inner(2);
+  std::vector<int> hits(64, 0);
+  parallel_for(pool, 2, [&](std::size_t b) {
+    parallel_for(inner, 32, [&](std::size_t i) { hits[b * 32 + i] += 1; });
+  });
+  parallel_for(pool, hits.size(), [&](std::size_t i) { hits[i] += 1; });
+  EXPECT_TRUE(std::all_of(hits.begin(), hits.end(),
+                          [](int h) { return h == 2; }));
 }
 
 }  // namespace

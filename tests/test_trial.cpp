@@ -21,7 +21,8 @@ TEST(TrialRunner, RunsMinTrialsAtLeast) {
   policy.max_trials = 100;
   std::atomic<std::size_t> calls{0};
   const TrialSummary s = run_trials(
-      pool, policy, Rng(1), 1, [&](Rng&, std::size_t) -> std::vector<double> {
+      pool, policy, Rng(1), 1,
+      [&](Rng&, std::size_t, Workspace&) -> std::vector<double> {
         calls.fetch_add(1);
         return {5.0};  // constant metric converges immediately
       });
@@ -39,7 +40,7 @@ TEST(TrialRunner, StopsAtCapWithoutConvergence) {
   policy.rel_halfwidth = 1e-9;  // unreachable tightness
   const TrialSummary s = run_trials(
       pool, policy, Rng(2), 1,
-      [](Rng& rng, std::size_t) -> std::vector<double> {
+      [](Rng& rng, std::size_t, Workspace&) -> std::vector<double> {
         return {rng.uniform(0.0, 100.0)};
       });
   EXPECT_EQ(s.trials_run, 50u);
@@ -50,7 +51,7 @@ TEST(TrialRunner, DeterministicAcrossThreadCounts) {
   TrialPolicy policy;
   policy.min_trials = 60;
   policy.max_trials = 60;
-  const auto fn = [](Rng& rng, std::size_t) -> std::vector<double> {
+  const auto fn = [](Rng& rng, std::size_t, Workspace&) -> std::vector<double> {
     return {rng.uniform(), rng.uniform(0.0, 10.0)};
   };
   ThreadPool p1(1), p8(8);
@@ -69,7 +70,8 @@ TEST(TrialRunner, TrialIndexSeedsAreIndependent) {
   policy.max_trials = 16;
   std::vector<double> first(16, -1.0);
   run_trials(pool, policy, Rng(7), 1,
-             [&](Rng& rng, std::size_t trial) -> std::vector<double> {
+             [&](Rng& rng, std::size_t trial,
+                 Workspace&) -> std::vector<double> {
                first[trial] = rng.uniform();
                return {0.0};
              });
@@ -87,7 +89,7 @@ TEST(TrialRunner, ChecksMetricArity) {
   policy.max_trials = 4;
   EXPECT_THROW(
       run_trials(pool, policy, Rng(1), 2,
-                 [](Rng&, std::size_t) -> std::vector<double> {
+                 [](Rng&, std::size_t, Workspace&) -> std::vector<double> {
                    return {1.0};  // wrong arity
                  }),
       InvalidArgument);
@@ -98,7 +100,7 @@ TEST(TrialRunner, RejectsBadPolicy) {
   TrialPolicy policy;
   policy.min_trials = 10;
   policy.max_trials = 5;
-  const auto fn = [](Rng&, std::size_t) -> std::vector<double> {
+  const auto fn = [](Rng&, std::size_t, Workspace&) -> std::vector<double> {
     return {0.0};
   };
   EXPECT_THROW(run_trials(pool, policy, Rng(1), 1, fn), InvalidArgument);
@@ -117,7 +119,7 @@ TEST(TrialRunner, ConvergesEarlyOnLowVariance) {
   policy.rel_halfwidth = 0.05;
   const TrialSummary s = run_trials(
       pool, policy, Rng(5), 1,
-      [](Rng& rng, std::size_t) -> std::vector<double> {
+      [](Rng& rng, std::size_t, Workspace&) -> std::vector<double> {
         return {100.0 + rng.uniform(-1.0, 1.0)};
       });
   EXPECT_TRUE(s.converged);
@@ -134,7 +136,8 @@ TEST(TrialRunner, ThrowingTrialRethrowsLowestIndex) {
   for (int rep = 0; rep < 20; ++rep) {
     try {
       run_trials(pool, policy, Rng(3), 1,
-                 [](Rng&, std::size_t trial) -> std::vector<double> {
+                 [](Rng&, std::size_t trial,
+                    Workspace&) -> std::vector<double> {
                    if (trial == 13 || trial == 40) {
                      throw InvalidArgument("trial " + std::to_string(trial));
                    }
@@ -148,7 +151,9 @@ TEST(TrialRunner, ThrowingTrialRethrowsLowestIndex) {
   }
   const TrialSummary after = run_trials(
       pool, policy, Rng(3), 1,
-      [](Rng&, std::size_t) -> std::vector<double> { return {2.0}; });
+      [](Rng&, std::size_t, Workspace&) -> std::vector<double> {
+        return {2.0};
+      });
   EXPECT_EQ(after.trials_run, 50u);
   EXPECT_DOUBLE_EQ(after.metrics[0].mean(), 2.0);
 }
@@ -159,12 +164,13 @@ TrialSummary reference_batch_loop(const TrialPolicy& policy, const Rng& master,
                                   std::size_t metric_count, const TrialFn& fn) {
   TrialSummary summary;
   summary.metrics.assign(metric_count, RunningStats{});
+  Workspace ws;
   std::size_t next = 0;
   while (next < policy.max_trials) {
     const std::size_t end = std::min(policy.max_trials, next + policy.batch);
     for (std::size_t trial = next; trial < end; ++trial) {
       Rng rng = master.spawn(trial);
-      const std::vector<double> m = fn(rng, trial);
+      const std::vector<double> m = fn(rng, trial, ws);
       for (std::size_t i = 0; i < metric_count; ++i) {
         summary.metrics[i].add(m[i]);
       }
@@ -200,7 +206,8 @@ TEST(TrialRunner, StopPointsMatchBatchLoopReference) {
   // policies converge at the first check, some after a few batches, some
   // never. trials_run, converged and the summaries must be the old loop's.
   ThreadPool pool(4);
-  const TrialFn fn = [](Rng& rng, std::size_t) -> std::vector<double> {
+  const TrialFn fn = [](Rng& rng, std::size_t,
+                        Workspace&) -> std::vector<double> {
     return {10.0 + rng.uniform(-1.0, 1.0), 50.0 + rng.uniform(-20.0, 20.0)};
   };
   std::size_t converged = 0, capped = 0, converged_late = 0;
@@ -242,7 +249,8 @@ TEST(TrialRunner, SkewedCostSummariesBitIdenticalAcrossThreadCounts) {
   policy.max_trials = 120;
   policy.batch = 16;
   policy.rel_halfwidth = 0.01;
-  const TrialFn fn = [](Rng& rng, std::size_t trial) -> std::vector<double> {
+  const TrialFn fn = [](Rng& rng, std::size_t trial,
+                        Workspace&) -> std::vector<double> {
     if (trial % 8 == 3) {
       std::this_thread::sleep_for(std::chrono::microseconds(500));
     }

@@ -114,17 +114,18 @@ std::vector<ClusteringChecks> all_check_combinations() {
   return out;
 }
 
-/// Compares both validate_clustering overloads with the oracle under every
-/// check combination; returns how many (combination) verdicts were errors.
+/// Compares validate_clustering, on \p ws and on the thread's default
+/// workspace, with the oracle under every check combination; returns how
+/// many (combination) verdicts were errors.
 std::size_t expect_same_text(const Graph& g, const Clustering& c,
                              Workspace& ws, const std::string& what) {
   std::size_t errors = 0;
   for (const ClusteringChecks& checks : all_check_combinations()) {
     const std::string want = legacy_validate_clustering(g, c, checks);
     EXPECT_EQ(validate_clustering(g, c, checks, ws), want)
-        << what << " (workspace overload)";
+        << what << " (workspace)";
     EXPECT_EQ(validate_clustering(g, c, checks), want)
-        << what << " (plain overload)";
+        << what << " (default workspace)";
     errors += !want.empty();
   }
   return errors;

@@ -146,9 +146,9 @@ TEST(VirtualLink, EmptyPairsBuildEmptyMap) {
   Workspace ws;
   ThreadPool pool(2);
   for (const VirtualLinkMap& links :
-       {VirtualLinkMap::build(g, {}), VirtualLinkMap::build_bounded(g, {}, 2),
-        VirtualLinkMap::build_bounded(g, {}, 2, ws),
-        VirtualLinkMap::build_bounded(g, {}, 2, pool)}) {
+       {VirtualLinkMap::build(g, {}), VirtualLinkMap::build(g, {}, 2),
+        VirtualLinkMap::build(g, {}, 2, ws),
+        VirtualLinkMap::build(g, {}, 2, pool)}) {
     EXPECT_TRUE(links.all().empty());
     EXPECT_FALSE(links.contains(0, 1));
     EXPECT_EQ(links.bounded_fallbacks(), 0u);
@@ -158,9 +158,9 @@ TEST(VirtualLink, EmptyPairsBuildEmptyMap) {
 TEST(VirtualLink, BoundedDuplicatesAndReverseDeduplicated) {
   const Graph g = Graph::from_edges(3, EdgeList{{0, 1}, {1, 2}});
   ThreadPool pool(2);
-  const auto serial = VirtualLinkMap::build_bounded(g, {{0, 2}, {2, 0}, {0, 2}}, 2);
+  const auto serial = VirtualLinkMap::build(g, {{0, 2}, {2, 0}, {0, 2}}, 2);
   const auto par =
-      VirtualLinkMap::build_bounded(g, {{0, 2}, {2, 0}, {0, 2}}, 2, pool);
+      VirtualLinkMap::build(g, {{0, 2}, {2, 0}, {0, 2}}, 2, pool);
   EXPECT_EQ(serial.all().size(), 1u);
   EXPECT_EQ(par.all().size(), 1u);
 }
@@ -171,7 +171,7 @@ TEST(VirtualLink, BoundedExactlyAtHorizonNeedsNoFallback) {
   // bounded sweep.
   const Graph g = Graph::from_edges(
       6, EdgeList{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}});
-  const auto links = VirtualLinkMap::build_bounded(g, {{0, 5}}, 5);
+  const auto links = VirtualLinkMap::build(g, {{0, 5}}, 5);
   EXPECT_EQ(links.bounded_fallbacks(), 0u);
   EXPECT_EQ(links.link(0, 5).hops, 5u);
   EXPECT_EQ(path_of(links, links.link(0, 5)), (std::vector<NodeId>{0, 1, 2, 3, 4, 5}));
@@ -182,7 +182,7 @@ TEST(VirtualLink, BoundedBeyondHorizonFallsBackUnboundedExactly) {
   // result must be byte-identical to the unbounded build.
   const Graph g = Graph::from_edges(
       6, EdgeList{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}});
-  const auto bounded = VirtualLinkMap::build_bounded(g, {{0, 5}, {0, 3}}, 4);
+  const auto bounded = VirtualLinkMap::build(g, {{0, 5}, {0, 3}}, 4);
   EXPECT_EQ(bounded.bounded_fallbacks(), 1u);
   expect_links_eq(bounded, VirtualLinkMap::build(g, {{0, 5}, {0, 3}}));
 }
@@ -190,8 +190,8 @@ TEST(VirtualLink, BoundedBeyondHorizonFallsBackUnboundedExactly) {
 TEST(VirtualLink, BoundedDisconnectedEndpointsStillThrow) {
   const Graph g = Graph::from_edges(4, EdgeList{{0, 1}, {2, 3}});
   ThreadPool pool(2);
-  EXPECT_THROW(VirtualLinkMap::build_bounded(g, {{0, 3}}, 2), NotConnected);
-  EXPECT_THROW(VirtualLinkMap::build_bounded(g, {{0, 3}}, 2, pool),
+  EXPECT_THROW(VirtualLinkMap::build(g, {{0, 3}}, 2), NotConnected);
+  EXPECT_THROW(VirtualLinkMap::build(g, {{0, 3}}, 2, pool),
                NotConnected);
 }
 
@@ -209,12 +209,12 @@ TEST(VirtualLink, BoundedAndParallelMatchUnboundedOnRandomNetworks) {
   // Unbounded horizon, a generous bound, and a tight bound (with fallback)
   // must all match the reference oracle; so must every thread count.
   for (const Hops horizon : {kUnreachable, Hops{20}, Hops{2}}) {
-    expect_links_eq(VirtualLinkMap::build_bounded(net.graph, pairs, horizon),
+    expect_links_eq(VirtualLinkMap::build(net.graph, pairs, horizon),
                     want);
     for (const std::size_t threads : {1u, 2u, 0u}) {
       ThreadPool pool(threads);
       expect_links_eq(
-          VirtualLinkMap::build_bounded(net.graph, pairs, horizon, pool),
+          VirtualLinkMap::build(net.graph, pairs, horizon, pool),
           want);
     }
   }
@@ -237,10 +237,10 @@ TEST(VirtualLink, BoundedAndParallelMatchUnboundedOnRandomNetworks) {
         if (horizon == 2 * k + 1) EXPECT_EQ(fallbacks, 0u);
         std::vector<VirtualLinkMap> builds;
         builds.push_back(
-            VirtualLinkMap::build_bounded(net.graph, sel_pairs, horizon, ws));
+            VirtualLinkMap::build(net.graph, sel_pairs, horizon, ws));
         for (const std::size_t threads : {1u, 2u, 4u}) {
           ThreadPool pool(threads);
-          builds.push_back(VirtualLinkMap::build_bounded(net.graph, sel_pairs,
+          builds.push_back(VirtualLinkMap::build(net.graph, sel_pairs,
                                                          horizon, pool));
         }
         for (const VirtualLinkMap& got : builds) {
@@ -261,7 +261,7 @@ TEST(VirtualLink, EarlyStopMidLevelKeepsMinIdPath) {
   const Graph g = Graph::from_edges(
       8, EdgeList{{0, 1}, {0, 2}, {1, 5}, {1, 6}, {2, 6}, {2, 7}, {3, 4}});
   const std::vector<std::pair<NodeId, NodeId>> pairs = {{0, 5}, {6, 0}};
-  const auto links = VirtualLinkMap::build_bounded(g, pairs, 5);
+  const auto links = VirtualLinkMap::build(g, pairs, 5);
   EXPECT_EQ(links.bounded_fallbacks(), 0u);
   EXPECT_EQ(path_of(links, links.link(0, 6)), (std::vector<NodeId>{0, 1, 6}));
   EXPECT_EQ(path_of(links, links.link(0, 5)), (std::vector<NodeId>{0, 1, 5}));
@@ -309,7 +309,7 @@ TEST(VirtualLink, EarlyStopMidLevelBottomUpKeepsMinIdPath) {
 
   std::vector<std::pair<NodeId, NodeId>> pairs;
   for (const NodeId t : targets) pairs.emplace_back(0, t);
-  expect_links_eq(VirtualLinkMap::build_bounded(g, pairs, 5),
+  expect_links_eq(VirtualLinkMap::build(g, pairs, 5),
                   reference::build_virtual_links(g, pairs));
 }
 
@@ -320,7 +320,7 @@ TEST(VirtualLink, EarlyStopTargetBeyondHorizonFallsBackExactly) {
   const Graph g = Graph::from_edges(
       8, EdgeList{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {1, 7}});
   const std::vector<std::pair<NodeId, NodeId>> pairs = {{0, 7}, {0, 6}};
-  const auto links = VirtualLinkMap::build_bounded(g, pairs, 5);
+  const auto links = VirtualLinkMap::build(g, pairs, 5);
   EXPECT_EQ(links.bounded_fallbacks(), 1u);
   expect_links_eq(links, reference::build_virtual_links(g, pairs));
 
