@@ -4,7 +4,7 @@
 
 #include "khop/common/assert.hpp"
 #include "khop/dynamic/churn_reference.hpp"
-#include "khop/nbr/neighbor_rules.hpp"
+#include "khop/gateway/head_sweep.hpp"
 #include "khop/obs/metrics.hpp"
 #include "khop/obs/trace.hpp"
 
@@ -71,12 +71,11 @@ ChurnEngine::ChurnEngine(const Graph& g0, Hops k, Pipeline pipeline,
     member_pos_[v] = static_cast<std::uint32_t>(list.size());
     list.push_back(v);
   }
-  const NeighborSelection sel0 =
-      select_neighbors(g0, c_, spec_.neighbor_rule, ws_);
+  HeadSweep sweep0 = sweep_heads(g0, c_, spec_.neighbor_rule, ws_);
   for (std::uint32_t i = 0; i < heads_.size(); ++i) {
-    sel_[heads_[i]] = sel0.selected[i];
+    sel_[heads_[i]] = std::move(sweep0.sel.selected[i]);
   }
-  links_ = VirtualLinkMap::build(g0, sel0.head_pairs, horizon_, ws_);
+  links_ = std::move(sweep0.links);
   // Same contract as a restored engine: cluster_of and election_rounds
   // describe the initial election only and would go stale under churn.
   c_.cluster_of.clear();

@@ -44,6 +44,7 @@ BackboneSpec spec_for(Pipeline p) {
       spec.gateway = GatewayAlgorithm::kLmst;
       break;
     case Pipeline::kGmst:
+      spec.neighbor_rule = NeighborRule::kAllWithin2k1;
       spec.gateway = GatewayAlgorithm::kGmst;
       break;
   }
@@ -85,48 +86,26 @@ Backbone build_backbone(const Graph& g, const Clustering& c,
   b.spec = spec;
   b.heads = c.heads;
 
-  if (spec.gateway == GatewayAlgorithm::kGmst) {
-    obs::Span gw_span("backbone/gmst");
-    GmstResult r = gmst_gateways(g, c, exec);
+  const HeadSweep sweep = sweep_heads(g, c, spec.neighbor_rule, exec);
+  const auto adopt = [&b](auto r) {
     b.gateways = std::move(r.gateways);
     b.virtual_links = std::move(r.kept_links);
-    span.arg("gateways", static_cast<std::int64_t>(b.gateways.size()));
-    return b;
-  }
-
-  NeighborSelection sel;
-  VirtualLinkMap links;
-  if (spec.neighbor_rule == NeighborRule::kAllWithin2k1) {
-    // NC: one fused sweep per head discovers neighbor heads AND extracts
-    // their virtual links (no separate per-source BFS pass at all).
-    obs::Span sweep_span("backbone/head_sweep");
-    HeadSweep sweep = nc_sweep(g, c, exec);
-    sel = std::move(sweep.sel);
-    links = std::move(sweep.links);
-    sweep_span.arg("head_pairs", static_cast<std::int64_t>(sel.head_pairs.size()));
-  } else {
-    // AC / Wu-Lou selections need no BFS of their own (adjacency scan /
-    // horizon-3 sweeps); their pairs all sit within 2k+1 hops, so link
-    // extraction runs horizon-bounded.
-    obs::Span sel_span("backbone/select_neighbors");
-    sel = select_neighbors(g, c, spec.neighbor_rule, exec);
-    sel_span.arg("head_pairs", static_cast<std::int64_t>(sel.head_pairs.size()));
-    obs::Span links_span("backbone/extract_links");
-    links = VirtualLinkMap::build(g, sel.head_pairs, 2 * c.k + 1, exec);
-  }
-
-  {
-    obs::Span gw_span(spec.gateway == GatewayAlgorithm::kMesh
-                          ? "backbone/mesh"
-                          : "backbone/lmst");
-    if (spec.gateway == GatewayAlgorithm::kMesh) {
-      MeshResult r = mesh_gateways(c, sel, links, *exec.ws);
-      b.gateways = std::move(r.gateways);
-      b.virtual_links = std::move(r.kept_links);
-    } else {
-      LmstResult r = lmst_gateways(c, sel, links, spec.lmst_keep, exec);
-      b.gateways = std::move(r.gateways);
-      b.virtual_links = std::move(r.kept_links);
+  };
+  switch (spec.gateway) {
+    case GatewayAlgorithm::kMesh: {
+      obs::Span gw_span("backbone/mesh");
+      adopt(mesh_gateways(c, sweep.sel, sweep.links, *exec.ws));
+      break;
+    }
+    case GatewayAlgorithm::kLmst: {
+      obs::Span gw_span("backbone/lmst");
+      adopt(lmst_gateways(c, sweep.sel, sweep.links, spec.lmst_keep, exec));
+      break;
+    }
+    case GatewayAlgorithm::kGmst: {
+      obs::Span gw_span("backbone/gmst");
+      adopt(gmst_gateways(g, c, sweep, exec));
+      break;
     }
   }
   span.arg("gateways", static_cast<std::int64_t>(b.gateways.size()));

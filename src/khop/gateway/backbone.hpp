@@ -31,7 +31,7 @@ std::string_view pipeline_name(Pipeline p);
 enum class GatewayAlgorithm : std::uint8_t {
   kMesh,  ///< one path per selected pair
   kLmst,  ///< LMSTGA
-  kGmst,  ///< centralized global MST (ignores the neighbor rule)
+  kGmst,  ///< centralized global MST; requires the NC rule
 };
 
 /// Full phase-2 configuration. The paper's five pipelines are presets over
@@ -73,21 +73,22 @@ struct Backbone {
   std::vector<NodeRole> roles(std::size_t n) const;
 };
 
-/// Runs phase 2 for a given clustering: neighbor selection per the pipeline,
-/// then the pipeline's gateway algorithm.
+/// Runs phase 2 for a given clustering: one front end for the pipeline's
+/// neighbor rule (sweep_heads, gateway/head_sweep.hpp: the fused NC sweep,
+/// or the A-NCR / Wu-Lou selection plus a bounded link build), then the
+/// pipeline's combiner (mesh, LMSTGA or G-MST) over its selection and links.
 ///
-/// All per-head BFS work is bounded to the paper's 2k+1 structural horizon,
-/// and the NC rule runs as ONE fused sweep per head (discovery + link
-/// extraction, see gateway/head_sweep.hpp). Every stage runs under \p exec:
-/// on a pool, the per-head sweeps (NC discovery + link extraction, AC/G-MST
-/// link extraction, G-MST head-graph build), the A-NCR selection and the
-/// LMST kernels fan out in blocks merged in head order, so the output is
-/// bit-identical to the one-block run for any thread count.
+/// All per-head BFS work is bounded to the paper's 2k+1 structural horizon.
+/// Every stage runs under \p exec: on a pool, the per-head sweeps, the
+/// A-NCR selection, the link extraction and the LMST kernels fan out in
+/// blocks merged in head order, so the output is bit-identical to the
+/// one-block run for any thread count.
 Backbone build_backbone(const Graph& g, const Clustering& c, Pipeline p,
                         Exec exec = {});
 
 /// Runs phase 2 with a custom spec (e.g. the Wu-Lou 2.5-hop rule at k = 1,
-/// or the intersection LMST keep rule).
+/// or the intersection LMST keep rule). Throws InvalidArgument for a G-MST
+/// spec whose rule is not kAllWithin2k1.
 Backbone build_backbone(const Graph& g, const Clustering& c,
                         const BackboneSpec& spec, Exec exec = {});
 

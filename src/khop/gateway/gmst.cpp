@@ -6,84 +6,69 @@
 #include "khop/common/assert.hpp"
 #include "khop/common/error.hpp"
 #include "khop/gateway/gateway_set.hpp"
-#include "khop/runtime/thread_pool.hpp"
 #include "khop/runtime/workspace.hpp"
 
 namespace khop {
 
 namespace {
 
-/// One head's virtual edges (i, j, d) for neighbor heads j > i inside the
-/// horizon, read off the sweep's reached set. Emitting only j > i (heads
-/// ascend in id, so w > u <=> j > i) yields each undirected edge once.
-void head_edges_one(const Graph& g, const Clustering& c, std::uint32_t i,
-                    Hops horizon, Workspace& ws,
-                    std::vector<WeightedEdge>& out) {
-  const NodeId u = c.heads[i];
-  ws.bfs.run(g, u, horizon);
-  for (NodeId w : ws.bfs.reached()) {
-    if (w <= u || !c.is_head(w)) continue;
-    out.push_back({i, c.cluster_of[w], ws.bfs.dist(w)});
-  }
+/// Position of head \p u in c.heads (ascending ids).
+NodeId head_index(const Clustering& c, NodeId u) {
+  const auto it = std::lower_bound(c.heads.begin(), c.heads.end(), u);
+  KHOP_REQUIRE(it != c.heads.end() && *it == u,
+               "virtual link endpoint is not a clusterhead");
+  return static_cast<NodeId>(it - c.heads.begin());
 }
 
-/// Every head's edges, in head order: blocks of heads under \p exec,
-/// concatenated in block order.
-std::vector<WeightedEdge> head_edges(const Graph& g, const Clustering& c,
-                                     Hops horizon, const Exec& exec) {
-  return exec_concat<WeightedEdge>(
-      exec, c.heads.size(),
-      [&](std::size_t begin, std::size_t end, Workspace& ws,
-          std::vector<WeightedEdge>& out) {
-        for (std::size_t i = begin; i < end; ++i) {
-          head_edges_one(g, c, static_cast<std::uint32_t>(i), horizon, ws,
-                         out);
-        }
-      });
+/// The MST of the virtual graph over \p links, on head indices. Heads
+/// ascend in id, so index order is id order and Kruskal breaks ties as it
+/// would on ids. Throws NotConnected if the links do not span the heads.
+std::vector<WeightedEdge> head_mst(const Clustering& c,
+                                   const VirtualLinkMap& links) {
+  std::vector<WeightedEdge> edges;
+  edges.reserve(links.all().size());
+  for (const VirtualLink& l : links.all()) {
+    edges.push_back({head_index(c, l.u), head_index(c, l.v), l.hops});
+  }
+  return kruskal_mst(c.heads.size(), std::move(edges));
 }
 
 }  // namespace
 
-GmstResult gmst_gateways(const Graph& g, const Clustering& c, Exec exec) {
-  KHOP_REQUIRE(!c.heads.empty(), "clustering has no heads");
-  const std::size_t h = c.heads.size();
-  const Hops horizon = 2 * c.k + 1;
-
-  std::vector<WeightedEdge> tree;
-  try {
-    tree = kruskal_mst(h, head_edges(g, c, horizon, exec));
-  } catch (const NotConnected&) {
-    // The bounded head graph spans whenever every node is within k hops of
-    // its head (see file comment); an invariant-violating clustering gets
-    // the complete virtual graph instead. Kruskal's order is a strict total
-    // order on head pairs, and every omitted edge sorts after the spanning
-    // bounded set, so on spanning inputs both graphs give the same MST.
-    tree = kruskal_mst(h, head_edges(g, c, kUnreachable, exec));
-  }
-
+GmstResult gmst_gateways(const Graph& g, const Clustering& c,
+                         const HeadSweep& sweep, Exec exec) {
+  KHOP_REQUIRE(sweep.sel.rule == NeighborRule::kAllWithin2k1,
+               "G-MST runs on the NC head sweep");
+  const VirtualLinkMap* links = &sweep.links;
+  VirtualLinkMap all;
   GmstResult r;
-  // Head indices are ascending in id, so index tie-breaking == id
-  // tie-breaking; translate back to ids afterwards.
-  r.tree.reserve(tree.size());
-  for (const auto& e : tree) {
-    r.tree.push_back({c.heads[e.u], c.heads[e.v], e.weight});
+  try {
+    r.tree = head_mst(c, *links);
+  } catch (const NotConnected&) {
+    // The NC pairs span whenever every node is within k hops of its head
+    // (see file comment); an invariant-violating clustering gets every
+    // head pair, whose build throws NotConnected if G itself splits them.
+    std::vector<std::pair<NodeId, NodeId>> pairs;
+    for (std::size_t i = 0; i < c.heads.size(); ++i) {
+      for (std::size_t j = i + 1; j < c.heads.size(); ++j) {
+        pairs.emplace_back(c.heads[i], c.heads[j]);
+      }
+    }
+    all = VirtualLinkMap::build(g, pairs, kUnreachable, exec);
+    links = &all;
+    r.tree = head_mst(c, *links);
   }
 
-  // Tree edges are distinct pairs; sorted, pair i is the map's link i.
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-  pairs.reserve(r.tree.size());
-  for (const auto& e : r.tree) {
-    pairs.emplace_back(std::min(e.u, e.v), std::max(e.u, e.v));
-  }
-  std::sort(pairs.begin(), pairs.end());
-  const VirtualLinkMap links = VirtualLinkMap::build(g, pairs, horizon, exec);
-
+  r.kept_links.reserve(r.tree.size());
   GatewaySet gateways(c, exec.ws->gateway_marks);
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const auto& [u, v] = pairs[i];
-    gateways.add(links.interior(links.link_at(i, u, v)));
+  for (WeightedEdge& e : r.tree) {
+    // Head indices back to ids; u < v stays, as index order is id order.
+    e.u = c.heads[e.u];
+    e.v = c.heads[e.v];
+    r.kept_links.emplace_back(e.u, e.v);
+    gateways.add(links->interior(links->link(e.u, e.v)));
   }
-  r.kept_links = std::move(pairs);
+  std::sort(r.kept_links.begin(), r.kept_links.end());
   r.gateways = gateways.take();
   return r;
 }

@@ -6,6 +6,7 @@
 #include "khop/common/assert.hpp"
 #include "khop/obs/metrics.hpp"
 #include "khop/obs/telemetry.hpp"
+#include "khop/obs/trace.hpp"
 #include "khop/runtime/thread_pool.hpp"
 #include "khop/runtime/workspace.hpp"
 
@@ -14,22 +15,25 @@ namespace khop {
 namespace {
 
 /// One head's share of the fused pass: its neighbor heads, discovered from
-/// the sweep's reached set and left sorted ascending in \p selected, and the
-/// canonical links for the pairs this head sources (v > u, extracted from the
-/// same BFS state) appended to \p out in ascending target order, matching
-/// the source-major/ascending-target order of the grouped build.
+/// the sweep's reached set and written to \p selected once, ascending, at
+/// their exact count, and the canonical links for the pairs this head
+/// sources (v > u, extracted from the same BFS state) appended to \p out in
+/// ascending target order, matching the source-major/ascending-target order
+/// of the grouped build.
 void sweep_one(const Graph& g, const Clustering& c, NodeId u, Hops horizon,
                Workspace& ws, std::vector<NodeId>& selected,
                VirtualLinkBlock& out) {
   ws.bfs.run(g, u, horizon);
+  std::vector<NodeId>& found = ws.node_buf;
+  found.clear();
   for (NodeId w : ws.bfs.reached()) {
-    if (w == u || !c.is_head(w)) continue;
-    selected.push_back(w);
+    if (w != u && c.is_head(w)) found.push_back(w);
   }
   // The reached set is level-ordered; selection lists and link targets are
   // id-ordered, so sort once here (NC discovery never yields duplicates).
-  std::sort(selected.begin(), selected.end());
-  for (NodeId v : selected) {
+  std::sort(found.begin(), found.end());
+  selected.assign(found.begin(), found.end());
+  for (NodeId v : found) {
     if (v > u) out.append(v, ws.bfs);  // (v, u) comes from v's own sweep
   }
 }
@@ -85,6 +89,27 @@ HeadSweep nc_sweep(const Graph& g, const Clustering& c, Exec exec) {
                 sweep_range(g, c, begin, end, ws, sel, blocks[b]);
               });
   return finish(std::move(blocks), std::move(sel));
+}
+
+HeadSweep sweep_heads(const Graph& g, const Clustering& c, NeighborRule rule,
+                      Exec exec) {
+  if (rule == NeighborRule::kAllWithin2k1) {
+    obs::Span span("backbone/head_sweep");
+    HeadSweep r = nc_sweep(g, c, exec);
+    span.arg("head_pairs", static_cast<std::int64_t>(r.sel.head_pairs.size()));
+    return r;
+  }
+  // The selected pairs all sit within 2k+1 hops, so link extraction runs
+  // horizon-bounded.
+  HeadSweep r;
+  {
+    obs::Span span("backbone/select_neighbors");
+    r.sel = select_neighbors(g, c, rule, exec);
+    span.arg("head_pairs", static_cast<std::int64_t>(r.sel.head_pairs.size()));
+  }
+  obs::Span span("backbone/extract_links");
+  r.links = VirtualLinkMap::build(g, r.sel.head_pairs, 2 * c.k + 1, exec);
+  return r;
 }
 
 }  // namespace khop

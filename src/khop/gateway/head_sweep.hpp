@@ -1,17 +1,16 @@
 /// \file head_sweep.hpp
-/// Fused NC head-neighbor discovery + virtual-link extraction: ONE bounded
-/// BFS (horizon 2k+1) per clusterhead serves both phase-1 questions at once.
+/// The Phase-2 front end: for one neighbor rule, the selected head pairs and
+/// their canonical virtual links, the two inputs every gateway combiner
+/// (mesh, LMSTGA, G-MST) reads.
 ///
-/// The paper's structure makes this possible: under the NC rule a head's
-/// neighbor heads are exactly the heads inside its 2k+1-hop ball, and the
-/// canonical virtual link for a pair (u, v), u < v, is extracted from the
-/// min-id-parent BFS rooted at u — the very sweep that discovered v. The
-/// pre-PR4 layering ran this as two passes (select_nc: one bounded BFS per
-/// head plus an O(H) all-heads probe; VirtualLinkMap::build: one UNBOUNDED
-/// BFS per source head), making backbone construction ~33x the cost of the
-/// clustering it decorates at n~8000. The fused sweep halves the BFS count,
-/// bounds every sweep, and replaces the O(H^2) probes with an O(|reached|)
-/// scan against the clustering's O(1) head test.
+/// Under the NC rule both come from ONE bounded BFS (horizon 2k+1) per
+/// clusterhead: a head's neighbor heads are exactly the heads inside its
+/// 2k+1-hop ball, and the canonical virtual link for a pair (u, v), u < v,
+/// is extracted from the min-id-parent BFS rooted at u — the very sweep that
+/// discovered v. This fused sweep is the library's only NC discovery loop;
+/// select_neighbors(kAllWithin2k1) returns its selection. The other rules
+/// select first (A-NCR scans cluster adjacency, Wu-Lou runs horizon-3
+/// sweeps) and then extract their pairs' links with a 2k+1-bounded build.
 ///
 /// Determinism: sweeps are independent per head; nc_sweep runs blocks of
 /// consecutive heads (exec_blocks: one block without a pool), each appending
@@ -29,13 +28,20 @@
 
 namespace khop {
 
-/// Both phase-1 outputs of one fused pass over the clusterheads.
+/// Both Phase-2 inputs for one neighbor rule.
 struct HeadSweep {
-  NeighborSelection sel;  ///< NC selection (rule kAllWithin2k1)
+  NeighborSelection sel;  ///< the rule's selection
   VirtualLinkMap links;   ///< canonical links for every pair in sel
 };
 
-/// The fused sweep over every head, in blocks under \p exec.
+/// The fused NC sweep over every head, in blocks under \p exec. Reads
+/// heads and head_of only (not cluster_of).
 HeadSweep nc_sweep(const Graph& g, const Clustering& c, Exec exec = {});
+
+/// The front end for \p rule: nc_sweep for kAllWithin2k1, else
+/// select_neighbors plus VirtualLinkMap::build bounded at 2k+1, all under
+/// \p exec.
+HeadSweep sweep_heads(const Graph& g, const Clustering& c, NeighborRule rule,
+                      Exec exec = {});
 
 }  // namespace khop

@@ -15,6 +15,11 @@
 /// for every head and realizes the result; the churn engine
 /// (dynamic/churn_engine.hpp) runs it only for heads whose local virtual
 /// graph changed and realizes incrementally.
+///
+/// Under A-NCR, LMSTGA keeps more links than under NC at equal view depth
+/// (S_AC(u) ⊆ S_NC(u), so u's AC local graph has fewer relays), the reverse
+/// of the paper's AC-LMST < NC-LMST; README.md, "Deviations from the
+/// paper", gives the numbers and the argument.
 #pragma once
 
 #include <algorithm>

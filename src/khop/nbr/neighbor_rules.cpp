@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "khop/common/assert.hpp"
+#include "khop/gateway/head_sweep.hpp"
 #include "khop/runtime/thread_pool.hpp"
 #include "khop/runtime/workspace.hpp"
 
@@ -94,7 +95,7 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> adjacent_cluster_pairs(
 namespace {
 
 /// Canonicalizes a raw selection: sorts + uniques every selected list and
-/// the head-pair closure (the NC and Wu-Lou rules collect them unordered).
+/// the head-pair closure (the Wu-Lou rule collects them unordered).
 NeighborSelection finalize_selection(NeighborSelection sel) {
   for (auto& list : sel.selected) {
     std::sort(list.begin(), list.end());
@@ -105,27 +106,6 @@ NeighborSelection finalize_selection(NeighborSelection sel) {
       std::unique(sel.head_pairs.begin(), sel.head_pairs.end()),
       sel.head_pairs.end());
   return sel;
-}
-
-NeighborSelection select_nc(const Graph& g, const Clustering& c,
-                            Workspace& ws) {
-  NeighborSelection sel;
-  sel.rule = NeighborRule::kAllWithin2k1;
-  sel.selected.resize(c.heads.size());
-  const Hops horizon = 2 * c.k + 1;
-  for (std::uint32_t i = 0; i < c.heads.size(); ++i) {
-    const NodeId u = c.heads[i];
-    ws.bfs.run(g, u, horizon);
-    // Scan the sweep's reached set for heads (is_head is an O(1) lookup)
-    // instead of probing all H heads: per head the cost is O(|reached|),
-    // not O(H).
-    for (NodeId w : ws.bfs.reached()) {
-      if (w == u || !c.is_head(w)) continue;
-      sel.selected[i].push_back(w);
-      sel.head_pairs.emplace_back(std::min(u, w), std::max(u, w));
-    }
-  }
-  return finalize_selection(std::move(sel));
 }
 
 /// A-NCR over every cluster, in blocks of clusters under \p exec. Blocks
@@ -181,7 +161,7 @@ NeighborSelection select_neighbors(const Graph& g, const Clustering& c,
                "clustering has no cluster_of for this graph");
   switch (rule) {
     case NeighborRule::kAllWithin2k1:
-      return select_nc(g, c, *exec.ws);
+      return nc_sweep(g, c, exec).sel;
     case NeighborRule::kAdjacent:
       return select_ancr(g, c, exec);
     case NeighborRule::kWuLou25:

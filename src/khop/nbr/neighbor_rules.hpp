@@ -46,8 +46,10 @@ struct NeighborSelection {
 /// under \p exec. Each cluster's selected list is written once, at its
 /// exact size, and each block emits its head pairs in (u, v) order, so the
 /// blocks' lists concatenate into the sorted head_pairs with no global sort,
-/// for one block or any pool size alike. The NC and Wu-Lou rules run on
-/// the calling thread; their per-head bounded BFS runs reuse *exec.ws.
+/// for one block or any pool size alike. The NC rule returns the selection
+/// of the fused head sweep (nc_sweep, gateway/head_sweep.hpp), in blocks of
+/// heads under \p exec. The Wu-Lou rule runs on the calling thread; its
+/// per-head bounded BFS runs reuse *exec.ws.
 NeighborSelection select_neighbors(const Graph& g, const Clustering& c,
                                    NeighborRule rule, Exec exec = {});
 

@@ -7,7 +7,9 @@
 
 #include <vector>
 
+#include "khop/common/error.hpp"
 #include "khop/gateway/backbone.hpp"
+#include "khop/gateway/gmst.hpp"
 #include "khop/gateway/head_sweep.hpp"
 #include "khop/net/generator.hpp"
 #include "khop/runtime/thread_pool.hpp"
@@ -87,33 +89,107 @@ TEST(BackboneEquivalence, LmstIntersectionKeepRuleMatchesReference) {
                      reference::build_backbone(g, c, spec));
 }
 
+void expect_gmst_eq(const GmstResult& got, const GmstResult& want) {
+  ASSERT_EQ(got.tree.size(), want.tree.size());
+  for (std::size_t i = 0; i < got.tree.size(); ++i) {
+    EXPECT_EQ(got.tree[i].u, want.tree[i].u);
+    EXPECT_EQ(got.tree[i].v, want.tree[i].v);
+    EXPECT_EQ(got.tree[i].weight, want.tree[i].weight);
+  }
+  EXPECT_EQ(got.kept_links, want.kept_links);
+  EXPECT_EQ(got.gateways, want.gateways);
+}
+
+/// G-MST from the NC sweep, run serially, on \p ws and on \p pool.
+std::vector<GmstResult> gmst_runs(const Graph& g, const Clustering& c,
+                                  Workspace& ws, ThreadPool& pool) {
+  return {gmst_gateways(g, c, nc_sweep(g, c)),
+          gmst_gateways(g, c, nc_sweep(g, c, ws), ws),
+          gmst_gateways(g, c, nc_sweep(g, c, pool), pool)};
+}
+
 TEST(BackboneEquivalence, GmstMatchesReferenceIncludingTree) {
+  // The paper grid: D in {6, 10}, k 1-4, N in {50, 100, 200}.
   Workspace ws;
   ThreadPool pool(2);
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const Graph g = random_topology(90 + 15 * seed, 6.0, 440 + seed);
-    for (Hops k = 1; k <= 2; ++k) {
-      const Clustering c = khop_clustering(g, k);
-      const GmstResult want = reference::gmst_gateways(g, c);
-      for (const GmstResult& got :
-           {gmst_gateways(g, c), gmst_gateways(g, c, ws),
-            gmst_gateways(g, c, pool)}) {
-        ASSERT_EQ(got.tree.size(), want.tree.size());
-        for (std::size_t i = 0; i < got.tree.size(); ++i) {
-          EXPECT_EQ(got.tree[i].u, want.tree[i].u);
-          EXPECT_EQ(got.tree[i].v, want.tree[i].v);
-          EXPECT_EQ(got.tree[i].weight, want.tree[i].weight);
+  for (const double degree : {6.0, 10.0}) {
+    for (const std::size_t n : {50u, 100u, 200u}) {
+      for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+        const Graph g = random_topology(n, degree, 440 + n + seed);
+        for (Hops k = 1; k <= 4; ++k) {
+          const Clustering c = khop_clustering(g, k);
+          const GmstResult want = reference::gmst_gateways(g, c);
+          for (const GmstResult& got : gmst_runs(g, c, ws, pool)) {
+            expect_gmst_eq(got, want);
+          }
         }
-        EXPECT_EQ(got.kept_links, want.kept_links);
-        EXPECT_EQ(got.gateways, want.gateways);
       }
     }
   }
 }
 
+TEST(BackboneEquivalence, GmstFallsBackToCompleteGraphOffInvariant) {
+  // Path 0-7 at k = 1 with heads {0, 7}: nodes 2-5 sit beyond k of their
+  // heads, the heads are 7 > 2k+1 hops apart, so the NC sweep selects no
+  // pair and only the complete head graph spans.
+  const Graph g = Graph::from_edges(
+      8, std::vector<std::pair<NodeId, NodeId>>{
+             {0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}});
+  Clustering c;
+  c.k = 1;
+  c.heads = {0, 7};
+  c.head_of = {0, 0, 0, 0, 7, 7, 7, 7};
+  c.dist_to_head = {0, 1, 2, 3, 3, 2, 1, 0};
+  c.cluster_of = {0, 0, 0, 0, 1, 1, 1, 1};
+  Workspace ws;
+  ThreadPool pool(2);
+  ASSERT_TRUE(nc_sweep(g, c).sel.head_pairs.empty());
+  const GmstResult want = reference::gmst_gateways(g, c);
+  ASSERT_EQ(want.gateways, (std::vector<NodeId>{1, 2, 3, 4, 5, 6}));
+  for (const GmstResult& got : gmst_runs(g, c, ws, pool)) {
+    expect_gmst_eq(got, want);
+  }
+  expect_backbone_eq(build_backbone(g, c, Pipeline::kGmst, ws),
+                     reference::build_backbone(g, c, Pipeline::kGmst));
+  expect_backbone_eq(build_backbone(g, c, Pipeline::kGmst, pool),
+                     reference::build_backbone(g, c, Pipeline::kGmst));
+}
+
+TEST(BackboneEquivalence, GmstOnDisconnectedHeadsThrows) {
+  // Two components, one head each: no head pair has a path in G.
+  const Graph g = Graph::from_edges(
+      4, std::vector<std::pair<NodeId, NodeId>>{{0, 1}, {2, 3}});
+  Clustering c;
+  c.k = 1;
+  c.heads = {0, 2};
+  c.head_of = {0, 0, 2, 2};
+  c.dist_to_head = {0, 1, 0, 1};
+  c.cluster_of = {0, 0, 1, 1};
+  Workspace ws;
+  ThreadPool pool(2);
+  EXPECT_THROW(gmst_gateways(g, c, nc_sweep(g, c)), NotConnected);
+  EXPECT_THROW(build_backbone(g, c, Pipeline::kGmst, ws), NotConnected);
+  EXPECT_THROW(build_backbone(g, c, Pipeline::kGmst, pool), NotConnected);
+}
+
+TEST(BackboneEquivalence, GmstSpecRequiresTheNcRule) {
+  const Graph g = random_topology(80, 6.0, 460);
+  const Clustering c = khop_clustering(g, 1);
+  EXPECT_EQ(spec_for(Pipeline::kGmst).neighbor_rule,
+            NeighborRule::kAllWithin2k1);
+  BackboneSpec spec;
+  spec.gateway = GatewayAlgorithm::kGmst;
+  for (const NeighborRule rule :
+       {NeighborRule::kAdjacent, NeighborRule::kWuLou25}) {
+    spec.neighbor_rule = rule;
+    EXPECT_THROW(build_backbone(g, c, spec), InvalidArgument);
+  }
+}
+
 TEST(BackboneEquivalence, FusedSweepMatchesTwoPassSelection) {
   // The fused sweep's NeighborSelection must equal select_neighbors(NC) and
-  // its links must equal the stand-alone build over the selection's pairs.
+  // the reference NC rule, and its links must equal the stand-alone build
+  // over the selection's pairs.
   Workspace ws;
   const Graph g = random_topology(130, 6.0, 450);
   for (Hops k = 1; k <= 3; ++k) {
@@ -123,6 +199,12 @@ TEST(BackboneEquivalence, FusedSweepMatchesTwoPassSelection) {
         select_neighbors(g, c, NeighborRule::kAllWithin2k1);
     EXPECT_EQ(sweep.sel.selected, sel.selected);
     EXPECT_EQ(sweep.sel.head_pairs, sel.head_pairs);
+    // select_neighbors(NC) returns the sweep's selection; the independent
+    // check is the reference discovery loop.
+    const NeighborSelection want =
+        reference::select_neighbors(g, c, NeighborRule::kAllWithin2k1);
+    EXPECT_EQ(sweep.sel.selected, want.selected);
+    EXPECT_EQ(sweep.sel.head_pairs, want.head_pairs);
 
     const VirtualLinkMap links = VirtualLinkMap::build(g, sel.head_pairs);
     ASSERT_EQ(sweep.links.all().size(), links.all().size());

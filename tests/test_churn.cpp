@@ -24,6 +24,7 @@
 #include "khop/runtime/thread_pool.hpp"
 #include "oracles/bfs_reference.hpp"
 #include "oracles/churn_reference.hpp"
+#include "oracles/gateway_reference.hpp"
 
 namespace khop {
 namespace {
@@ -471,6 +472,32 @@ TEST(ChurnEngine, SelectNeighborsRejectsEngineClustering) {
   EXPECT_THROW(
       select_neighbors(g, engine.clustering(), NeighborRule::kAdjacent, pool),
       InvalidArgument);
+}
+
+TEST(ChurnEngine, GmstOnEngineClusteringMatchesReference) {
+  // G-MST indexes heads by their position in heads, never by cluster_of,
+  // so it is exact on the engine's clustering, whose cluster_of is cleared
+  // after the initial election (its stale buffer must not be read).
+  std::vector<std::pair<NodeId, NodeId>> ring;
+  for (NodeId v = 0; v < 40; ++v) ring.emplace_back(v, (v + 1) % 40);
+  ChurnEngine engine(Graph::from_edges(40, ring), 2, Pipeline::kNcLmst);
+  for (const NodeId v : {0u, 1u, 2u}) {
+    ChurnEvent e;
+    e.type = ChurnEventType::kFail;
+    e.a = v;
+    engine.apply(e);
+  }
+  const Graph g = engine.graph().snapshot();
+  const Clustering& c = engine.clustering();
+  EXPECT_TRUE(c.cluster_of.empty());
+  const Backbone want = reference::build_backbone(g, c, Pipeline::kGmst);
+  ThreadPool pool(2);
+  for (const Backbone& got : {build_backbone(g, c, Pipeline::kGmst),
+                              build_backbone(g, c, Pipeline::kGmst, pool)}) {
+    EXPECT_EQ(got.heads, want.heads);
+    EXPECT_EQ(got.gateways, want.gateways);
+    EXPECT_EQ(got.virtual_links, want.virtual_links);
+  }
 }
 
 // ---------------------------------------------------------------------------

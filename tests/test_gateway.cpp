@@ -145,7 +145,7 @@ TEST(Gmst, ChainOfHeadsUsesAllInteriors) {
   const Graph g = Graph::from_edges(
       7, EdgeList{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}});
   const Clustering c = khop_clustering(g, 1);
-  const GmstResult r = gmst_gateways(g, c);
+  const GmstResult r = gmst_gateways(g, c, nc_sweep(g, c));
   ASSERT_EQ(r.tree.size(), 3u);  // 4 heads -> 3 tree edges
   EXPECT_EQ(r.gateways, (std::vector<NodeId>{1, 3, 5}));
 }
@@ -157,7 +157,8 @@ TEST(Gmst, LowerBoundsPipelines) {
   const AdHocNetwork net = generate_network(cfg, rng);
   for (Hops k = 1; k <= 3; ++k) {
     const Clustering c = khop_clustering(net.graph, k);
-    const GmstResult gm = gmst_gateways(net.graph, c);
+    const GmstResult gm =
+        gmst_gateways(net.graph, c, nc_sweep(net.graph, c));
 
     const auto sel = select_neighbors(net.graph, c, NeighborRule::kAdjacent);
     const auto links = VirtualLinkMap::build(net.graph, sel.head_pairs);
@@ -171,7 +172,7 @@ TEST(Gmst, SingleHeadNeedsNoGateways) {
   const Graph g = Graph::from_edges(3, EdgeList{{0, 1}, {1, 2}});
   const Clustering c = khop_clustering(g, 2);
   ASSERT_EQ(c.heads.size(), 1u);
-  const GmstResult r = gmst_gateways(g, c);
+  const GmstResult r = gmst_gateways(g, c, nc_sweep(g, c));
   EXPECT_TRUE(r.tree.empty());
   EXPECT_TRUE(r.gateways.empty());
 }
