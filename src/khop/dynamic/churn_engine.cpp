@@ -615,10 +615,6 @@ std::size_t ChurnEngine::combine() {
 
   // Recompute each dirty head's keep list, and re-settle every pair it
   // kept before or keeps now (settle() is a no-op for unchanged pairs).
-  const auto pair_hops = [this](NodeId a, NodeId b) {
-    const VirtualLink* l = links_.find(a, b);
-    return l != nullptr ? l->hops : kUnreachable;
-  };
   const auto note_pairs = [this](NodeId h, const std::vector<NodeId>& vs) {
     for (NodeId v : vs) changed_.emplace_back(std::min(h, v), std::max(h, v));
   };
@@ -634,7 +630,9 @@ std::size_t ChurnEngine::combine() {
     if (spec_.gateway == GatewayAlgorithm::kMesh) {
       kept = s;
     } else {
-      lmst_.keep_list(h, s, pair_hops, kept);
+      lmst_.keep_list(
+          h, s, [this](NodeId a, NodeId b) { return links_.hops(a, b); },
+          kept);
     }
     note_pairs(h, kept);
     ++recomputed;

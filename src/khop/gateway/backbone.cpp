@@ -8,7 +8,6 @@
 #include "khop/gateway/lmst.hpp"
 #include "khop/gateway/mesh.hpp"
 #include "khop/obs/trace.hpp"
-#include "khop/runtime/workspace.hpp"
 
 namespace khop {
 
@@ -94,7 +93,7 @@ Backbone build_backbone(const Graph& g, const Clustering& c,
   switch (spec.gateway) {
     case GatewayAlgorithm::kMesh: {
       obs::Span gw_span("backbone/mesh");
-      adopt(mesh_gateways(c, sweep.sel, sweep.links, *exec.ws));
+      adopt(mesh_gateways(c, sweep.links, exec));
       break;
     }
     case GatewayAlgorithm::kLmst: {

@@ -1,9 +1,7 @@
 #include "khop/gateway/lmst.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <tuple>
-#include <utility>
 
 #include "khop/common/assert.hpp"
 #include "khop/common/error.hpp"
@@ -62,117 +60,37 @@ void LmstKernel::prim_children(std::size_t root, std::vector<NodeId>& out) {
 
 namespace {
 
-constexpr std::uint32_t kNoRow = static_cast<std::uint32_t>(-1);
-constexpr std::size_t kNoEntry = static_cast<std::size_t>(-1);
+/// Keep-flag bits (see PairHopRows): the endpoint selected the other one,
+/// and the endpoint keeps the link.
+constexpr std::uint8_t kSelected = 1;
+constexpr std::uint8_t kKept = 2;
 
-/// The selected pairs as a flat table in \p rows (see PairHopRows), built
-/// once per call: entry i is canonical pair i, with its virtual distance,
-/// read by position when \p links was built from exactly these pairs. A
-/// lookup is a search of one short row instead of a search over all pairs.
-/// The kernels record their keep decisions in the table (mark), so the
-/// keep rule is one pass over the pairs in canonical order.
-class PairTable {
- public:
-  PairTable(const Clustering& c, const NeighborSelection& sel,
-            const VirtualLinkMap& links, PairHopRows& rows)
-      : c_(c), rows_(rows), pairs_(&sel.head_pairs) {
-    // Canonical (sorted, unique) pairs; a non-canonical input is
-    // canonicalized once into scratch.
-    if (std::adjacent_find(pairs_->begin(), pairs_->end(),
-                           std::greater_equal<>()) != pairs_->end()) {
-      rows.canonical.assign(pairs_->begin(), pairs_->end());
-      std::sort(rows.canonical.begin(), rows.canonical.end());
-      rows.canonical.erase(
-          std::unique(rows.canonical.begin(), rows.canonical.end()),
-          rows.canonical.end());
-      pairs_ = &rows.canonical;
-    }
+/// The flag the block running \p from owns for its side of the link at
+/// position \p pos.
+std::uint8_t& flag(PairHopRows& flags, NodeId from, NodeId to,
+                   std::size_t pos) {
+  return (from < to ? flags.by_smaller : flags.by_larger)[pos];
+}
 
-    const std::size_t num_rows = c.heads.size();
-    std::vector<std::size_t>& offsets = rows.offsets;
-    offsets.assign(num_rows + 1, 0);
-    for (const auto& [a, b] : *pairs_) {
-      KHOP_REQUIRE(row(a) != kNoRow && row(b) != kNoRow,
-                   "selected pair endpoints must be clusterheads");
-      ++offsets[row(a) + 1];
-    }
-    for (std::size_t r = 0; r < num_rows; ++r) offsets[r + 1] += offsets[r];
-    // Rows ascend with the head index, hence with the smaller id, so row
-    // order is canonical order and entry i is pair i.
-    rows.entries.resize(pairs_->size());
-    for (std::size_t i = 0; i < pairs_->size(); ++i) {
-      const auto& [a, b] = (*pairs_)[i];
-      rows.entries[i] = {b, links.link_at(i, a, b).hops};
-    }
-    rows.kept_by_smaller.assign(pairs_->size(), 0);
-    rows.kept_by_larger.assign(pairs_->size(), 0);
-  }
-
-  /// Virtual distance of the selected pair {a, b}, a <= b, or kUnreachable
-  /// when the pair is not selected.
-  Hops operator()(NodeId a, NodeId b) const {
-    const std::size_t e = entry(a, b);
-    return e == kNoEntry ? kUnreachable : rows_.entries[e].second;
-  }
-
-  /// Records that head \p from keeps its link to \p to. Each flag has one
-  /// writer, the block running head \p from.
-  void mark(NodeId from, NodeId to) {
-    const std::size_t e = entry(std::min(from, to), std::max(from, to));
-    KHOP_ASSERT(e != kNoEntry, "kept link is not a selected pair");
-    (from < to ? rows_.kept_by_smaller : rows_.kept_by_larger)[e] = 1;
-  }
-
-  const std::vector<std::pair<NodeId, NodeId>>& pairs() const {
-    return *pairs_;
-  }
-  const PairHopRows& rows() const { return rows_; }
-
- private:
-  /// Entry index of the selected pair {a, b}, a <= b, or kNoEntry.
-  std::size_t entry(NodeId a, NodeId b) const {
-    const std::uint32_t r = row(a);
-    if (r == kNoRow) return kNoEntry;
-    const auto first = rows_.entries.begin() +
-                       static_cast<std::ptrdiff_t>(rows_.offsets[r]);
-    const auto last = rows_.entries.begin() +
-                      static_cast<std::ptrdiff_t>(rows_.offsets[r + 1]);
-    const auto it = std::lower_bound(
-        first, last, b, [](const std::pair<NodeId, Hops>& e, NodeId id) {
-          return e.first < id;
-        });
-    return it != last && it->first == b
-               ? static_cast<std::size_t>(it - rows_.entries.begin())
-               : kNoEntry;
-  }
-
-  /// Row of head \p a (its index in heads), or kNoRow if \p a is not a
-  /// head. cluster_of gives it directly; a clustering whose cluster_of is
-  /// absent or stale (built by hand, or churned) is searched instead.
-  std::uint32_t row(NodeId a) const {
-    const std::vector<NodeId>& heads = c_.heads;
-    if (a < c_.cluster_of.size()) {
-      const std::uint32_t r = c_.cluster_of[a];
-      if (r < heads.size() && heads[r] == a) return r;
-    }
-    const auto it = std::lower_bound(heads.begin(), heads.end(), a);
-    return it != heads.end() && *it == a
-               ? static_cast<std::uint32_t>(it - heads.begin())
-               : kNoRow;
-  }
-
-  const Clustering& c_;
-  PairHopRows& rows_;
-  const std::vector<std::pair<NodeId, NodeId>>* pairs_;
-};
-
-/// Runs LmstKernel for heads[begin, end) and marks in \p table every link
-/// each head keeps.
+/// Runs LmstKernel for heads[begin, end), reading the pair distances from
+/// \p links, and flags in \p flags, at the link's position in links.all(),
+/// every link each head selects and every link it keeps. Each flag has one
+/// writer, the block running the flagging head. Throws InvalidArgument if a
+/// selected pair is not in \p links.
 void keep_range(const Clustering& c, const NeighborSelection& sel,
-                PairTable& table, std::size_t begin, std::size_t end) {
+                const VirtualLinkMap& links, PairHopRows& flags,
+                std::size_t begin, std::size_t end) {
   LmstKernel kernel;
   std::vector<NodeId> sorted_sel;
   std::vector<NodeId> kept;
+  const auto pair_hops = [&links](NodeId a, NodeId b) {
+    return links.hops(a, b);
+  };
+  const auto position = [&links](NodeId u, NodeId v) {
+    const VirtualLink* l = links.find(u, v);
+    KHOP_REQUIRE(l != nullptr, "selected pair is not in the virtual-link map");
+    return static_cast<std::size_t>(l - links.all().data());
+  };
   for (std::size_t i = begin; i < end; ++i) {
     const NodeId u = c.heads[i];
     std::span<const NodeId> nbrs = sel.selected[i];
@@ -182,28 +100,37 @@ void keep_range(const Clustering& c, const NeighborSelection& sel,
       std::sort(sorted_sel.begin(), sorted_sel.end());
       nbrs = sorted_sel;
     }
-    kernel.keep_list(u, nbrs, std::as_const(table), kept);
-    for (NodeId v : kept) table.mark(u, v);
+    for (NodeId v : nbrs) flag(flags, u, v, position(u, v)) |= kSelected;
+    kernel.keep_list(u, nbrs, pair_hops, kept);
+    for (NodeId v : kept) flag(flags, u, v, position(u, v)) |= kKept;
   }
 }
 
-/// Applies the keep rule to the marked pairs, in canonical order, and marks
-/// the gateways of the surviving links in \p marks.
+/// Applies the keep rule to the flagged links, in links.all() order, and
+/// marks the gateways of the surviving links in \p marks. Throws
+/// InvalidArgument if a link was selected by neither endpoint.
 LmstResult realize(const Clustering& c, const VirtualLinkMap& links,
-                   LmstKeepRule keep, const PairTable& table,
+                   LmstKeepRule keep, const PairHopRows& flags,
                    std::vector<std::uint8_t>& marks) {
   LmstResult r;
   GatewaySet gateways(c, marks);
-  const std::vector<std::pair<NodeId, NodeId>>& pairs = table.pairs();
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const bool fwd = table.rows().kept_by_smaller[i] != 0;
-    const bool rev = table.rows().kept_by_larger[i] != 0;
+  const std::vector<VirtualLink>& all = links.all();
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const std::uint8_t smaller = flags.by_smaller[i];
+    const std::uint8_t larger = flags.by_larger[i];
+    KHOP_REQUIRE(((smaller | larger) & kSelected) != 0,
+                 "virtual link is not a selected pair");
+    const bool fwd = (smaller & kKept) != 0;
+    const bool rev = (larger & kKept) != 0;
     if (!fwd && !rev) continue;
     if (fwd != rev) ++r.asymmetric_links;
     if (keep == LmstKeepRule::kBothEndpoints && !(fwd && rev)) continue;
-    const auto& [u, v] = pairs[i];
-    r.kept_links.push_back(pairs[i]);
-    gateways.add(links.interior(links.link_at(i, u, v)));
+    r.kept_links.emplace_back(all[i].u, all[i].v);
+    gateways.add(links.interior(all[i]));
+  }
+  // A mutated map (the churn engine's) is not in (u, v) order.
+  if (!std::is_sorted(r.kept_links.begin(), r.kept_links.end())) {
+    std::sort(r.kept_links.begin(), r.kept_links.end());
   }
   r.gateways = gateways.take();
   return r;
@@ -216,14 +143,20 @@ LmstResult lmst_gateways(const Clustering& c, const NeighborSelection& sel,
                          Exec exec) {
   KHOP_REQUIRE(sel.selected.size() == c.heads.size(),
                "selection does not match clustering");
-  // The blocks read the table's distances and set disjoint keep flags. A
-  // throwing head ends its block, and the lowest block's exception is the
-  // one the one-block run raises.
-  PairTable table(c, sel, links, exec.ws->lmst_pairs);
+  for (const VirtualLink& l : links.all()) {
+    KHOP_REQUIRE(l.v < c.head_of.size() && c.is_head(l.u) && c.is_head(l.v),
+                 "virtual link endpoints must be clusterheads");
+  }
+  // The blocks read the map and set disjoint flags. A throwing head
+  // ends its block, and the lowest block's exception is the one the
+  // one-block run raises.
+  PairHopRows& flags = exec.ws->lmst_pairs;
+  flags.by_smaller.assign(links.all().size(), 0);
+  flags.by_larger.assign(links.all().size(), 0);
   exec_blocks(exec, c.heads.size(),
               [&](std::size_t, std::size_t begin, std::size_t end,
-                  Workspace&) { keep_range(c, sel, table, begin, end); });
-  return realize(c, links, keep, table, exec.ws->gateway_marks);
+                  Workspace&) { keep_range(c, sel, links, flags, begin, end); });
+  return realize(c, links, keep, flags, exec.ws->gateway_marks);
 }
 
 }  // namespace khop

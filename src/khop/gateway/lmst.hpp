@@ -12,9 +12,10 @@
 ///
 /// The per-head decision is LmstKernel: a flat, allocation-free (after
 /// warm-up) kernel over a dense local weight matrix. lmst_gateways runs it
-/// for every head and realizes the result; the churn engine
-/// (dynamic/churn_engine.hpp) runs it only for heads whose local virtual
-/// graph changed and realizes incrementally.
+/// for every head over the front end's virtual-link map and realizes the
+/// result; the churn engine (dynamic/churn_engine.hpp) runs it, over its own
+/// mutated map, only for heads whose local virtual graph changed and
+/// realizes incrementally.
 ///
 /// Under A-NCR, LMSTGA keeps more links than under NC at equal view depth
 /// (S_AC(u) ⊆ S_NC(u), so u's AC local graph has fewer relays), the reverse
@@ -100,17 +101,19 @@ struct LmstResult {
 };
 
 /// Runs LMSTGA on the given neighbor selection: LmstKernel for every head,
-/// then the keep rule and the gateway marking. The kernels read the pair
-/// distances from a flat table built once per call in *exec.ws, one row
-/// per head holding (b, hops) ascending for each selected pair {a, b} with
-/// a < b, and record their keep decisions in it. The kernels run in blocks
-/// of contiguous head indices under \p exec, each block with its own
-/// LmstKernel setting its heads' keep flags; the keep rule and the gateway
-/// marking then run on the calling thread, one pass over the pairs in
-/// canonical order. Bit-identical for any block count: a throwing head
-/// raises the exception the one-block run raises first.
-/// \pre every selected pair has a virtual link in \p links, and both of
-///      its endpoints are heads (checked: throws InvalidArgument)
+/// then the keep rule and the gateway marking. \p links is the only pair
+/// store read: the kernels take pair distances from links.hops() and set
+/// keep flags (in *exec.ws) at each link's position in links.all(), so
+/// sel.head_pairs is never read. The kernels run in blocks of contiguous
+/// head indices under \p exec, each block with its own LmstKernel setting
+/// its heads' flags; the keep rule and the gateway marking then run on the
+/// calling thread, one pass over links.all(). kept_links is (u, v)-sorted
+/// even when links is a mutated map out of build order. Bit-identical for
+/// any block count: a throwing head raises the exception the one-block run
+/// raises first.
+/// Throws InvalidArgument unless \p links holds the virtual links of
+/// exactly the selected pairs, as the front end's map does
+/// (gateway/head_sweep.hpp), and every link's endpoints are heads.
 LmstResult lmst_gateways(const Clustering& c, const NeighborSelection& sel,
                          const VirtualLinkMap& links,
                          LmstKeepRule keep = LmstKeepRule::kEitherEndpoint,

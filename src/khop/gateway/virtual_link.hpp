@@ -17,6 +17,11 @@
 /// number of allocations per block, none per path, and its index costs
 /// O(L + largest source id).
 ///
+/// A front end's map is the only pair store the gateway combiners read:
+/// mesh and LMSTGA walk all(), LMSTGA's kernels (and the churn engine's)
+/// take pair distances from hops(), and its keep flags are indexed by
+/// position in all(); no combiner reads the selection's head_pairs.
+///
 /// Mutation (the churn engine's incremental re-sweeps): insert overwrites a
 /// stored path in place when the new one is no longer, and otherwise appends
 /// it and leaves the old slot dead; erase swap-pops the header, so all()
@@ -98,19 +103,17 @@ class VirtualLinkMap {
   /// Link for the unordered pair {a, b}. Throws InvalidArgument if absent.
   const VirtualLink& link(NodeId a, NodeId b) const;
 
-  /// Link of the pair (a, b), a < b, that is pair \p i of the canonical
-  /// (sorted, distinct) pairs this map was built from: read by position,
-  /// else (the map holds other links too) found as link() finds it.
-  const VirtualLink& link_at(std::size_t i, NodeId a, NodeId b) const {
-    return i < links_.size() && links_[i].u == a && links_[i].v == b
-               ? links_[i]
-               : link(a, b);
-  }
-
   bool contains(NodeId a, NodeId b) const;
 
   /// Link for the unordered pair {a, b}, or nullptr if absent.
   const VirtualLink* find(NodeId a, NodeId b) const;
+
+  /// Virtual distance of the unordered pair {a, b}, or kUnreachable if
+  /// absent: the pair weight the LMSTGA kernels read.
+  Hops hops(NodeId a, NodeId b) const {
+    const VirtualLink* l = find(a, b);
+    return l != nullptr ? l->hops : kUnreachable;
+  }
 
   /// The path of \p l, a header of this map: u..v inclusive.
   std::span<const NodeId> path(const VirtualLink& l) const noexcept {

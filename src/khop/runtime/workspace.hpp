@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "khop/common/types.hpp"
@@ -54,19 +53,14 @@ class EpochFlags {
   std::vector<std::uint32_t> stamp_;
 };
 
-/// LMSTGA's selected-pair distance table (gateway/lmst.cpp): row r holds
-/// (b, hops), b ascending, for every selected pair (a, b) whose smaller
-/// endpoint a is heads[r], i.e. the cluster index cluster_of[a]. Entry i
-/// is canonical pair i; its keep flags record whether a, and whether b,
-/// keeps the link (two arrays, so the blocks that set them never share a
-/// byte).
+/// LMSTGA's keep flags (gateway/lmst.cpp), one per link of the virtual-link
+/// map it combines, at the link's position in all(): whether the link's
+/// smaller endpoint, and whether its larger one, selected the other
+/// endpoint and whether it keeps the link. Two arrays, so the blocks that
+/// set them never share a byte.
 struct PairHopRows {
-  std::vector<std::size_t> offsets;
-  std::vector<std::pair<NodeId, Hops>> entries;
-  std::vector<std::uint8_t> kept_by_smaller;
-  std::vector<std::uint8_t> kept_by_larger;
-  /// Sorted, deduplicated copy of a non-canonical head_pairs input.
-  std::vector<std::pair<NodeId, NodeId>> canonical;
+  std::vector<std::uint8_t> by_smaller;
+  std::vector<std::uint8_t> by_larger;
 };
 
 /// khop_clustering's round lists: each round's winners and claimed
@@ -99,7 +93,7 @@ struct Workspace {
   /// connected-input check.
   UnionFind uf;
   UpperRows upper_rows;
-  /// The pair table lmst_gateways builds once per call.
+  /// The keep flags lmst_gateways sets once per call.
   PairHopRows lmst_pairs;
   /// The election's per-round lists (khop_clustering).
   ElectionLists election;

@@ -115,7 +115,7 @@ Backbone build_backbone(const Graph& g, const Clustering& c,
   const VirtualLinkMap links = build_virtual_links(g, sel.head_pairs);
 
   if (spec.gateway == GatewayAlgorithm::kMesh) {
-    MeshResult r = mesh_gateways(c, sel, links);
+    MeshResult r = mesh_gateways(c, links);
     b.gateways = std::move(r.gateways);
     b.virtual_links = std::move(r.kept_links);
   } else {

@@ -14,6 +14,7 @@
 #include "khop/dynamic/churn_engine.hpp"
 #include "khop/dynamic/churn_trace.hpp"
 #include "khop/gateway/lmst.hpp"
+#include "khop/gateway/mesh.hpp"
 #include "khop/gateway/validate.hpp"
 #include "khop/gateway/virtual_link.hpp"
 #include "khop/graph/bfs.hpp"
@@ -225,8 +226,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The incremental gateway combine recomputes keep lists only for dirty heads.
 // After every event its backbone must equal a from-scratch lmst_gateways
-// over the engine's own selections and links, on a trace with a head
-// failure and a partition.
+// (or mesh_gateways) over the engine's own selections and links, on a trace
+// with a head failure and a partition.
 struct CombineCase {
   Hops k;
   Pipeline pipeline;
@@ -254,6 +255,21 @@ NeighborSelection engine_selection(const ChurnEngine& engine) {
   return sel;
 }
 
+/// The from-scratch combiner of \p spec over the engine's own clustering
+/// and link map, which the mutations leave out of (u, v) order: its kept
+/// links and gateways.
+std::pair<std::vector<std::pair<NodeId, NodeId>>, std::vector<NodeId>>
+from_scratch_combine(const ChurnEngine& engine, const BackboneSpec& spec) {
+  if (spec.gateway == GatewayAlgorithm::kMesh) {
+    MeshResult r = mesh_gateways(engine.clustering(), engine.virtual_links());
+    return {std::move(r.kept_links), std::move(r.gateways)};
+  }
+  LmstResult r =
+      lmst_gateways(engine.clustering(), engine_selection(engine),
+                    engine.virtual_links(), spec.lmst_keep);
+  return {std::move(r.kept_links), std::move(r.gateways)};
+}
+
 TEST_P(IncrementalCombine, MatchesFromScratchCombineAfterEveryEvent) {
   const CombineCase p = GetParam();
   // Large enough that a 2k+1 ball is a small part of the network, so the
@@ -279,13 +295,10 @@ TEST_P(IncrementalCombine, MatchesFromScratchCombineAfterEveryEvent) {
     EXPECT_LE(rep.lmst_heads, engine.clustering().heads.size());
     local_combines += rep.lmst_heads > rep.heads_resweeped &&
                       rep.lmst_heads < engine.clustering().heads.size();
-    const NeighborSelection sel = engine_selection(engine);
-    const LmstResult want = lmst_gateways(engine.clustering(), sel,
-                                          engine.virtual_links(),
-                                          spec.lmst_keep);
-    ASSERT_EQ(engine.backbone().virtual_links, want.kept_links)
+    const auto [want_links, want_gateways] = from_scratch_combine(engine, spec);
+    ASSERT_EQ(engine.backbone().virtual_links, want_links)
         << "after event " << applied;
-    ASSERT_EQ(engine.backbone().gateways, want.gateways)
+    ASSERT_EQ(engine.backbone().gateways, want_gateways)
         << "after event " << applied;
   }
   EXPECT_GT(head_failures, 0u);
@@ -301,7 +314,9 @@ INSTANTIATE_TEST_SUITE_P(
                       CombineCase{3, Pipeline::kAcLmst},
                       CombineCase{1, Pipeline::kNcLmst},
                       CombineCase{2, Pipeline::kNcLmst},
-                      CombineCase{3, Pipeline::kNcLmst}),
+                      CombineCase{3, Pipeline::kNcLmst},
+                      CombineCase{2, Pipeline::kAcMesh},
+                      CombineCase{2, Pipeline::kNcMesh}),
     [](const ::testing::TestParamInfo<CombineCase>& info) {
       std::string name = "k" + std::to_string(info.param.k) + "_" +
                          std::string(pipeline_name(info.param.pipeline));

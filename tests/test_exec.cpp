@@ -61,7 +61,7 @@ TEST(ExecRouting, ExplicitWorkspaceKeepsTheStagesScratch) {
     const LmstResult r = lmst_gateways(in.c, in.sel, in.links,
                                        LmstKeepRule::kEitherEndpoint, ws);
     EXPECT_FALSE(r.gateways.empty());
-    EXPECT_GT(ws.lmst_pairs.entries.capacity(), 0u);
+    EXPECT_GT(ws.lmst_pairs.by_smaller.capacity(), 0u);
     EXPECT_GT(ws.gateway_marks.capacity(), 0u);
 
     // The election and whole backbones on ws too, the blocks' searches
@@ -78,7 +78,7 @@ TEST(ExecRouting, ExplicitWorkspaceKeepsTheStagesScratch) {
     EXPECT_GT(ws.node_buf.capacity(), 0u);
 
     const Workspace& mine = tls_workspace();
-    EXPECT_EQ(mine.lmst_pairs.entries.capacity(), 0u);
+    EXPECT_EQ(mine.lmst_pairs.by_smaller.capacity(), 0u);
     EXPECT_EQ(mine.gateway_marks.capacity(), 0u);
     EXPECT_EQ(mine.election.winners.capacity(), 0u);
     EXPECT_TRUE(mine.bfs.reached().empty());
@@ -101,8 +101,8 @@ TEST(ExecRouting, DefaultAndPoolUseTheCallingThreadsWorkspace) {
     EXPECT_EQ(explicit_ws.ws, &ws);
     EXPECT_EQ(explicit_ws.pool, nullptr);
   });
-  // The pair table lives on the caller with or without a pool: the blocks
-  // only read it and set its flags.
+  // The keep flags live on the caller with or without a pool: the blocks
+  // only set them.
   for (const bool use_pool : {false, true}) {
     on_fresh_thread([&] {
       const LmstResult r =
@@ -110,7 +110,7 @@ TEST(ExecRouting, DefaultAndPoolUseTheCallingThreadsWorkspace) {
                                    LmstKeepRule::kEitherEndpoint, pool)
                    : lmst_gateways(in.c, in.sel, in.links);
       EXPECT_FALSE(r.gateways.empty());
-      EXPECT_GT(tls_workspace().lmst_pairs.entries.capacity(), 0u)
+      EXPECT_GT(tls_workspace().lmst_pairs.by_smaller.capacity(), 0u)
           << "use_pool=" << use_pool;
     });
   }

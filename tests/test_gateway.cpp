@@ -31,7 +31,7 @@ struct TriFixture {
 
 TEST(Mesh, MarksPathInteriors) {
   TriFixture f;
-  const MeshResult r = mesh_gateways(f.c, f.sel, f.links);
+  const MeshResult r = mesh_gateways(f.c, f.links);
   EXPECT_EQ(r.gateways, (std::vector<NodeId>{3, 4}));
   EXPECT_EQ(r.kept_links, f.sel.head_pairs);
 }
@@ -47,7 +47,7 @@ TEST(Mesh, SharedGatewaysCountedOnce) {
   ASSERT_EQ(c.heads, (std::vector<NodeId>{0, 2, 4, 6}));
   const auto sel = select_neighbors(g, c, NeighborRule::kAllWithin2k1);
   const auto links = VirtualLinkMap::build(g, sel.head_pairs);
-  const MeshResult r = mesh_gateways(c, sel, links);
+  const MeshResult r = mesh_gateways(c, links);
   // All odd nodes relay; heads on paths (e.g. 2 on 0..4) are not gateways.
   EXPECT_EQ(r.gateways, (std::vector<NodeId>{1, 3, 5}));
 }
@@ -111,7 +111,7 @@ TEST(Lmst, NeverKeepsMoreLinksThanMesh) {
         select_neighbors(net.graph, c, NeighborRule::kAllWithin2k1);
     const auto links = VirtualLinkMap::build(net.graph, sel.head_pairs);
     const LmstResult lm = lmst_gateways(c, sel, links);
-    const MeshResult mesh = mesh_gateways(c, sel, links);
+    const MeshResult mesh = mesh_gateways(c, links);
     EXPECT_LE(lm.kept_links.size(), mesh.kept_links.size()) << "k=" << k;
     EXPECT_LE(lm.gateways.size(), mesh.gateways.size()) << "k=" << k;
   }
@@ -162,7 +162,7 @@ TEST(Gmst, LowerBoundsPipelines) {
 
     const auto sel = select_neighbors(net.graph, c, NeighborRule::kAdjacent);
     const auto links = VirtualLinkMap::build(net.graph, sel.head_pairs);
-    const MeshResult mesh = mesh_gateways(c, sel, links);
+    const MeshResult mesh = mesh_gateways(c, links);
     // G-MST uses heads-1 links, the sparsest spanning structure.
     EXPECT_LE(gm.tree.size(), mesh.kept_links.size()) << "k=" << k;
   }

@@ -388,6 +388,33 @@ TEST(PoolEquivalence, LmstRejectsPairWithNonHeadEndpoint) {
   }
 }
 
+TEST(PoolEquivalence, LmstRejectsMapThatDisagreesWithSelection) {
+  const Graph g = random_topology(300, 8.0, 3700);
+  const Clustering c = khop_clustering(g, 1);
+  const NeighborSelection sel =
+      select_neighbors(g, c, NeighborRule::kAdjacent);
+  ASSERT_FALSE(sel.head_pairs.empty());
+  // A selected pair missing from the map, and a map link between two heads
+  // neither of which selected the other.
+  std::vector<std::pair<NodeId, NodeId>> missing = sel.head_pairs;
+  missing.pop_back();
+  const std::pair<NodeId, NodeId> extra(c.heads.front(), c.heads.back());
+  ASSERT_FALSE(std::binary_search(sel.head_pairs.begin(),
+                                  sel.head_pairs.end(), extra));
+  std::vector<std::pair<NodeId, NodeId>> surplus = sel.head_pairs;
+  surplus.push_back(extra);
+  for (const auto& pairs : {missing, surplus}) {
+    const VirtualLinkMap links = VirtualLinkMap::build(g, pairs);
+    EXPECT_THROW(lmst_gateways(c, sel, links), InvalidArgument);
+    for (std::size_t threads : kPoolSizes) {
+      ThreadPool pool(threads);
+      EXPECT_THROW(
+          lmst_gateways(c, sel, links, LmstKeepRule::kEitherEndpoint, pool),
+          InvalidArgument);
+    }
+  }
+}
+
 // --- election ----------------------------------------------------------------
 
 void expect_clustering_eq(const Clustering& got, const Clustering& want) {
